@@ -19,11 +19,11 @@ from . import strike as strike_mod
 from .fabric import Simulator
 from .probe import Verdict
 from .scenario import Handles, Scenario, ScenarioError
-from .strike import AttackReport, StrikeContext
+from .strike import OUTCOME_CSV_COLUMNS, AttackReport, StrikeContext
 
-ASSESS_CSV_HEADER = "scenario,policy,verdict,success,diagnosis,rst,pushack,octets,ticks,bandwidth,torn,blocked"
+ASSESS_CSV_HEADER = "scenario,policy,verdict," + OUTCOME_CSV_COLUMNS
 PROBE_CSV_HEADER = "target,kind,reason,baseline,postProbe,fragSizes"
-STRIKE_CSV_HEADER = "scenario,policy,success,diagnosis,rst,pushack,octets,ticks,bandwidth,torn,blocked"
+STRIKE_CSV_HEADER = "scenario,policy," + OUTCOME_CSV_COLUMNS
 
 # Field studies of this attack class report ~5.72/5.06 MBps average attack
 # bandwidth and >92% of 180 surveyed NAT networks vulnerable; those are
@@ -47,16 +47,12 @@ class AssessmentRow:
     def csv_row(self) -> str:
         verdict = self.verdict.kind.value if self.verdict else "-"
         if self.error:
-            return f"{self.scenario},{self.policy},{verdict},error,{self.error},0,0,0,0,0.0,0,0"
-        if self.report is None:
-            return f"{self.scenario},{self.policy},{verdict},-,-,0,0,0,0,0.0,0,0"
-        r = self.report
-        return (
-            f"{self.scenario},{self.policy},{verdict},{str(r.success).lower()},"
-            f"{r.failure_diagnosis.value},{r.rst_packets_sent},{r.push_ack_packets_sent},"
-            f"{r.octets_sent},{r.duration_ticks},{r.implied_bandwidth:.1f},"
-            f"{r.client_connections_torn},{r.new_connections_blocked}"
-        )
+            outcome = AttackReport().outcome_csv(f"error,{self.error}")
+        elif self.report is None:
+            outcome = AttackReport().outcome_csv("-,-")
+        else:
+            outcome = self.report.outcome_csv()
+        return f"{self.scenario},{self.policy},{verdict},{outcome}"
 
 
 def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, Handles]:

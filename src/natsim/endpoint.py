@@ -1,9 +1,12 @@
-"""Simulated host TCP/IP stack.
+"""Simulated host TCP/IP stack, and the IP layer it shares with the NAT.
 
-Each Host owns a per-destination path-MTU cache, a minimal TCP connection
-table, an echo responder, and the closed-socket reset behavior of RFC 793
-plus the duplicate-ACK reaction of RFC 5681.  OS quirks are expressed via
-StackProfile: an openbsd-like profile stays silent on stray PUSH/ACKs.
+IpNode is that shared layer: a per-destination path-MTU cache, the IP
+identification counter, fragment reassembly with expiry, an echo
+responder that fragments at the node's own path-MTU cache, and the
+closed-socket reset reflection of RFC 793.  Host adds a minimal TCP
+connection table and the duplicate-ACK reaction of RFC 5681.  OS quirks
+are expressed via StackProfile: an openbsd-like profile stays silent on
+stray PUSH/ACKs.
 
 No congestion control, no retransmission timers, no SACK or options;
 application protocols are reduced to "send N octets now".
@@ -11,6 +14,7 @@ application protocols are reduced to "send N octets now".
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import wire
@@ -73,8 +77,103 @@ class PathMtuCache:
         self.entries.pop(dst, None)
 
 
+def pick_port(rng: random.Random, lo: int, hi: int, used: set[int]) -> int | None:
+    """A free port in [lo, hi]: up to 64 seeded draws, then the lowest
+    free port; None when every port is in use."""
+    for _ in range(64):
+        port = lo + rng.randrange(hi - lo + 1)
+        if port not in used:
+            return port
+    return next((port for port in range(lo, hi + 1) if port not in used), None)
+
+
+class IpNode:
+    """The IP layer under Host and NatBox.  Subclasses dispatch in
+    on_datagram; a reassembled datagram is dispatched there again."""
+
+    def __init__(self, node_id: str, address: str):
+        self.node_id = node_id
+        self.address = address
+        self.pmtu = PathMtuCache()
+        self._ip_ident = 0
+        self._frag_buffers: dict[tuple, list[Ipv4Datagram]] = {}
+
+    def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
+        raise NotImplementedError
+
+    def _on_fragment(self, sim: Simulator, d: Ipv4Datagram) -> None:
+        key = d.group_key()
+        frags = self._frag_buffers.get(key)
+        if frags is None:
+            frags = self._frag_buffers[key] = []
+            sim.schedule_call(
+                sim.now + REASSEMBLY_TIMEOUT_TICKS, lambda s, k=key: self._expire_group(s, k)
+            )
+        elif d in frags:
+            # RFC 791/815 receivers drop exact duplicates; reassemble would
+            # read one as an overlap and never complete the group
+            sim.record(self.node_id, "drop", "duplicate-fragment", d)
+            return
+        frags.append(d)
+        try:
+            whole = wire.reassemble(frags)
+        except wire.IncompleteGroupError:
+            return
+        del self._frag_buffers[key]
+        self.on_datagram(sim, self.node_id, whole)
+
+    def _expire_group(self, sim: Simulator, key: tuple) -> None:
+        frags = self._frag_buffers.pop(key, None)
+        if frags is not None:
+            sim.record(self.node_id, "drop", "reassembly-timeout", frags[0])
+
+    def _echo(self, sim: Simulator, d: Ipv4Datagram, req: EchoRequest) -> None:
+        """Answer a ping, fragmenting at this node's own path-MTU cache."""
+        reply = Ipv4Datagram(
+            src=self.address,
+            dst=d.src,
+            protocol=Protocol.ICMP,
+            payload=EchoReply(req.ident, req.seq_no, req.padding_length),
+            identification=self._next_ident(),
+        )
+        for piece in wire.fragment(reply, self.pmtu.get(d.src)):
+            sim.send_from(self.node_id, piece)
+
+    def _reflect_reset(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
+        """RFC 793 reset for a segment that matches no connection."""
+        if TcpFlag.RST in seg.flags:
+            return  # never reset in response to a reset
+        if TcpFlag.ACK in seg.flags:
+            reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=TcpFlag.RST)
+        else:
+            reply = TcpSegment(
+                seg.dst_port,
+                seg.src_port,
+                seq=0,
+                ack=seq_add(seg.seq, seg.seg_len),
+                flags=TcpFlag.RST | TcpFlag.ACK,
+            )
+        self._emit_tcp(sim, d.src, reply)
+
+    def _emit_tcp(self, sim: Simulator, dst: str, seg: TcpSegment) -> None:
+        sim.send_from(
+            self.node_id,
+            Ipv4Datagram(
+                src=self.address,
+                dst=dst,
+                protocol=Protocol.TCP,
+                payload=seg,
+                identification=self._next_ident(),
+                df=True,
+            ),
+        )
+
+    def _next_ident(self) -> int:
+        self._ip_ident = (self._ip_ident + 1) % 0x10000
+        return self._ip_ident
+
+
 class TcpState:
-    LISTEN = "LISTEN"
     SYN_SENT = "SYN_SENT"
     ESTABLISHED = "ESTABLISHED"
     CLOSED = "CLOSED"
@@ -91,10 +190,8 @@ class Socket:
     snd_una: int
     snd_nxt: int
     rcv_nxt: int = 0
-    rcv_wnd: int = DEFAULT_RCV_WND
     # ground truth for assessors: (tick, rst seq, rcv_nxt at acceptance, src addr)
     reset_record: tuple[int, int, int, str] | None = None
-    established_tick: int | None = None
 
     @property
     def key(self) -> ConnKey:
@@ -114,7 +211,7 @@ class TcpObservation:
         return self.dgram.total_length
 
 
-class Host:
+class Host(IpNode):
     """A host endpoint attached to one simulator node."""
 
     def __init__(
@@ -128,13 +225,11 @@ class Host:
         ack_data: bool = True,
         observe: bool = False,
     ):
-        self.node_id = node_id
-        self.address = address
+        super().__init__(node_id, address)
         self.profile = profile
         self.ephemeral_range = ephemeral_range
         self.ack_data = ack_data
         self.observe = observe
-        self.pmtu = PathMtuCache()
         self.sockets: dict[ConnKey, Socket] = {}
         self.listeners: set[int] = set()
         self.dup_acks_sent = 0
@@ -143,8 +238,6 @@ class Host:
         self.echo_log: list[tuple[int, str, int, int, int]] = []  # tick, src, total, ident, seq_no
         self._rng = derive_rng(seed, "host", node_id)
         self._used_ports: set[int] = set()
-        self._ip_ident = 0
-        self._frag_buffers: dict[tuple, dict] = {}
 
     # -- application surface ---------------------------------------------------
 
@@ -154,18 +247,7 @@ class Host:
     def open_connection(self, sim: Simulator, remote: tuple[str, int]) -> ConnKey:
         """Start the three-way handshake toward remote; returns the
         connection key (ESTABLISHED only after the SYN/ACK round trip)."""
-        port = self._alloc_ephemeral()
-        isn = self._rng.getrandbits(32)
-        sock = Socket(
-            local_port=port,
-            remote=remote,
-            state=TcpState.SYN_SENT,
-            snd_una=isn,
-            snd_nxt=seq_add(isn, 1),
-        )
-        self.sockets[sock.key] = sock
-        self._emit_tcp(sim, sock.remote, TcpSegment(port, remote[1], seq=isn, flags=TcpFlag.SYN))
-        return sock.key
+        return self._open(sim, self._alloc_ephemeral(), remote, TcpState.SYN_SENT, 0).key
 
     def send_data(self, sim: Simulator, key: ConnKey, length: int) -> None:
         """Send `length` octets split into segments no larger than the
@@ -177,23 +259,9 @@ class Host:
         remaining = length
         while remaining > 0:
             chunk = min(remaining, mss)
-            self._emit_tcp(
-                sim,
-                sock.remote,
-                TcpSegment(
-                    sock.local_port,
-                    sock.remote[1],
-                    seq=sock.snd_nxt,
-                    ack=sock.rcv_nxt,
-                    flags=TcpFlag.PSH | TcpFlag.ACK,
-                    payload_length=chunk,
-                ),
-            )
+            self._send(sim, sock, TcpFlag.PSH | TcpFlag.ACK, chunk)
             sock.snd_nxt = seq_add(sock.snd_nxt, chunk)
             remaining -= chunk
-
-    def reset_path_mtu(self, dst: str) -> None:
-        self.pmtu.reset(dst)
 
     # -- fabric handler ----------------------------------------------------------
 
@@ -206,50 +274,13 @@ class Host:
                 self.observations.append(TcpObservation(sim.now, d, p))
             self._on_tcp(sim, d, p)
         elif isinstance(p, EchoRequest):
-            self._on_echo_request(sim, d, p)
+            self._echo(sim, d, p)
         elif isinstance(p, EchoReply):
             self.echo_log.append((sim.now, d.src, d.total_length, p.ident, p.seq_no))
         elif isinstance(p, FragNeeded):
             self._on_frag_needed(sim, d, p)
 
-    # -- reassembly ----------------------------------------------------------------
-
-    def _on_fragment(self, sim: Simulator, d: Ipv4Datagram) -> None:
-        key = d.group_key()
-        buf = self._frag_buffers.get(key)
-        if buf is None:
-            buf = {"frags": [], "first_tick": sim.now}
-            self._frag_buffers[key] = buf
-            sim.schedule_call(
-                sim.now + REASSEMBLY_TIMEOUT_TICKS, lambda s, k=key: self._expire_group(s, k)
-            )
-        buf["frags"].append(d)
-        try:
-            whole = wire.reassemble(buf["frags"])
-        except wire.IncompleteGroupError:
-            return
-        except wire.MixedGroupError:
-            return
-        del self._frag_buffers[key]
-        self.on_datagram(sim, self.node_id, whole)
-
-    def _expire_group(self, sim: Simulator, key: tuple) -> None:
-        buf = self._frag_buffers.pop(key, None)
-        if buf is not None:
-            sim.record(self.node_id, "drop", "reassembly-timeout", buf["frags"][0])
-
     # -- ICMP ---------------------------------------------------------------------
-
-    def _on_echo_request(self, sim: Simulator, d: Ipv4Datagram, req: EchoRequest) -> None:
-        reply = Ipv4Datagram(
-            src=self.address,
-            dst=d.src,
-            protocol=Protocol.ICMP,
-            payload=EchoReply(req.ident, req.seq_no, req.padding_length),
-            identification=self._next_ident(),
-        )
-        for piece in wire.fragment(reply, self.pmtu.get(d.src)):
-            sim.send_from(self.node_id, piece)
 
     def _on_frag_needed(self, sim: Simulator, d: Ipv4Datagram, msg: FragNeeded) -> None:
         # the outer source is never validated: any router may emit these
@@ -276,9 +307,10 @@ class Host:
         if sock is None or sock.state == TcpState.CLOSED:
             if sock is None and TcpFlag.SYN in seg.flags and TcpFlag.ACK not in seg.flags:
                 if seg.dst_port in self.listeners:
-                    self._accept(sim, d, seg)
+                    remote = (d.src, seg.src_port)
+                    self._open(sim, seg.dst_port, remote, TcpState.ESTABLISHED, seq_add(seg.seq, 1))
                     return
-            self._closed_port_reply(sim, d, seg)
+            self._reflect_reset(sim, d, seg)
             return
 
         if TcpFlag.RST in seg.flags:
@@ -297,18 +329,7 @@ class Host:
                 sock.rcv_nxt = seq_add(seg.seq, 1)
                 sock.snd_una = seg.ack
                 sock.state = TcpState.ESTABLISHED
-                sock.established_tick = sim.now
-                self._emit_tcp(
-                    sim,
-                    sock.remote,
-                    TcpSegment(
-                        sock.local_port,
-                        sock.remote[1],
-                        seq=sock.snd_nxt,
-                        ack=sock.rcv_nxt,
-                        flags=TcpFlag.ACK,
-                    ),
-                )
+                self._send(sim, sock, TcpFlag.ACK)
             return
 
         if sock.state != TcpState.ESTABLISHED:
@@ -322,17 +343,7 @@ class Host:
             if seg.payload_length > 0:
                 sock.rcv_nxt = seq_add(sock.rcv_nxt, seg.payload_length)
                 if self.ack_data:
-                    self._emit_tcp(
-                        sim,
-                        sock.remote,
-                        TcpSegment(
-                            sock.local_port,
-                            sock.remote[1],
-                            seq=sock.snd_nxt,
-                            ack=sock.rcv_nxt,
-                            flags=TcpFlag.ACK,
-                        ),
-                    )
+                    self._send(sim, sock, TcpFlag.ACK)
             return
 
         if TcpFlag.PSH in seg.flags and TcpFlag.ACK in seg.flags:
@@ -341,91 +352,47 @@ class Host:
             if self.profile.emits_dup_ack_on_stray_push_ack:
                 self.dup_acks_sent += 1
                 self.dup_ack_log.append((sim.now, key, sock.rcv_nxt))
-                self._emit_tcp(
-                    sim,
-                    sock.remote,
-                    TcpSegment(
-                        sock.local_port,
-                        sock.remote[1],
-                        seq=sock.snd_nxt,
-                        ack=sock.rcv_nxt,
-                        flags=TcpFlag.ACK,
-                    ),
-                )
-
-    def _accept(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
-        isn = self._rng.getrandbits(32)
-        sock = Socket(
-            local_port=seg.dst_port,
-            remote=(d.src, seg.src_port),
-            state=TcpState.ESTABLISHED,
-            snd_una=isn,
-            snd_nxt=seq_add(isn, 1),
-            rcv_nxt=seq_add(seg.seq, 1),
-            established_tick=sim.now,
-        )
-        self.sockets[sock.key] = sock
-        self._emit_tcp(
-            sim,
-            sock.remote,
-            TcpSegment(
-                sock.local_port,
-                sock.remote[1],
-                seq=isn,
-                ack=sock.rcv_nxt,
-                flags=TcpFlag.SYN | TcpFlag.ACK,
-            ),
-        )
-
-    def _closed_port_reply(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
-        if TcpFlag.RST in seg.flags:
-            return  # never reset in response to a reset
-        if TcpFlag.ACK in seg.flags:
-            reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=TcpFlag.RST)
-        else:
-            reply = TcpSegment(
-                seg.dst_port,
-                seg.src_port,
-                seq=0,
-                ack=seq_add(seg.seq, seg.seg_len),
-                flags=TcpFlag.RST | TcpFlag.ACK,
-            )
-        self._emit_tcp(sim, (d.src, seg.src_port), reply)
+                self._send(sim, sock, TcpFlag.ACK)
 
     # -- helpers ------------------------------------------------------------------
 
-    def _emit_tcp(self, sim: Simulator, remote: tuple[str, int], seg: TcpSegment) -> None:
-        sim.send_from(
-            self.node_id,
-            Ipv4Datagram(
-                src=self.address,
-                dst=remote[0],
-                protocol=Protocol.TCP,
-                payload=seg,
-                identification=self._next_ident(),
-                df=True,
+    def _open(
+        self, sim: Simulator, port: int, remote: tuple[str, int], state: str, rcv_nxt: int
+    ) -> Socket:
+        """Create a socket with a fresh ISN and send its SYN: a bare SYN
+        for an active open, a SYN/ACK for an accepted one."""
+        isn = self._rng.getrandbits(32)
+        sock = Socket(port, remote, state, snd_una=isn, snd_nxt=seq_add(isn, 1), rcv_nxt=rcv_nxt)
+        self.sockets[sock.key] = sock
+        flags = TcpFlag.SYN if state == TcpState.SYN_SENT else TcpFlag.SYN | TcpFlag.ACK
+        self._send(sim, sock, flags, seq=isn)
+        return sock
+
+    def _send(
+        self, sim: Simulator, sock: Socket, flags: TcpFlag, length: int = 0, seq: int | None = None
+    ) -> None:
+        """Send one segment on sock, at snd_nxt unless seq is given."""
+        self._emit_tcp(
+            sim,
+            sock.remote[0],
+            TcpSegment(
+                sock.local_port,
+                sock.remote[1],
+                seq=sock.snd_nxt if seq is None else seq,
+                ack=sock.rcv_nxt,
+                flags=flags,
+                payload_length=length,
             ),
         )
 
-    def _next_ident(self) -> int:
-        self._ip_ident = (self._ip_ident + 1) % 0x10000
-        return self._ip_ident
-
     def _alloc_ephemeral(self) -> int:
         lo, hi = self.ephemeral_range
-        span = hi - lo + 1
-        if len(self._used_ports) >= span:
+        # checked before any draw, so a failed open leaves the seeded stream alone
+        if len(self._used_ports) > hi - lo:
             raise PortsExhaustedError("ports-exhausted")
-        for _ in range(64):
-            port = lo + self._rng.randrange(span)
-            if port not in self._used_ports:
-                self._used_ports.add(port)
-                return port
-        for port in range(lo, hi + 1):
-            if port not in self._used_ports:
-                self._used_ports.add(port)
-                return port
-        raise PortsExhaustedError("ports-exhausted")
+        port = pick_port(self._rng, lo, hi, self._used_ports)
+        self._used_ports.add(port)
+        return port
 
     # -- queries used by orchestrators ---------------------------------------------
 

@@ -258,6 +258,15 @@ class Simulator:
     def idle(self) -> bool:
         return not self._heap
 
+    def run_until(self, done: Callable[[], bool], deadline: int) -> bool:
+        """Run tick by tick until done() holds; False once the deadline is
+        reached or nothing is left to run before it does."""
+        while not done():
+            if self.now >= deadline or self.idle:
+                return False
+            self.run(until=self.now + 1)
+        return True
+
     def inject(self, at: str, d: Ipv4Datagram) -> int:
         """Originate a datagram at a node; counted against its totals."""
         if at not in self.nodes:

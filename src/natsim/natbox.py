@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import wire
-from .endpoint import DEFAULT_RCV_WND, PathMtuCache
+from .endpoint import DEFAULT_RCV_WND, IpNode, pick_port
 from .fabric import Simulator, derive_rng
 from .wire import (
-    EchoReply,
     EchoRequest,
     FragNeeded,
     Ipv4Datagram,
@@ -87,10 +86,9 @@ class NatMapping:
     remote: tuple[str, int]
     state: str
     last_tick: int
-    # per-direction acceptable sequence windows, tracked under strict
-    # validation only: inbound guards server->client seq numbers
+    # acceptable server->client sequence window, tracked under strict
+    # validation only
     inbound_seq_window: tuple[int, int] | None = None
-    outbound_seq_window: tuple[int, int] | None = None
 
     def dump_line(self) -> str:
         lo, hi = self.inbound_seq_window or ("-", "-")
@@ -104,7 +102,7 @@ class NatTableError(Exception):
     pass
 
 
-class NatBox:
+class NatBox(IpNode):
     """Session-mapping NAT attached to one simulator node."""
 
     MIN_PORT = 1024
@@ -118,25 +116,20 @@ class NatBox:
         *,
         seed: int = 0,
     ):
-        self.node_id = node_id
-        self.public_ip = public_ip
+        super().__init__(node_id, public_ip)
         self.policy = policy
         self.internal_addrs = set(internal_addrs)
-        self.pmtu = PathMtuCache()
         self.by_internal: dict[tuple, NatMapping] = {}
         self.by_external: dict[tuple, NatMapping] = {}
         self.mappings_removed_by_rst = 0
-        self.removal_log: list[tuple[int, int, int]] = []  # (tick, external port, rst seq)
         self._rng = derive_rng(seed, "nat", node_id)
         self._next_sequential = policy.sequential_start
         self._used_ports: set[int] = set()
-        self._frag_buffers: dict[tuple, list] = {}
-        self._ip_ident = 0
 
     # -- fabric handler (sees every packet crossing the node) --------------------
 
     def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
-        if d.dst == self.public_ip:
+        if d.dst == self.address:
             self._inbound(sim, d)
         elif d.src in self.internal_addrs:
             self._outbound(sim, d)
@@ -173,22 +166,7 @@ class NatBox:
             mapping.state = MappingState.FIN_WAIT
         if self.policy.rst_handling is RstHandling.STRICT_VALIDATE and TcpFlag.ACK in seg.flags:
             mapping.inbound_seq_window = (seg.ack, seq_add(seg.ack, DEFAULT_RCV_WND))
-        translated = Ipv4Datagram(
-            src=self.public_ip,
-            dst=d.dst,
-            protocol=d.protocol,
-            payload=wire.TcpSegment(
-                src_port=mapping.external_port,
-                dst_port=seg.dst_port,
-                seq=seg.seq,
-                ack=seg.ack,
-                flags=seg.flags,
-                payload_length=seg.payload_length,
-            ),
-            identification=d.identification,
-            df=d.df,
-        )
-        sim.forward_from(self.node_id, translated)
+        self._translate(sim, d, seg, (self.address, mapping.external_port), (d.dst, seg.dst_port))
 
     # -- inbound ------------------------------------------------------------------
 
@@ -201,32 +179,27 @@ class NatBox:
         elif isinstance(p, FragNeeded):
             self._translate_icmp_error(sim, d, p)
         elif isinstance(p, EchoRequest):
-            self._echo_reply(sim, d, p)
+            self._echo(sim, d, p)
         else:
             sim.record(self.node_id, "drop", "no-mapping", d)
 
     def _inbound_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         mapping = self.by_external.get((seg.dst_port, (d.src, seg.src_port)))
-        if TcpFlag.RST in seg.flags:
-            if mapping is None:
-                sim.record(self.node_id, "drop", "no-mapping", d)
-                return
-            forward = self._on_inbound_rst(sim, d, seg, mapping)
-            if forward:
-                self._forward_inward(sim, d, seg, mapping)
-            return
         if mapping is None:
-            if self.policy.unmapped_inbound is UnmappedInbound.SILENT_DROP:
+            silent = self.policy.unmapped_inbound is UnmappedInbound.SILENT_DROP
+            if TcpFlag.RST in seg.flags or silent:
                 sim.record(self.node_id, "drop", "no-mapping", d)
-                return
-            self._rst_reply(sim, d, seg)
+            else:
+                self._reflect_reset(sim, d, seg)
             return
-        mapping.last_tick = sim.now
-        if TcpFlag.FIN in seg.flags:
-            mapping.state = MappingState.FIN_WAIT
-        if self.policy.rst_handling is RstHandling.STRICT_VALIDATE and TcpFlag.ACK in seg.flags:
-            mapping.outbound_seq_window = (seg.ack, seq_add(seg.ack, DEFAULT_RCV_WND))
-        self._forward_inward(sim, d, seg, mapping)
+        if TcpFlag.RST in seg.flags:
+            if not self._on_inbound_rst(sim, d, seg, mapping):
+                return
+        else:
+            mapping.last_tick = sim.now
+            if TcpFlag.FIN in seg.flags:
+                mapping.state = MappingState.FIN_WAIT
+        self._translate(sim, d, seg, (d.src, seg.src_port), mapping.internal)
 
     def _on_inbound_rst(
         self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment, mapping: NatMapping
@@ -239,24 +212,28 @@ class NatBox:
         if policy is RstHandling.VULNERABLE_REMOVE:
             if self.policy.require_ack_flag_on_rst and TcpFlag.ACK not in seg.flags:
                 return True
-            self._remove(sim, mapping, seg.seq)
+            self._remove(mapping)
             return True
         # strict validation: only an in-window sequence number may remove
         window = mapping.inbound_seq_window
         if window is not None and seq_in_range(seg.seq, window[0], seq_add(window[1], 1)):
-            self._remove(sim, mapping, seg.seq)
+            self._remove(mapping)
             return True
         sim.record(self.node_id, "drop", "rst-out-of-window", d)
         return False
 
-    def _forward_inward(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment, mapping) -> None:
+    def _translate(
+        self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment, src: tuple, dst: tuple
+    ) -> None:
+        """Forward a TCP datagram rewritten to the (address, port) pairs
+        src and dst, keeping everything else."""
         translated = Ipv4Datagram(
-            src=d.src,
-            dst=mapping.internal[0],
+            src=src[0],
+            dst=dst[0],
             protocol=d.protocol,
-            payload=wire.TcpSegment(
-                src_port=seg.src_port,
-                dst_port=mapping.internal[1],
+            payload=TcpSegment(
+                src_port=src[1],
+                dst_port=dst[1],
                 seq=seg.seq,
                 ack=seg.ack,
                 flags=seg.flags,
@@ -267,35 +244,11 @@ class NatBox:
         )
         sim.forward_from(self.node_id, translated)
 
-    def _rst_reply(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
-        # RFC 793 reflection for a non-RST segment with no matching mapping
-        if TcpFlag.ACK in seg.flags:
-            reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=TcpFlag.RST)
-        else:
-            reply = TcpSegment(
-                seg.dst_port,
-                seg.src_port,
-                seq=0,
-                ack=seq_add(seg.seq, seg.seg_len),
-                flags=TcpFlag.RST | TcpFlag.ACK,
-            )
-        sim.send_from(
-            self.node_id,
-            Ipv4Datagram(
-                src=self.public_ip,
-                dst=d.src,
-                protocol=Protocol.TCP,
-                payload=reply,
-                identification=self._next_ident(),
-                df=True,
-            ),
-        )
-
     # -- ICMP ------------------------------------------------------------------------
 
     def _translate_icmp_error(self, sim: Simulator, d: Ipv4Datagram, msg: FragNeeded) -> None:
         quote = wire.parse_embedded(msg.embedded)
-        if quote is None or quote.src != self.public_ip:
+        if quote is None or quote.src != self.address:
             sim.record(self.node_id, "drop", "icmp-no-mapping", d)
             return
         mapping = self.by_external.get((quote.src_port, (quote.dst, quote.dst_port)))
@@ -320,30 +273,6 @@ class NatBox:
             ),
         )
 
-    def _echo_reply(self, sim: Simulator, d: Ipv4Datagram, req: EchoRequest) -> None:
-        reply = Ipv4Datagram(
-            src=self.public_ip,
-            dst=d.src,
-            protocol=Protocol.ICMP,
-            payload=EchoReply(req.ident, req.seq_no, req.padding_length),
-            identification=self._next_ident(),
-        )
-        for piece in wire.fragment(reply, self.pmtu.get(d.src)):
-            sim.send_from(self.node_id, piece)
-
-    def _on_fragment(self, sim: Simulator, d: Ipv4Datagram) -> None:
-        key = d.group_key()
-        group = self._frag_buffers.setdefault(key, [])
-        group.append(d)
-        try:
-            whole = wire.reassemble(group)
-        except wire.IncompleteGroupError:
-            return
-        except wire.MixedGroupError:
-            return
-        del self._frag_buffers[key]
-        self._inbound(sim, whole)
-
     # -- table maintenance ---------------------------------------------------------
 
     def _insert(self, mapping: NatMapping) -> None:
@@ -356,13 +285,12 @@ class NatBox:
         self._used_ports.add(mapping.external_port)
         self._check_table()
 
-    def _remove(self, sim: Simulator, mapping: NatMapping, rst_seq: int) -> None:
+    def _remove(self, mapping: NatMapping) -> None:
         mapping.state = MappingState.CLOSED
         del self.by_internal[(mapping.internal, mapping.remote)]
         del self.by_external[(mapping.external_port, mapping.remote)]
         self._used_ports.discard(mapping.external_port)
         self.mappings_removed_by_rst += 1
-        self.removal_log.append((sim.now, mapping.external_port, rst_seq))
         self._check_table()
 
     def _check_table(self) -> None:
@@ -380,11 +308,7 @@ class NatBox:
             if port is not None:
                 self._next_sequential = port + 1
             return port
-        for _ in range(64):
-            port = self.MIN_PORT + self._rng.randrange(0x10000 - self.MIN_PORT)
-            if port not in self._used_ports:
-                return port
-        return self._scan_free(self.MIN_PORT)
+        return pick_port(self._rng, self.MIN_PORT, 0xFFFF, self._used_ports)
 
     def _scan_free(self, start: int) -> int | None:
         for port in range(max(start, self.MIN_PORT), 0x10000):
@@ -394,10 +318,6 @@ class NatBox:
             if port not in self._used_ports:
                 return port
         return None
-
-    def _next_ident(self) -> int:
-        self._ip_ident = (self._ip_ident + 1) % 0x10000
-        return self._ip_ident
 
     # -- external interface -----------------------------------------------------------
 

@@ -108,11 +108,6 @@ def craft_frag_needed(observed: Ipv4Datagram, forged_mtu: int) -> FragNeeded:
     return FragNeeded(next_hop_mtu=forged_mtu, embedded=wire.quote_of(observed))
 
 
-def frag_cap(mtu: int) -> int:
-    """Largest 8-aligned fragment payload for an MTU (RFC 791 arithmetic)."""
-    return ((mtu - wire.IP_HEADER_LEN) // 8) * 8
-
-
 def run_identification(
     sim: Simulator,
     vantage: Host,
@@ -168,13 +163,10 @@ def run_identification(
             payload=EchoRequest(ident=ident, seq_no=1, padding_length=cfg.baseline_size - 28),
         ),
     )
-    deadline = sim.now + cfg.timeout_ticks
-    while sim.now < deadline:
-        if any(t > echo_tick and src == target_addr for t, src, *_ in vantage.echo_log):
-            break
-        if sim.idle:
-            break
-        sim.run(until=sim.now + 1)
+    sim.run_until(
+        lambda: any(t > echo_tick and src == target_addr for t, src, *_ in vantage.echo_log),
+        sim.now + cfg.timeout_ticks,
+    )
     completed = [e for e in vantage.echo_log if e[0] > echo_tick and e[1] == target_addr]
 
     frags = _reply_fragments(sim, vantage.node_id, target_addr, echo_tick)
@@ -192,8 +184,8 @@ def _classify(obs: Observation, cfg: ProbeConfig, path_mtu: int | None) -> Verdi
     frags = obs.echo_reply_fragments
     if len(frags) == 1 and frags[0] == total:
         return Verdict(VerdictKind.NAT_DEVICE, VerdictReason.SINGLE_LARGE_REPLY, obs)
-    cap = frag_cap(cfg.forged_mtu)
-    if path_mtu is not None and path_mtu < total and frag_cap(path_mtu) == cap:
+    cap = wire.frag_cap(cfg.forged_mtu)
+    if path_mtu is not None and path_mtu < total and wire.frag_cap(path_mtu) == cap:
         # en-route fragmentation at the planted value is indistinguishable
         # from host-level fragmentation
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.AMBIGUOUS_SIZES, obs)
@@ -226,15 +218,12 @@ def restore_path_mtu(sim: Simulator, target_addr: str, vantage_addr: str) -> int
 def _wait_for_observation(sim, vantage: Host, target: str, *, after_tick: int, deadline: int):
     """Next data-carrying segment from the target; pure ACKs say nothing
     about the sender's path MTU sizing."""
-    while True:
-        hits = [
-            o for o in vantage.observations_after(after_tick, target) if o.segment.payload_length > 0
-        ]
-        if hits:
-            return hits[0]
-        if sim.now >= deadline or sim.idle:
-            return None
-        sim.run(until=sim.now + 1)
+
+    def first_hit():
+        hits = vantage.observations_after(after_tick, target)
+        return next((o for o in hits if o.segment.payload_length > 0), None)
+
+    return first_hit() if sim.run_until(lambda: first_hit() is not None, deadline) else None
 
 
 def _confirm_shrink(sim, vantage, target, cfg, probe_tick, obs) -> bool:

@@ -10,6 +10,7 @@ so a minimal document only names the topology.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass, field, replace
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, Host, LINUX_LIKE, OPENBSD_LIKE, StackProfile, TcpState
@@ -36,28 +37,38 @@ def _enum_value(field_name: str, value: str, enum_cls):
 
 
 def _require(doc: dict, key: str, typ, where: str):
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise ScenarioError(f"{where}.{key}: required field missing")
     value = doc[key]
     if typ is float and isinstance(value, int):
         value = float(value)
-    if not isinstance(value, typ):
+    # JSON true/false are Python ints too; only a bool field takes them
+    if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
         names = typ.__name__ if isinstance(typ, type) else "/".join(t.__name__ for t in typ)
         raise ScenarioError(f"{where}.{key}: expected {names}, got {type(value).__name__}")
     return value
 
 
 def _optional(doc: dict, key: str, typ, default, where: str):
-    if key not in doc or doc[key] is None:
+    if isinstance(doc, dict) and doc.get(key) is None:
         return default
     return _require(doc, key, typ, where)
+
+
+def _at_least(doc: dict, key: str, default: int, low: int, where: str) -> int:
+    value = _optional(doc, key, int, default, where)
+    if value < low:
+        raise ScenarioError(f"{where}.{key}: {value} is below the minimum {low}")
+    return value
 
 
 def _port_range(doc: dict, key: str, default, where: str) -> tuple[int, int]:
     raw = _optional(doc, key, list, None, where)
     if raw is None:
         return default
-    if len(raw) != 2 or not all(isinstance(x, int) for x in raw):
+    if len(raw) != 2 or not all(type(x) is int for x in raw):
         raise ScenarioError(f"{where}.{key}: expected [lo, hi]")
     lo, hi = raw
     if lo > hi or lo < 0 or hi > 0xFFFF:
@@ -175,6 +186,10 @@ def load_scenario(doc: dict) -> Scenario:
         if kind not in NODE_KINDS:
             raise ScenarioError(f"{where}.kind: unknown value {kind!r} (valid: {', '.join(NODE_KINDS)})")
         address = _require(nd, "address", str, where)
+        try:
+            ipaddress.IPv4Address(address)
+        except ValueError:
+            raise ScenarioError(f"{where}.address: {address!r} is not an IPv4 address") from None
         if node_id in seen_ids:
             raise ScenarioError(f"{where}.id: duplicate node id {node_id!r}")
         seen_ids.add(node_id)
@@ -191,7 +206,7 @@ def load_scenario(doc: dict) -> Scenario:
             if end not in seen_ids:
                 raise ScenarioError(f"{where}: unknown node {end!r}")
         filt = None
-        raw_filter = ld.get("filter")
+        raw_filter = _optional(ld, "filter", list, None, where)
         if raw_filter:
             classes = frozenset(
                 _enum_value(f"{where}.filter[{j}]", c, DropClass) for j, c in enumerate(raw_filter)
@@ -218,7 +233,7 @@ def load_scenario(doc: dict) -> Scenario:
 
     nat_node = None
     nat_policy = None
-    nat_doc = doc.get("nat")
+    nat_doc = _optional(doc, "nat", dict, None, "scenario")
     if nat_doc is not None:
         nat_node = _optional(nat_doc, "node", str, "nat", "nat")
         if nat_node not in seen_ids:
@@ -249,7 +264,7 @@ def load_scenario(doc: dict) -> Scenario:
     server_node = None
     server_profile = LINUX_LIKE
     server_port = 80
-    server_doc = doc.get("server")
+    server_doc = _optional(doc, "server", dict, None, "scenario")
     if server_doc is not None:
         server_node = _optional(server_doc, "node", str, "server", "server")
         if server_node not in seen_ids:
@@ -265,22 +280,23 @@ def load_scenario(doc: dict) -> Scenario:
     default_clients = [n.node_id for n in nodes if n.kind == "client"]
     clients = _optional(doc, "clients", list, default_clients, "scenario")
     for c in clients:
-        if c not in seen_ids:
+        if not isinstance(c, str) or c not in seen_ids:
             raise ScenarioError(f"clients: unknown node {c!r}")
     if not clients:
         raise ScenarioError("clients: at least one client node required")
 
     ephemeral = _port_range(doc, "ephemeral_range", DEFAULT_EPHEMERAL_RANGE, "scenario")
 
-    wl_doc = doc.get("workload") or {}
+    wl_doc = _optional(doc, "workload", dict, {}, "scenario")
     workload = WorkloadSpec(
-        connections=_optional(wl_doc, "connections", int, 4, "workload"),
-        send_period=_optional(wl_doc, "send_period", int, 10, "workload"),
+        connections=_at_least(wl_doc, "connections", 4, 0, "workload"),
+        # a period of 0 would reschedule the session send at the same tick forever
+        send_period=_at_least(wl_doc, "send_period", 10, 1, "workload"),
         payload=_optional(wl_doc, "payload", int, 512, "workload"),
     )
 
     probe_spec = None
-    probe_doc = doc.get("probe")
+    probe_doc = _optional(doc, "probe", dict, None, "scenario")
     if probe_doc is not None:
         vantage = _optional(probe_doc, "vantage", str, "vantage", "probe")
         if vantage not in seen_ids:
@@ -292,10 +308,10 @@ def load_scenario(doc: dict) -> Scenario:
                 f"probe.forged_mtu: {forged} must lie in [68, baseline_size {baseline})"
             )
         pre_echo = None
-        pe_doc = probe_doc.get("pre_echo_mtu")
+        pe_doc = _optional(probe_doc, "pre_echo_mtu", dict, None, "probe")
         if pe_doc is not None:
             link = _require(pe_doc, "link", list, "probe.pre_echo_mtu")
-            if len(link) != 2 or any(l not in seen_ids for l in link):
+            if len(link) != 2 or any(not isinstance(l, str) or l not in seen_ids for l in link):
                 raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming nodes")
             pre_echo = (link[0], link[1], _require(pe_doc, "mtu", int, "probe.pre_echo_mtu"))
         probe_spec = ProbeSpec(
@@ -309,15 +325,15 @@ def load_scenario(doc: dict) -> Scenario:
         )
 
     attack_spec = None
-    attack_doc = doc.get("attack")
+    attack_doc = _optional(doc, "attack", dict, None, "scenario")
     if attack_doc is not None:
         attack_spec = AttackSpec(
             dst_port_range=_port_range(attack_doc, "dst_port_range", DEFAULT_EPHEMERAL_RANGE, "attack"),
             push_ack_src_port_range=_port_range(
                 attack_doc, "push_ack_src_port_range", DEFAULT_EPHEMERAL_RANGE, "attack"
             ),
-            interleave_batch=_optional(attack_doc, "interleave_batch", int, 1024, "attack"),
-            rounds=_optional(attack_doc, "rounds", int, 1, "attack"),
+            interleave_batch=_at_least(attack_doc, "interleave_batch", 1024, 1, "attack"),
+            rounds=_at_least(attack_doc, "rounds", 1, 1, "attack"),
             forged_seq=_optional(attack_doc, "forged_seq", int, 0, "attack"),
             set_ack_flag_on_rst=_optional(attack_doc, "set_ack_flag_on_rst", bool, True, "attack"),
             new_connection_attempts=_optional(attack_doc, "new_connection_attempts", int, 2, "attack"),
@@ -325,7 +341,7 @@ def load_scenario(doc: dict) -> Scenario:
         )
 
     expect = None
-    exp_doc = doc.get("expect")
+    exp_doc = _optional(doc, "expect", dict, None, "scenario")
     if exp_doc is not None:
         expect = Expectation(
             verdict=_optional(exp_doc, "verdict", str, None, "expect"),
@@ -464,15 +480,19 @@ class EstablishError(Exception):
     pass
 
 
+def _established(host: Host, key: tuple) -> bool:
+    sock = host.socket(key)
+    return sock is not None and sock.state == TcpState.ESTABLISHED
+
+
 def establish(handles: Handles) -> None:
     """Open the victim connections, push one round of data through each,
     and start the vantage session workload."""
     scn = handles.scenario
     sim = handles.sim
-    node_map = {n.node_id: n for n in scn.nodes}
 
     if handles.server_host is not None and scn.workload.connections > 0:
-        server_addr = node_map[scn.server_node].address
+        server_addr = handles.server_host.address
         for i in range(scn.workload.connections):
             client = handles.hosts[scn.clients[i % len(scn.clients)]]
             sim.schedule_call(
@@ -481,15 +501,10 @@ def establish(handles: Handles) -> None:
                     (c, c.open_connection(s, (server_addr, scn.server_port)))
                 ),
             )
-        deadline = sim.now + 40 + 4 * scn.workload.connections
-        while sim.now < deadline:
-            sim.run(until=sim.now + 1)
-            if len(handles.victims) == scn.workload.connections and all(
-                h.socket(k) and h.socket(k).state == TcpState.ESTABLISHED
-                for h, k in handles.victims
-            ):
-                break
-        else:
+        established = lambda: len(handles.victims) == scn.workload.connections and all(
+            _established(h, k) for h, k in handles.victims
+        )
+        if not sim.run_until(established, sim.now + 40 + 4 * scn.workload.connections):
             raise EstablishError(f"{scn.name}: victim connections failed to establish")
         for host, key in handles.victims:
             host.send_data(sim, key, scn.workload.payload)
@@ -499,19 +514,12 @@ def establish(handles: Handles) -> None:
         client = handles.hosts[scn.clients[0]]
         vantage_addr = handles.vantage_host.address
         key = client.open_connection(sim, (vantage_addr, 80))
-        deadline = sim.now + 40
-        while sim.now < deadline:
-            sim.run(until=sim.now + 1)
-            sock = client.socket(key)
-            if sock and sock.state == TcpState.ESTABLISHED:
-                break
-        else:
+        if not sim.run_until(lambda: _established(client, key), sim.now + 40):
             raise EstablishError(f"{scn.name}: vantage session failed to establish")
         horizon = sim.now + 4 * scn.probe.config.timeout_ticks
 
         def periodic(s: Simulator):
-            sock = client.socket(key)
-            if sock and sock.state == TcpState.ESTABLISHED:
+            if _established(client, key):
                 client.send_data(s, key, SESSION_PAYLOAD)
             if s.now + scn.workload.send_period <= horizon:
                 s.schedule_call(s.now + scn.workload.send_period, periodic)

@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .endpoint import ConnKey, Host, TcpState
+from .endpoint import DEFAULT_EPHEMERAL_RANGE, ConnKey, Host, TcpState
 from .fabric import Simulator, derive_rng
 from .natbox import NatBox
 from .wire import Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
-LINUX_EPHEMERAL = (32768, 61000)
 WINDOWS_EPHEMERAL = (49152, 65535)
+# the outcome columns of the attack and assessment CSVs, in order
+OUTCOME_CSV_COLUMNS = "success,diagnosis,rst,pushack,octets,ticks,bandwidth,torn,blocked"
 
 
 class StrikeError(Exception):
@@ -45,8 +46,8 @@ class FailureDiagnosis(Enum):
 class AttackPlan:
     nat_public_ip: str
     victim_server: tuple[str, int]
-    dst_port_range: tuple[int, int] = LINUX_EPHEMERAL
-    push_ack_src_port_range: tuple[int, int] = LINUX_EPHEMERAL
+    dst_port_range: tuple[int, int] = DEFAULT_EPHEMERAL_RANGE
+    push_ack_src_port_range: tuple[int, int] = DEFAULT_EPHEMERAL_RANGE
     interleave_batch: int = 1024
     rounds: int = 1
     forged_seq: int = 0
@@ -79,9 +80,14 @@ class AttackReport:
     failure_diagnosis: FailureDiagnosis = FailureDiagnosis.NONE
 
     def csv_row(self, scenario: str, policy: str) -> str:
+        return f"{scenario},{policy},{self.outcome_csv()}"
+
+    def outcome_csv(self, status: str | None = None) -> str:
+        """The OUTCOME_CSV_COLUMNS values; `status` stands in for the
+        success and diagnosis pair."""
+        status = status or f"{str(self.success).lower()},{self.failure_diagnosis.value}"
         return (
-            f"{scenario},{policy},{str(self.success).lower()},{self.failure_diagnosis.value},"
-            f"{self.rst_packets_sent},{self.push_ack_packets_sent},{self.octets_sent},"
+            f"{status},{self.rst_packets_sent},{self.push_ack_packets_sent},{self.octets_sent},"
             f"{self.duration_ticks},{self.implied_bandwidth:.1f},"
             f"{self.client_connections_torn},{self.new_connections_blocked}"
         )

@@ -178,12 +178,17 @@ class Ipv4Datagram:
         return (self.src, self.dst, self.protocol, self.identification)
 
 
+def frag_cap(mtu: int) -> int:
+    """Largest 8-aligned fragment payload for an MTU (RFC 791 arithmetic)."""
+    return ((mtu - IP_HEADER_LEN) // 8) * 8
+
+
 def fragment(d: Ipv4Datagram, mtu: int) -> list[Ipv4Datagram]:
     """Split a datagram into fragments that each fit within mtu.
 
     A fitting datagram is returned unchanged as a one-element list.  All
     fragments except the last carry the maximal 8-octet-aligned payload
-    floor((mtu-20)/8)*8; offsets are contiguous and the identification is
+    frag_cap(mtu); offsets are contiguous and the identification is
     preserved, so the pieces reassemble to the original.  Fragments of
     fragments are supported: offsets accumulate and the final piece
     inherits the parent's more-fragments bit.
@@ -195,7 +200,7 @@ def fragment(d: Ipv4Datagram, mtu: int) -> list[Ipv4Datagram]:
     if d.df:
         raise NeedsFragmentationError(mtu)
     raw = encode(d)[IP_HEADER_LEN:]
-    cap = ((mtu - IP_HEADER_LEN) // 8) * 8
+    cap = frag_cap(mtu)
     frags = []
     pos = 0
     while pos < len(raw):

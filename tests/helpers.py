@@ -28,7 +28,7 @@ def nat_triangle(policy: NatPolicy | None = None, seed=1):
     nat = NatBox("nat", "6.6.6.6", policy or NatPolicy(), {"10.0.0.2"}, seed=seed)
     sim.add_node("client", client.address, handler=client)
     sim.add_node("server", server.address, handler=server)
-    sim.add_node("nat", nat.public_ip, handler=nat, intercept=True)
+    sim.add_node("nat", nat.address, handler=nat, intercept=True)
     for a, b in (("client", "nat"), ("nat", "client"), ("nat", "server"), ("server", "nat")):
         sim.add_link(LinkSpec(a, b))
     sim.finalize_routes()

@@ -132,7 +132,7 @@ def test_c4_sequence_leak_exactness():
     for seed in range(20):
         report, handles = assess.attack_scenario(scn, seed=seed)
         assert report.success, seed
-        nat_ip = handles.nat.public_ip
+        nat_ip = handles.nat.address
         server_addr = handles.server_host.address
         for sock in handles.server_host.sockets.values():
             if sock.reset_record is None:

@@ -299,7 +299,7 @@ class TestPathMtuReset:
     def test_restore_returns_to_default(self):
         sim, a, b = host_pair()
         a.pmtu.shrink("2.2.2.2", 600)
-        a.reset_path_mtu("2.2.2.2")
+        a.pmtu.reset("2.2.2.2")
         a.on_datagram(sim, "a", Ipv4Datagram(src="2.2.2.2", dst="1.1.1.1",
                                              protocol=Protocol.ICMP,
                                              payload=EchoRequest(1, 1, 1472)))

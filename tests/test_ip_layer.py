@@ -1,0 +1,94 @@
+"""The IP layer Host and NatBox share: fragment reassembly, expiry and the
+echo responder, run on both node types."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from natsim import wire
+from natsim.wire import EchoReply, EchoRequest, Ipv4Datagram, Protocol
+
+from helpers import host_pair, nat_triangle
+
+PEER = "2.2.2.2"
+
+
+def host_node():
+    sim, a, _ = host_pair()
+    return sim, a
+
+
+def nat_node():
+    sim, _, nat, _ = nat_triangle()
+    return sim, nat
+
+
+NODES = pytest.mark.parametrize("make", [host_node, nat_node], ids=["host", "nat"])
+
+
+def echo_request(sim, node, ident=42, padding=1472):
+    return Ipv4Datagram(src=PEER, dst=sim.nodes[node.node_id].address, protocol=Protocol.ICMP,
+                        payload=EchoRequest(11, 1, padding), identification=ident)
+
+
+def echo_replies(sim, node):
+    return [r.dgram for r in sim.trace if r.node == node.node_id and r.action == "send"
+            and isinstance(r.dgram.payload, EchoReply)]
+
+
+def drops(sim, node, reason):
+    return [r for r in sim.trace
+            if r.node == node.node_id and r.action == "drop" and r.reason == reason]
+
+
+@NODES
+def test_lone_fragments_expire(make):
+    sim, node = make()
+    for ident in range(200):
+        node.on_datagram(sim, node.node_id, wire.fragment(echo_request(sim, node, ident), 600)[0])
+    sim.run(until=sim.now + 10_000)
+    assert node._frag_buffers == {}
+    assert len(drops(sim, node, "reassembly-timeout")) == 200
+
+
+@NODES
+def test_duplicate_fragment_dropped_not_poisoning(make):
+    sim, node = make()
+    first, *rest = wire.fragment(echo_request(sim, node), 600)
+    for piece in [first, first, *rest]:
+        node.on_datagram(sim, node.node_id, piece)
+    assert [d.total_length for d in echo_replies(sim, node)] == [1500]
+    assert len(drops(sim, node, "duplicate-fragment")) == 1
+    assert node._frag_buffers == {}
+
+
+@NODES
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_group_reassembles_or_expires(make, data):
+    """Any permutation, duplication and loss of a fragment group either
+    reassembles to the original request or expires, leaving no state."""
+    sim, node = make()
+    padding = data.draw(st.integers(1000, 1472), label="padding")
+    mtu = data.draw(st.integers(68, 1000), label="mtu")
+    request = echo_request(sim, node, padding=padding)
+    pieces = wire.fragment(request, mtu)
+    copies = data.draw(st.lists(st.integers(0, 2), min_size=len(pieces), max_size=len(pieces)),
+                       label="copies")
+    arrivals = data.draw(st.permutations([p for p, n in zip(pieces, copies) for _ in range(n)]),
+                         label="order")
+    gaps = data.draw(st.lists(st.integers(0, 1), min_size=len(arrivals), max_size=len(arrivals)),
+                     label="gaps")
+    tick = sim.now
+    for piece, gap in zip(arrivals, gaps):
+        tick += gap  # all arrivals land within the reassembly timeout
+        sim.schedule_call(tick, lambda s, p=piece: node.on_datagram(s, node.node_id, p))
+    sim.run()
+    replies = echo_replies(sim, node)
+    if all(copies):
+        # a fully duplicated group may complete twice: IP does not dedupe datagrams
+        assert replies
+        assert all(d.payload == EchoReply(11, 1, padding) for d in replies)
+    else:
+        assert replies == []
+        assert bool(drops(sim, node, "reassembly-timeout")) == bool(arrivals)
+    assert node._frag_buffers == {}

@@ -23,7 +23,7 @@ from helpers import connect, nat_triangle
 
 
 def inbound(nat, seg, src="7.7.7.7"):
-    return Ipv4Datagram(src=src, dst=nat.public_ip, protocol=Protocol.TCP, payload=seg)
+    return Ipv4Datagram(src=src, dst=nat.address, protocol=Protocol.TCP, payload=seg)
 
 
 def the_mapping(nat):
@@ -188,11 +188,11 @@ class TestIcmpTranslation:
     def probe_msg(self, nat, mtu=600):
         m = the_mapping(nat)
         observed = Ipv4Datagram(
-            src=nat.public_ip, dst="7.7.7.7", protocol=Protocol.TCP,
+            src=nat.address, dst="7.7.7.7", protocol=Protocol.TCP,
             payload=TcpSegment(m.external_port, 80, seq=4242, flags=TcpFlag.ACK), df=True,
         )
         return Ipv4Datagram(
-            src="203.0.113.7", dst=nat.public_ip, protocol=Protocol.ICMP,
+            src="203.0.113.7", dst=nat.address, protocol=Protocol.ICMP,
             payload=FragNeeded(mtu, wire.quote_of(observed)),
         )
 
@@ -218,9 +218,9 @@ class TestIcmpTranslation:
 
     def test_unmatched_dropped(self):
         sim, client, nat, server = nat_triangle()
-        observed = Ipv4Datagram(src=nat.public_ip, dst="7.7.7.7", protocol=Protocol.TCP,
+        observed = Ipv4Datagram(src=nat.address, dst="7.7.7.7", protocol=Protocol.TCP,
                                 payload=TcpSegment(29999, 80, seq=1, flags=TcpFlag.ACK), df=True)
-        msg = Ipv4Datagram(src="203.0.113.7", dst=nat.public_ip, protocol=Protocol.ICMP,
+        msg = Ipv4Datagram(src="203.0.113.7", dst=nat.address, protocol=Protocol.ICMP,
                            payload=FragNeeded(600, wire.quote_of(observed)))
         nat.on_datagram(sim, "nat", msg)
         assert any(r.reason == "icmp-no-mapping" for r in sim.trace)
@@ -228,7 +228,7 @@ class TestIcmpTranslation:
 
 class TestNatEcho:
     def ping(self, nat, padding=1472):
-        return Ipv4Datagram(src="8.8.8.8", dst=nat.public_ip, protocol=Protocol.ICMP,
+        return Ipv4Datagram(src="8.8.8.8", dst=nat.address, protocol=Protocol.ICMP,
                             payload=EchoRequest(3, 1, padding), identification=50)
 
     def reply_sizes(self, sim):
@@ -307,7 +307,7 @@ class TestTable:
         for mtu in (1200, 900, 600, 68):
             nat.on_datagram(sim, "nat", probe.probe_msg(nat, mtu=mtu))
         nat.on_datagram(sim, "nat", Ipv4Datagram(
-            src="7.7.7.7", dst=nat.public_ip, protocol=Protocol.ICMP,
+            src="7.7.7.7", dst=nat.address, protocol=Protocol.ICMP,
             payload=EchoRequest(9, 1, 1472)))
         sizes = [r.dgram.total_length for r in sim.trace
                  if r.node == "nat" and r.action == "send"

@@ -1,10 +1,28 @@
 """Scenario loading: schema validation, defaults, the shipped suite."""
 
+import json
+import os
+
 import pytest
 
 from natsim import scenario as sc
+from natsim.cli import main
 from natsim.natbox import PmtudSync, PortAllocation, RstHandling, UnmappedInbound
 from natsim.scenario import ScenarioError, load_scenario
+
+WIFI = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "vulnerable-wifi.json")
+
+
+def wifi_doc():
+    with open(WIFI) as fh:
+        return json.load(fh)
+
+
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
 
 
 def minimal_doc():
@@ -134,6 +152,37 @@ class TestValidation:
         with pytest.raises(ScenarioError) as e:
             load_scenario(doc)
         assert "at most one NAT" in str(e.value)
+
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("nodes", 0), 7, "nodes[0]"),
+        (("links", 0), 5, "links[0]"),
+        (("nat",), [], "scenario.nat"),
+        (("workload",), "x", "scenario.workload"),
+        (("probe", "pre_echo_mtu"), 576, "probe.pre_echo_mtu"),
+        (("probe", "pre_echo_mtu"), {"link": [["r1"], "vantage"], "mtu": 576}, "probe.pre_echo_mtu"),
+        (("clients",), [["client1"]], "clients"),
+        (("attack", "interleave_batch"), 0, "attack.interleave_batch"),
+        (("attack", "rounds"), 0, "attack.rounds"),
+        (("nodes", 0, "address"), "10.0.0.999", "nodes[0].address"),
+        (("links", 0, "mtu"), True, "links[0].mtu"),
+        (("ephemeral_range",), [True, 40000], "scenario.ephemeral_range"),
+        (("workload", "connections"), -3, "workload.connections"),
+        (("workload", "send_period"), 0, "workload.send_period"),
+    ])
+    def test_malformed_shipped_document(self, path, value, field):
+        doc = wifi_doc()
+        set_path(doc, path, value)
+        with pytest.raises(ScenarioError) as e:
+            load_scenario(doc)
+        assert field in str(e.value)
+
+    def test_malformed_document_exits_1(self, tmp_path):
+        doc = wifi_doc()
+        doc["workload"]["connections"] = -3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["attack", str(path), "--quiet"]) == 1
 
 
 class TestSuite:
