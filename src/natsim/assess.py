@@ -4,7 +4,8 @@ and replays trace files for bit-exact regression checks.
 
 Identification and attack always run on fresh simulator instances of the
 same scenario, so their traces are independent pure functions of
-(document, seed).
+(document, seed).  The runs keep their trace records only when a trace
+is written or replayed (`fabric.keep_traces`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import __version__ as VERSION
 from . import probe as probe_mod
 from . import scenario as scenario_mod
 from . import strike as strike_mod
-from .fabric import Simulator
+from .fabric import Simulator, keep_traces
 from .probe import Verdict
 from .scenario import Handles, Scenario, ScenarioError
 from .strike import OUTCOME_CSV_COLUMNS, AttackReport, StrikeContext
@@ -120,24 +121,25 @@ def assess(
     """Run every scenario; returns (rows, csv, human summary, all-matched).
     Individual scenario failures become rows, never abort the suite."""
     rows = []
-    for scn in sorted(scenarios, key=lambda s: s.name):
-        row = AssessmentRow(scenario=scn.name, policy=scn.policy_summary())
-        try:
-            if scn.probe is not None:
-                row.verdict, handles = identify_scenario(scn, seed=seed)
-                if trace_sink is not None:
-                    trace_sink.add_section(scn, "identify", handles.sim)
-            run_attack = scn.attack is not None and scn.server_node is not None
-            if run_attack and scn.probe is not None and not scn.force_attack:
-                run_attack = row.verdict.kind is probe_mod.VerdictKind.NAT_DEVICE
-            if run_attack:
-                row.report, handles = attack_scenario(scn, seed=seed)
-                if trace_sink is not None:
-                    trace_sink.add_section(scn, "attack", handles.sim)
-        except Exception as e:  # noqa: BLE001 - per-row failures are reported, not raised
-            row.error = f"{type(e).__name__}: {e}"
-        _check_expectations(scn, row)
-        rows.append(row)
+    with keep_traces(trace_sink is not None):
+        for scn in sorted(scenarios, key=lambda s: s.name):
+            row = AssessmentRow(scenario=scn.name, policy=scn.policy_summary())
+            try:
+                if scn.probe is not None:
+                    row.verdict, handles = identify_scenario(scn, seed=seed)
+                    if trace_sink is not None:
+                        trace_sink.add_section(scn, "identify", handles.sim)
+                run_attack = scn.attack is not None and scn.server_node is not None
+                if run_attack and scn.probe is not None and not scn.force_attack:
+                    run_attack = row.verdict.kind is probe_mod.VerdictKind.NAT_DEVICE
+                if run_attack:
+                    row.report, handles = attack_scenario(scn, seed=seed)
+                    if trace_sink is not None:
+                        trace_sink.add_section(scn, "attack", handles.sim)
+            except Exception as e:  # noqa: BLE001 - per-row failures are reported, not raised
+                row.error = f"{type(e).__name__}: {e}"
+            _check_expectations(scn, row)
+            rows.append(row)
     csv = "\n".join([ASSESS_CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
     summary = _summarize(rows)
     matched = all(not r.expected_mismatch and not r.error for r in rows)
@@ -208,12 +210,13 @@ def replay(path: str) -> ReplayResult:
     version_mismatch = any(ver != VERSION for ver, *_ in sections)
     for ver, name, mode, seed, doc, lines in sections:
         scn = scenario_mod.load_scenario(doc)
-        if mode == "identify":
-            _, handles = identify_scenario(scn, seed=seed)
-        elif mode == "attack":
-            _, handles = attack_scenario(scn, seed=seed)
-        else:
-            raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
+        with keep_traces():
+            if mode == "identify":
+                _, handles = identify_scenario(scn, seed=seed)
+            elif mode == "attack":
+                _, handles = attack_scenario(scn, seed=seed)
+            else:
+                raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
         fresh = [rec.line() for rec in handles.sim.trace]
         for i, (old, new) in enumerate(zip(lines, fresh)):
             if old != new:

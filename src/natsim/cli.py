@@ -18,7 +18,9 @@ import sys
 
 from . import assess as assess_mod
 from . import scenario as scenario_mod
+from .fabric import keep_traces
 from .scenario import ScenarioError
+from .strike import NothingToAttackError
 
 
 def _load_doc(path: str) -> scenario_mod.Scenario:
@@ -56,7 +58,8 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_identify(args) -> int:
     scn = _load_doc(args.scenario)
-    verdict, handles = assess_mod.identify_scenario(scn, seed=args.seed)
+    with keep_traces(args.trace is not None):
+        verdict, handles = assess_mod.identify_scenario(scn, seed=args.seed)
     if not args.quiet:
         print(f"{scn.name}: {verdict.kind.value} ({verdict.reason.value})")
         ev = verdict.evidence
@@ -84,7 +87,8 @@ def cmd_attack(args) -> int:
     mismatched = False
     for i in range(args.repeat):
         seed = base_seed + i
-        report, handles = assess_mod.attack_scenario(scn, seed=seed)
+        with keep_traces(sink is not None):
+            report, handles = assess_mod.attack_scenario(scn, seed=seed)
         rows.append((f"{scn.name}@{seed}", scn.policy_summary(), report))
         if sink is not None:
             sink.add_section(scn, "attack", handles.sim)
@@ -162,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except scenario_mod.EstablishError as e:
         print(f"scenario error: {e}", file=sys.stderr)
+        return 1
+    except NothingToAttackError as e:
+        print(f"attack error: {e}", file=sys.stderr)
         return 1
 
 

@@ -119,6 +119,11 @@ class IpNode:
             whole = wire.reassemble(frags)
         except wire.IncompleteGroupError:
             return
+        except wire.MalformedPacketError:
+            # a complete group whose bytes do not decode: nothing to dispatch
+            del self._frag_buffers[key]
+            sim.record(self.node_id, "drop", "malformed-reassembly", frags[0])
+            return
         del self._frag_buffers[key]
         self.on_datagram(sim, self.node_id, whole)
 

@@ -8,16 +8,20 @@ per RFC 791 and forwarded in offset order.
 
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
+Every trace record is counted and shown to the registered watchers; the
+records themselves are kept only when asked (see `keep_traces`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol as TypingProtocol
+from typing import Callable, Iterable, Protocol as TypingProtocol
 
 from . import wire
 from .wire import Ipv4Datagram, FragNeeded, Protocol, TcpFlag
@@ -29,6 +33,10 @@ class FabricError(Exception):
 
 class NoSuchNodeError(FabricError):
     pass
+
+
+class TraceNotKeptError(FabricError):
+    """The run counted its trace records but did not keep them."""
 
 
 def derive_rng(seed: int, *tags) -> random.Random:
@@ -151,17 +159,67 @@ class TraceRecord:
         return f"{self.tick}\t{self.node}\t{self.action}\t{self.reason}\t{packet_summary(self.dgram)}"
 
 
+# (tick, node, action, reason, datagram) for every trace record, kept or not
+Watcher = Callable[[int, str, str, str, Ipv4Datagram], None]
+
+_keep_traces = contextvars.ContextVar("natsim_keep_traces", default=False)
+
+
+@contextlib.contextmanager
+def keep_traces(keep: bool = True):
+    """Inside the block, simulators built from scenarios keep their trace
+    records (outside it they only count them); `keep=False` leaves the
+    current setting as it is."""
+    token = _keep_traces.set(keep or _keep_traces.get())
+    try:
+        yield
+    finally:
+        _keep_traces.reset(token)
+
+
+def traces_kept() -> bool:
+    return _keep_traces.get()
+
+
+class Trace:
+    """The packet trace: len() counts every record; the records themselves
+    are there only when the trace was kept."""
+
+    __slots__ = ("count", "records")
+
+    def __init__(self, keep: bool = True):
+        self.count = 0  # records made while not kept
+        self.records: list[TraceRecord] | None = [] if keep else None
+
+    def __len__(self) -> int:
+        return self.count if self.records is None else len(self.records)
+
+    def __iter__(self):
+        return iter(self._kept())
+
+    def __getitem__(self, i):
+        return self._kept()[i]
+
+    def _kept(self) -> list[TraceRecord]:
+        if self.records is None:
+            raise TraceNotKeptError(
+                f"{self.count} trace records were counted, not kept; run inside fabric.keep_traces()"
+            )
+        return self.records
+
+
 class Simulator:
     """Event loop, topology, routing, and the packet trace."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, keep_trace: bool = True):
         self.seed = seed
         self.now = 0
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], LinkSpec] = {}
         self.routes: dict[str, dict[str, str]] = {}
         self.addr_to_node: dict[str, str] = {}
-        self.trace: list[TraceRecord] = []
+        self.trace = Trace(keep_trace)
+        self.watchers: list[Watcher] = []
         self.counters: dict[str, Counters] = {}
         self._heap: list = []
         self._eventseq = 0
@@ -275,9 +333,8 @@ class Simulator:
         self.record(at, "send", "", d)
         return self._schedule(self.now, ("emit", at, d))
 
-    def run(self, until: int | None = None):
-        """Process events up to `until` inclusive (None = quiescence);
-        returns the full trace accumulated so far."""
+    def run(self, until: int | None = None) -> None:
+        """Process events up to `until` inclusive (None = quiescence)."""
         while self._heap and (until is None or self._heap[0][0] <= until):
             tick, _, item = heapq.heappop(self._heap)
             self.now = max(self.now, tick)
@@ -290,7 +347,6 @@ class Simulator:
                 item[1](self)
         if until is not None:
             self.now = max(self.now, until)
-        return self.trace
 
     # -- emission helpers used by node handlers --------------------------------
 
@@ -304,8 +360,23 @@ class Simulator:
         """Transit packet re-emitted by a handler (e.g. after NAT rewrite)."""
         self._traverse(node, d)
 
+    @contextlib.contextmanager
+    def watching(self, watcher: Watcher):
+        """Show every trace record made inside the block to `watcher`."""
+        self.watchers.append(watcher)
+        try:
+            yield
+        finally:
+            self.watchers.remove(watcher)
+
     def record(self, node: str, action: str, reason: str, d: Ipv4Datagram) -> None:
-        self.trace.append(TraceRecord(self.now, node, action, reason, d))
+        records = self.trace.records
+        if records is None:
+            self.trace.count += 1
+        else:
+            records.append(TraceRecord(self.now, node, action, reason, d))
+        for watch in self.watchers:
+            watch(self.now, node, action, reason, d)
         if action == "drop":
             self.counters[node].packets_dropped += 1
 
@@ -385,5 +456,5 @@ class Simulator:
         c.octets_delivered += d.total_length
 
 
-def render_trace(trace: list[TraceRecord]) -> str:
+def render_trace(trace: Iterable[TraceRecord]) -> str:
     return "\n".join(rec.line() for rec in trace)

@@ -154,24 +154,37 @@ def run_identification(
     path_mtu = sim.path_min_mtu(target_node, vantage.address)
     echo_tick = sim.now
     ident = derive_rng(sim.seed, "probe-echo", echo_tick).randrange(0x10000)
-    sim.send_from(
-        vantage.node_id,
-        Ipv4Datagram(
-            src=vantage.address,
-            dst=target_addr,
-            protocol=Protocol.ICMP,
-            payload=EchoRequest(ident=ident, seq_no=1, padding_length=cfg.baseline_size - 28),
-        ),
-    )
-    sim.run_until(
-        lambda: any(t > echo_tick and src == target_addr for t, src, *_ in vantage.echo_log),
-        sim.now + cfg.timeout_ticks,
-    )
+    frags: list[tuple[int, int]] = []  # (total length, fragment offset) of each reply piece
+
+    def reply_piece(tick, node, action, reason, d):
+        if (
+            action == "deliver"
+            and node == vantage.node_id
+            and d.src == target_addr
+            and tick > echo_tick
+            and d.protocol is Protocol.ICMP
+            and isinstance(d.payload, (EchoReply, bytes))
+        ):
+            frags.append((d.total_length, d.fragment_offset))
+
+    with sim.watching(reply_piece):
+        sim.send_from(
+            vantage.node_id,
+            Ipv4Datagram(
+                src=vantage.address,
+                dst=target_addr,
+                protocol=Protocol.ICMP,
+                payload=EchoRequest(ident=ident, seq_no=1, padding_length=cfg.baseline_size - 28),
+            ),
+        )
+        sim.run_until(
+            lambda: any(t > echo_tick and src == target_addr for t, src, *_ in vantage.echo_log),
+            sim.now + cfg.timeout_ticks,
+        )
     completed = [e for e in vantage.echo_log if e[0] > echo_tick and e[1] == target_addr]
 
-    frags = _reply_fragments(sim, vantage.node_id, target_addr, echo_tick)
-    obs.echo_reply_fragments = [total for total, _, _ in frags]
-    obs.echo_reply_boundaries = frozenset(off * 8 for _, off, _ in frags if off > 0)
+    obs.echo_reply_fragments = [total for total, _ in frags]
+    obs.echo_reply_boundaries = frozenset(off * 8 for _, off in frags if off > 0)
     if not completed:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_ECHO_REPLY, obs)
     obs.echo_reply_total = completed[0][2]
@@ -240,19 +253,3 @@ def _confirm_shrink(sim, vantage, target, cfg, probe_tick, obs) -> bool:
             return True
         seen = nxt.tick
     return False
-
-
-def _reply_fragments(sim, vantage_node: str, target: str, echo_tick: int):
-    out = []
-    for rec in sim.trace:
-        if (
-            rec.tick > echo_tick
-            and rec.node == vantage_node
-            and rec.action == "deliver"
-            and rec.dgram.protocol is Protocol.ICMP
-            and rec.dgram.src == target
-        ):
-            d = rec.dgram
-            if isinstance(d.payload, (EchoReply, bytes)):
-                out.append((d.total_length, d.fragment_offset, d.more_fragments))
-    return out

@@ -14,10 +14,11 @@ import ipaddress
 from dataclasses import dataclass, field, replace
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, Host, LINUX_LIKE, OPENBSD_LIKE, StackProfile, TcpState
-from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator
+from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
 from .natbox import NatBox, NatPolicy, PmtudSync, PortAllocation, RstHandling, UnmappedInbound
 from .probe import ProbeConfig
 from .strike import AttackPlan
+from .wire import SEQ_MOD
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
 PROFILES = {"linux-like": LINUX_LIKE, "openbsd-like": OPENBSD_LIKE}
@@ -61,6 +62,13 @@ def _at_least(doc: dict, key: str, default: int, low: int, where: str) -> int:
     value = _optional(doc, key, int, default, where)
     if value < low:
         raise ScenarioError(f"{where}.{key}: {value} is below the minimum {low}")
+    return value
+
+
+def _in_range(doc: dict, key: str, default: int, low: int, stop: int, where: str) -> int:
+    value = _optional(doc, key, int, default, where)
+    if not low <= value < stop:
+        raise ScenarioError(f"{where}.{key}: {value} is outside [{low}, {stop})")
     return value
 
 
@@ -275,7 +283,7 @@ def load_scenario(doc: dict) -> Scenario:
                 f"server.profile: unknown value {profile_name!r} (valid: {', '.join(PROFILES)})"
             )
         server_profile = PROFILES[profile_name]
-        server_port = _optional(server_doc, "port", int, 80, "server")
+        server_port = _in_range(server_doc, "port", 80, 0, 0x10000, "server")
 
     default_clients = [n.node_id for n in nodes if n.kind == "client"]
     clients = _optional(doc, "clients", list, default_clients, "scenario")
@@ -334,7 +342,7 @@ def load_scenario(doc: dict) -> Scenario:
             ),
             interleave_batch=_at_least(attack_doc, "interleave_batch", 1024, 1, "attack"),
             rounds=_at_least(attack_doc, "rounds", 1, 1, "attack"),
-            forged_seq=_optional(attack_doc, "forged_seq", int, 0, "attack"),
+            forged_seq=_in_range(attack_doc, "forged_seq", 0, 0, SEQ_MOD, "attack"),
             set_ack_flag_on_rst=_optional(attack_doc, "set_ack_flag_on_rst", bool, True, "attack"),
             new_connection_attempts=_optional(attack_doc, "new_connection_attempts", int, 2, "attack"),
             settle_ticks=_optional(attack_doc, "settle_ticks", int, 60, "attack"),
@@ -387,9 +395,10 @@ class Handles:
 
 
 def build(scenario: Scenario, seed: int | None = None) -> Handles:
-    """Construct the simulator for a scenario, without running anything."""
+    """Construct the simulator for a scenario, without running anything; it
+    keeps its trace records only inside `fabric.keep_traces()`."""
     seed = scenario.seed if seed is None else seed
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, keep_trace=traces_kept())
     hosts: dict[str, Host] = {}
     nat: NatBox | None = None
     attacker_node = None

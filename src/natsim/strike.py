@@ -171,37 +171,39 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
     }
     dup_acks_before = ctx.server_host.dup_acks_sent
     window_start = sim.now
+    evidence: set[str] = set()
 
     attempts: list[tuple[Host, ConnKey]] = []
     last_inject = sim.now
-    for rnd in range(plan.rounds):
-        if rnd == 0 and ctx.new_conn_clients:
-            for i in range(plan.new_connection_attempts):
-                client = ctx.new_conn_clients[i % len(ctx.new_conn_clients)]
-                attempts.append((client, client.open_connection(sim, plan.victim_server)))
-        batches = max(_nbatches(rst_stream, plan), _nbatches(push_stream, plan))
-        for chunk in range(batches):
-            lo, hi = chunk * plan.interleave_batch, (chunk + 1) * plan.interleave_batch
-            for stream in (rst_stream, push_stream):
-                batch = stream[lo:hi]
-                for pkt in batch:
-                    sim.inject(ctx.attacker_node, pkt)
-                if batch:
-                    last_inject = sim.now
-                    if stream is rst_stream:
-                        report.rst_packets_sent += len(batch)
-                    else:
-                        report.push_ack_packets_sent += len(batch)
-                sim.run(until=sim.now + 1)
+    with sim.watching(_evidence_watcher(plan, ctx, evidence)):
+        for rnd in range(plan.rounds):
+            if rnd == 0 and ctx.new_conn_clients:
+                for i in range(plan.new_connection_attempts):
+                    client = ctx.new_conn_clients[i % len(ctx.new_conn_clients)]
+                    attempts.append((client, client.open_connection(sim, plan.victim_server)))
+            batches = max(_nbatches(rst_stream, plan), _nbatches(push_stream, plan))
+            for chunk in range(batches):
+                lo, hi = chunk * plan.interleave_batch, (chunk + 1) * plan.interleave_batch
+                for stream in (rst_stream, push_stream):
+                    batch = stream[lo:hi]
+                    for pkt in batch:
+                        sim.inject(ctx.attacker_node, pkt)
+                    if batch:
+                        last_inject = sim.now
+                        if stream is rst_stream:
+                            report.rst_packets_sent += len(batch)
+                        else:
+                            report.push_ack_packets_sent += len(batch)
+                    sim.run(until=sim.now + 1)
 
-    report.duration_ticks = last_inject - window_start + 1
-    sim.run(until=sim.now + ctx.settle_ticks)
+        report.duration_ticks = last_inject - window_start + 1
+        sim.run(until=sim.now + ctx.settle_ticks)
 
-    # the victims' own next transmissions complete the teardown chain
-    for host, key in victims + attempts:
-        if _state(host, key) == TcpState.ESTABLISHED:
-            host.send_data(sim, key, ctx.probe_payload)
-    sim.run(until=sim.now + ctx.settle_ticks)
+        # the victims' own next transmissions complete the teardown chain
+        for host, key in victims + attempts:
+            if _state(host, key) == TcpState.ESTABLISHED:
+                host.send_data(sim, key, ctx.probe_payload)
+        sim.run(until=sim.now + ctx.settle_ticks)
 
     report.octets_sent = sim.counters[ctx.attacker_node].octets_sent - sent_before
     if report.duration_ticks > 0 and ctx.tick_duration > 0:
@@ -223,7 +225,7 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         report.new_connections_blocked == len(attempts)
     )
     if not report.success:
-        report.failure_diagnosis = _diagnose(sim, plan, ctx, report, window_start, dup_acks_before)
+        report.failure_diagnosis = _diagnose(ctx, report, evidence, dup_acks_before)
     return report
 
 
@@ -235,68 +237,74 @@ def _state(host: Host, key: ConnKey) -> str:
     return sock.state if sock else TcpState.CLOSED
 
 
-def _is_forged_rst(plan: AttackPlan, d) -> bool:
-    seg = d.payload
-    return (
-        isinstance(seg, TcpSegment)
-        and TcpFlag.RST in seg.flags
-        and seg.seq == plan.forged_seq
-        and d.src == plan.victim_server[0]
-        and seg.src_port == plan.victim_server[1]
-    )
+def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
+    """A trace watcher that adds to `seen` what the attack window shows:
+    "loss" for any packet dropped by link loss; "rst-lost", "rst-filtered",
+    "rst-at-nat" (delivered to or forwarded by the NAT) and "rst-at-client"
+    (delivered at a victim client) for a forged RST, which spoofs the server
+    with the plan's sequence number; "push-at-server" for a PUSH from the
+    NAT's address delivered at the server.  Each record is placed by its
+    action and node first: the flag test is slow, and only the first
+    record of each kind needs it."""
+    server_addr, server_port = plan.victim_server
+    forged_seq = plan.forged_seq
+    nat_addr = plan.nat_public_ip
+    nat_node = ctx.nat.node_id if ctx.nat else None
+    server_node = ctx.server_host.node_id
+    client_nodes = {h.node_id for h, _ in ctx.victims}
+
+    def watch(tick, node, action, reason, d):
+        if action == "drop":
+            if reason == "loss":
+                seen.add("loss")
+                kind = "rst-lost"
+            elif reason.startswith("filtered"):
+                kind = "rst-filtered"
+            else:
+                return
+        elif action == "send" or action == "fragment":
+            return
+        elif node == nat_node:
+            kind = "rst-at-nat"
+        elif action == "forward":
+            return
+        elif node in client_nodes:
+            kind = "rst-at-client"
+        elif node == server_node and d.src == nat_addr and "push-at-server" not in seen:
+            seg = d.payload
+            if isinstance(seg, TcpSegment) and TcpFlag.PSH in seg.flags:
+                seen.add("push-at-server")
+            return
+        else:
+            return
+        seg = d.payload
+        if (
+            kind not in seen
+            and d.src == server_addr
+            and isinstance(seg, TcpSegment)
+            and seg.seq == forged_seq
+            and seg.src_port == server_port
+            and TcpFlag.RST in seg.flags
+        ):
+            seen.add(kind)
+
+    return watch
 
 
 def _diagnose(
-    sim: Simulator,
-    plan: AttackPlan,
-    ctx: StrikeContext,
-    report: AttackReport,
-    start: int,
-    dup_acks_before: int,
+    ctx: StrikeContext, report: AttackReport, seen: set[str], dup_acks_before: int
 ) -> FailureDiagnosis:
-    client_nodes = {h.node_id for h, _ in ctx.victims}
-    nat_node = ctx.nat.node_id if ctx.nat else None
-    saw_rst_at_client = False
-    rst_reached_nat = False
-    rst_filtered = False
-    rst_lost = False
-    any_loss = False
-    push_delivered = False
-    for rec in sim.trace:
-        if rec.tick < start:
-            continue
-        forged = _is_forged_rst(plan, rec.dgram)
-        if rec.action == "drop" and rec.reason == "loss":
-            any_loss = True
-            if forged:
-                rst_lost = True
-        if forged:
-            if rec.action == "drop" and rec.reason.startswith("filtered"):
-                rst_filtered = True
-            if rec.node == nat_node and rec.action in ("deliver", "forward"):
-                rst_reached_nat = True
-            if rec.node in client_nodes and rec.action == "deliver":
-                saw_rst_at_client = True
-        if (
-            rec.action == "deliver"
-            and rec.node == ctx.server_host.node_id
-            and isinstance(rec.dgram.payload, TcpSegment)
-            and TcpFlag.PSH in rec.dgram.payload.flags
-            and rec.dgram.src == plan.nat_public_ip
-        ):
-            push_delivered = True
-
-    if report.mappings_removed == 0 and saw_rst_at_client:
+    if report.mappings_removed == 0 and "rst-at-client" in seen:
         return FailureDiagnosis.FORWARDED_RST_NO_REMOVAL
-    if not rst_reached_nat:
-        if rst_filtered:
+    if "rst-at-nat" not in seen:
+        if "rst-filtered" in seen:
             return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
-        if rst_lost:
+        if "rst-lost" in seen:
             return FailureDiagnosis.PACKET_LOSS
         return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
-    if push_delivered and ctx.server_host.dup_acks_sent == dup_acks_before:
+    if "push-at-server" in seen and ctx.server_host.dup_acks_sent == dup_acks_before:
         return FailureDiagnosis.NO_DUP_ACK_FROM_SERVER
-    if any_loss:
+    if "loss" in seen:
         return FailureDiagnosis.PACKET_LOSS
     return FailureDiagnosis.NONE
 

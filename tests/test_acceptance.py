@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from natsim import assess
 from natsim import scenario as sc
 from natsim.endpoint import TcpState
+from natsim.fabric import keep_traces
 from natsim.probe import VerdictKind
 from natsim.strike import AttackPlan, FailureDiagnosis, craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import TcpFlag, TcpSegment
@@ -198,15 +199,17 @@ def forged_rsts_delivered_at_clients(handles, plan):
 
 
 def test_c6_failure_diagnosis():
-    forwarded, handles_f = assess.attack_scenario(
-        sc.load_scenario(fast_nat_doc("c6-fwd", rst_handling="forward-only", with_probe=False)))
+    with keep_traces():
+        forwarded, handles_f = assess.attack_scenario(
+            sc.load_scenario(fast_nat_doc("c6-fwd", rst_handling="forward-only", with_probe=False)))
     assert not forwarded.success
     assert forwarded.failure_diagnosis is FailureDiagnosis.FORWARDED_RST_NO_REMOVAL
     assert forged_rsts_delivered_at_clients(handles_f, handles_f.plan)
 
-    blocked, handles_b = assess.attack_scenario(
-        sc.load_scenario(fast_nat_doc("c6-mb", nat_inbound_filter=["tcp-rst-inbound"],
-                                      with_probe=False)))
+    with keep_traces():
+        blocked, handles_b = assess.attack_scenario(
+            sc.load_scenario(fast_nat_doc("c6-mb", nat_inbound_filter=["tcp-rst-inbound"],
+                                          with_probe=False)))
     assert not blocked.success
     assert blocked.failure_diagnosis is FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
     assert not forged_rsts_delivered_at_clients(handles_b, handles_b.plan)

@@ -7,6 +7,7 @@ import pytest
 from natsim import assess
 from natsim import scenario as sc
 from natsim.cli import main
+from natsim.fabric import keep_traces
 
 
 def fast_doc(name, **kw):
@@ -74,10 +75,11 @@ class TestAssess:
 class TestReplay:
     def write_trace(self, tmp_path, doc, mode="attack"):
         scn = sc.load_scenario(doc)
-        if mode == "attack":
-            _, handles = assess.attack_scenario(scn)
-        else:
-            _, handles = assess.identify_scenario(scn)
+        with keep_traces():
+            if mode == "attack":
+                _, handles = assess.attack_scenario(scn)
+            else:
+                _, handles = assess.identify_scenario(scn)
         sink = assess.TraceFile()
         sink.add_section(scn, mode, handles.sim)
         path = tmp_path / "run.trace"

@@ -1,0 +1,141 @@
+"""Evidence gathered by trace watchers while a run happens equals what a
+rescan of the kept trace finds afterwards, and a run that only counts its
+trace records behaves exactly like one that keeps them."""
+
+from collections import Counter
+
+import pytest
+
+from natsim import assess, strike
+from natsim import scenario as sc
+from natsim.fabric import TraceNotKeptError, keep_traces
+from natsim.strike import FailureDiagnosis, StrikeContext
+from natsim.wire import EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
+
+import evidence_oracle as oracle
+
+SEEDS = range(24)
+FAST = dict(ephemeral_range=(40000, 40063), port_range=(40000, 40063), interleave_batch=16)
+
+IDENTIFY_DOCS = [
+    sc.nat_scenario_doc("ev-leaky"),
+    sc.nat_scenario_doc("ev-synchronized", pmtud_sync="synchronized"),
+    sc.host_scenario_doc("ev-host"),
+    sc.nat_scenario_doc("ev-576-nat", pre_echo_mtu=576),
+    sc.host_scenario_doc("ev-576-host", pre_echo_mtu=576),
+    sc.nat_scenario_doc("ev-icmp-filter", nat_inbound_filter=["icmp-error"]),
+]
+
+
+def fast_attack_doc(name, **kw):
+    return sc.nat_scenario_doc(name, with_probe=False, **FAST, **kw)
+
+
+ATTACK_DOCS = [
+    fast_attack_doc("ev-remove-rst-reply"),
+    fast_attack_doc("ev-remove-silent-drop", unmapped_inbound="silent-drop"),
+    fast_attack_doc("ev-forward-only", rst_handling="forward-only"),
+    fast_attack_doc("ev-strict-validate", rst_handling="strict-validate"),
+    fast_attack_doc("ev-openbsd", server_profile="openbsd-like", port_allocation="preserving"),
+    fast_attack_doc("ev-rst-filter", nat_inbound_filter=["tcp-rst-inbound"]),
+    # forged RSTs both lost and filtered: the filter decides
+    fast_attack_doc("ev-rst-filter-lossy", nat_inbound_filter=["tcp-rst-inbound"], loss=0.3),
+    fast_attack_doc("ev-lossy", loss=0.3),
+    fast_attack_doc("ev-all-lost", loss=1.0),
+]
+
+
+@pytest.fixture
+def attack_windows(monkeypatch):
+    """Every attack run's (sim, plan, ctx, window start, dup ACKs before)."""
+    windows = []
+    run = strike.run_dos_attack
+
+    def recording(sim, plan, ctx):
+        windows.append((sim, plan, ctx, sim.now, ctx.server_host.dup_acks_sent))
+        return run(sim, plan, ctx)
+
+    monkeypatch.setattr(strike, "run_dos_attack", recording)
+    return windows
+
+
+def test_echo_reply_evidence_matches_trace_rescan():
+    for doc in IDENTIFY_DOCS:
+        scn = sc.load_scenario(doc)
+        vantage = scn.probe.config.vantage
+        for seed in SEEDS:
+            with keep_traces():
+                verdict, handles = assess.identify_scenario(scn, seed=seed)
+            echoes = [r.tick for r in handles.sim.trace
+                      if r.node == vantage and r.action == "send"
+                      and isinstance(r.dgram.payload, EchoRequest)]
+            frags = []
+            if echoes:
+                frags = oracle.reply_fragments(handles.sim, vantage, scn.target_addr, echoes[-1])
+            ev = verdict.evidence
+            assert ev.echo_reply_fragments == [total for total, _, _ in frags], (doc["name"], seed)
+            assert ev.echo_reply_boundaries == frozenset(
+                off * 8 for _, off, _ in frags if off > 0), (doc["name"], seed)
+            assert handles.sim.watchers == []
+
+
+def test_failure_diagnosis_matches_trace_rescan(attack_windows):
+    diagnoses = Counter()
+    for doc in ATTACK_DOCS:
+        scn = sc.load_scenario(doc)
+        for seed in SEEDS:
+            with keep_traces():
+                report, handles = assess.attack_scenario(scn, seed=seed)
+            sim, plan, ctx, start, dup_acks_before = attack_windows.pop()
+            assert sim is handles.sim and sim.watchers == []
+            if report.success:
+                continue
+            want = oracle.diagnose(sim, plan, ctx, report, start, dup_acks_before)
+            assert report.failure_diagnosis is want, (doc["name"], seed)
+            diagnoses[want] += 1
+    assert set(diagnoses) == set(FailureDiagnosis), diagnoses
+
+
+def test_only_a_forged_rst_counts():
+    """A segment from the server's port with the forged sequence number
+    counts only when it carries RST."""
+    handles = sc.build(sc.load_scenario(ATTACK_DOCS[0]))
+    client = handles.hosts["client1"]
+    ctx = StrikeContext(handles.attacker_node, handles.server_host, [(client, None)], nat=handles.nat)
+    seen = set()
+    watch = strike._evidence_watcher(handles.plan, ctx, seen)
+    server_addr, server_port = handles.plan.victim_server
+    for flags in (TcpFlag.ACK, TcpFlag.PSH | TcpFlag.ACK, TcpFlag.RST | TcpFlag.ACK):
+        seg = TcpSegment(server_port, 40000, seq=handles.plan.forged_seq, flags=flags)
+        watch(0, client.node_id, "deliver", "",
+              Ipv4Datagram(src=server_addr, dst=client.address, protocol=Protocol.TCP, payload=seg))
+        assert ("rst-at-client" in seen) == (TcpFlag.RST in flags)
+
+
+@pytest.mark.parametrize("doc", [IDENTIFY_DOCS[0], IDENTIFY_DOCS[3], ATTACK_DOCS[2], ATTACK_DOCS[7]],
+                         ids=lambda d: d["name"])
+def test_unkept_run_counts_like_a_kept_one(doc):
+    scn = sc.load_scenario(doc)
+    run = assess.identify_scenario if scn.probe is not None else assess.attack_scenario
+    for seed in range(3):
+        with keep_traces():
+            kept_result, kept = run(scn, seed=seed)
+        result, counted = run(scn, seed=seed)
+        assert result == kept_result
+        assert len(counted.sim.trace) == len(kept.sim.trace) == len(list(kept.sim.trace)) > 0
+        assert counted.sim.counters == kept.sim.counters
+        assert counted.sim.now == kept.sim.now
+        with pytest.raises(TraceNotKeptError):
+            iter(counted.sim.trace)
+        with pytest.raises(TraceNotKeptError):
+            counted.sim.trace[0]
+        with pytest.raises(TraceNotKeptError):
+            assess.TraceFile().add_section(scn, "attack", counted.sim)
+
+
+def test_keep_traces_nests_and_restores():
+    scn = sc.load_scenario(IDENTIFY_DOCS[2])
+    with keep_traces():
+        with keep_traces(False):
+            assert sc.build(scn).sim.trace.records is not None
+    assert sc.build(scn).sim.trace.records is None

@@ -76,8 +76,8 @@ class TestInject:
 class TestRun:
     def test_empty_queue(self):
         sim = chain()
-        trace = sim.run()
-        assert trace == [] and sim.now == 0
+        sim.run()
+        assert list(sim.trace) == [] and sim.now == 0
 
     def test_two_hop_delivery_tick(self):
         sim = chain(3)

@@ -1,6 +1,8 @@
 """The IP layer Host and NatBox share: fragment reassembly, expiry and the
 echo responder, run on both node types."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +61,26 @@ def test_duplicate_fragment_dropped_not_poisoning(make):
     assert [d.total_length for d in echo_replies(sim, node)] == [1500]
     assert len(drops(sim, node, "duplicate-fragment")) == 1
     assert node._frag_buffers == {}
+
+
+@NODES
+def test_undecodable_reassembly_is_a_recorded_drop(make):
+    """Two fragments that reassemble into ICMP type 42 end in one drop and
+    free their group; the decode error never leaves the node."""
+    sim, node = make()
+    body = struct.pack(">BBHHH", 42, 0, 0, 0, 0) + bytes(16)
+    dst = sim.nodes[node.node_id].address
+    first, last = (
+        Ipv4Datagram(src=PEER, dst=dst, protocol=Protocol.ICMP, payload=piece, identification=7,
+                     more_fragments=mf, fragment_offset=off)
+        for piece, mf, off in ((body[:16], True, 0), (body[16:], False, 2))
+    )
+    node.on_datagram(sim, node.node_id, first)
+    node.on_datagram(sim, node.node_id, last)
+    sim.run()
+    assert [r.dgram for r in drops(sim, node, "malformed-reassembly")] == [first]
+    assert node._frag_buffers == {}
+    assert not drops(sim, node, "reassembly-timeout")
 
 
 @NODES

@@ -4,6 +4,7 @@ import pytest
 
 from natsim import assess, wire
 from natsim import scenario as sc
+from natsim.fabric import keep_traces
 from natsim.probe import (
     NoBaselineError,
     ProbeConfig,
@@ -71,7 +72,8 @@ class TestIdentification:
         assert v.evidence.echo_reply_fragments == [596, 596, 348]
 
     def test_icmp_error_filter_blocks_stage_one(self):
-        v, handles = identify(sc.nat_scenario_doc("p-mb", nat_inbound_filter=["icmp-error"]))
+        with keep_traces():
+            v, handles = identify(sc.nat_scenario_doc("p-mb", nat_inbound_filter=["icmp-error"]))
         assert v.kind is VerdictKind.UNKNOWN
         assert v.reason is VerdictReason.NO_PMTU_SHRINK
         echo_sent = any(

@@ -169,6 +169,10 @@ class TestValidation:
         (("ephemeral_range",), [True, 40000], "scenario.ephemeral_range"),
         (("workload", "connections"), -3, "workload.connections"),
         (("workload", "send_period"), 0, "workload.send_period"),
+        (("server", "port"), 70000, "server.port: 70000 is outside [0, 65536)"),
+        (("server", "port"), -1, "server.port"),
+        (("attack", "forged_seq"), 2**40, "attack.forged_seq: 1099511627776 is outside [0, 4294967296)"),
+        (("attack", "forged_seq"), -5, "attack.forged_seq: -5 is outside [0, 4294967296)"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -183,6 +187,21 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["attack", str(path), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("server", "port"), 70000, "configuration error: server.port"),
+        (("attack", "forged_seq"), 2**40, "configuration error: attack.forged_seq"),
+        (("attack", "forged_seq"), -5, "configuration error: attack.forged_seq"),
+        (("workload", "connections"), 0, "attack error: nothing-to-attack"),
+    ])
+    def test_attack_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
+        doc = wifi_doc()
+        set_path(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["attack", str(bad), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 class TestSuite:
