@@ -56,12 +56,19 @@ class AssessmentRow:
         return f"{self.scenario},{self.policy},{verdict},{outcome}"
 
 
-def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, Handles]:
-    """Build a fresh instance, establish the workload, and run the probe."""
-    if scn.probe is None:
-        raise ScenarioError("probe: scenario has no probe block")
+def _build_and_establish(scn: Scenario, seed: int | None, block: str) -> Handles:
+    """Build a fresh instance and establish its workload, for a run that
+    needs the scenario's `block`."""
+    if getattr(scn, block) is None:
+        raise ScenarioError(f"{block}: scenario has no {block} block")
     handles = scenario_mod.build(scn, seed=seed)
     scenario_mod.establish(handles)
+    return handles
+
+
+def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, Handles]:
+    """Build a fresh instance, establish the workload, and run the probe."""
+    handles = _build_and_establish(scn, seed, "probe")
     before_echo = None
     if scn.probe.pre_echo_mtu is not None:
         frm, to, mtu = scn.probe.pre_echo_mtu
@@ -80,10 +87,9 @@ def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, 
 
 def attack_scenario(scn: Scenario, seed: int | None = None) -> tuple[AttackReport, Handles]:
     """Build a fresh instance, establish the workload, and run the attack."""
-    if scn.attack is None or scn.server_node is None:
-        raise ScenarioError("attack: scenario has no attack/server block")
-    handles = scenario_mod.build(scn, seed=seed)
-    scenario_mod.establish(handles)
+    handles = _build_and_establish(scn, seed, "attack")
+    if handles.attacker_node is None:
+        raise ScenarioError("attack: scenario has no attacker node")
     ctx = StrikeContext(
         attacker_node=handles.attacker_node,
         server_host=handles.server_host,
@@ -91,25 +97,28 @@ def attack_scenario(scn: Scenario, seed: int | None = None) -> tuple[AttackRepor
         new_conn_clients=[handles.hosts[c] for c in scn.clients],
         nat=handles.nat,
         tick_duration=scn.tick_duration,
-        settle_ticks=scn.attack.settle_ticks,
     )
     report = strike_mod.run_dos_attack(handles.sim, handles.plan, ctx)
     return report, handles
 
 
-def _check_expectations(scn: Scenario, row: AssessmentRow) -> None:
+def check_expectations(
+    scn: Scenario, row: AssessmentRow, *, identify: bool = True, attack: bool = True
+) -> None:
+    """Add to `row` every way its outcome misses the scenario's `expect`
+    block; `identify` and `attack` say which of the two runs it covers."""
     exp = scn.expect
     if exp is None:
         return
-    if exp.verdict is not None:
+    if identify and exp.verdict is not None:
         got = row.verdict.kind.value if row.verdict else "-"
         if got != exp.verdict:
             row.expected_mismatch.append(f"verdict {got} != {exp.verdict}")
-    if exp.attack_success is not None:
+    if attack and exp.attack_success is not None:
         got_success = row.report.success if row.report else None
         if got_success != exp.attack_success:
             row.expected_mismatch.append(f"success {got_success} != {exp.attack_success}")
-    if exp.diagnosis is not None:
+    if attack and exp.diagnosis is not None:
         got_diag = row.report.failure_diagnosis.value if row.report else "-"
         if got_diag != exp.diagnosis:
             row.expected_mismatch.append(f"diagnosis {got_diag} != {exp.diagnosis}")
@@ -129,7 +138,7 @@ def assess(
                     row.verdict, handles = identify_scenario(scn, seed=seed)
                     if trace_sink is not None:
                         trace_sink.add_section(scn, "identify", handles.sim)
-                run_attack = scn.attack is not None and scn.server_node is not None
+                run_attack = scn.attack is not None
                 if run_attack and scn.probe is not None and not scn.force_attack:
                     run_attack = row.verdict.kind is probe_mod.VerdictKind.NAT_DEVICE
                 if run_attack:
@@ -138,7 +147,7 @@ def assess(
                         trace_sink.add_section(scn, "attack", handles.sim)
             except Exception as e:  # noqa: BLE001 - per-row failures are reported, not raised
                 row.error = f"{type(e).__name__}: {e}"
-            _check_expectations(scn, row)
+            check_expectations(scn, row)
             rows.append(row)
     csv = "\n".join([ASSESS_CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
     summary = _summarize(rows)

@@ -74,9 +74,9 @@ def cmd_identify(args) -> int:
         sink = assess_mod.TraceFile()
         sink.add_section(scn, "identify", handles.sim)
         sink.write(args.trace)
-    if scn.expect and scn.expect.verdict is not None:
-        return 0 if verdict.kind.value == scn.expect.verdict else 2
-    return 0
+    row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), verdict=verdict)
+    assess_mod.check_expectations(scn, row, attack=False)
+    return 2 if row.expected_mismatch else 0
 
 
 def cmd_attack(args) -> int:
@@ -100,8 +100,9 @@ def cmd_attack(args) -> int:
                 f"{report.new_connections_attempted}, {report.octets_sent} octets in "
                 f"{report.duration_ticks} ticks"
             )
-        if scn.expect and scn.expect.attack_success is not None:
-            mismatched |= report.success != scn.expect.attack_success
+        row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), report=report)
+        assess_mod.check_expectations(scn, row, identify=False)
+        mismatched |= bool(row.expected_mismatch)
     if not args.quiet:
         print(assess_mod.FIELD_CONTEXT_NOTE)
     _write(args.csv, assess_mod.strike_csv(rows))

@@ -14,6 +14,7 @@ application protocols are reduced to "send N octets now".
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -84,7 +85,15 @@ def pick_port(rng: random.Random, lo: int, hi: int, used: set[int]) -> int | Non
         port = lo + rng.randrange(hi - lo + 1)
         if port not in used:
             return port
-    return next((port for port in range(lo, hi + 1) if port not in used), None)
+    return lowest_free_port(used, lo, hi)
+
+
+def lowest_free_port(used: set[int], lo: int, hi: int, start: int | None = None) -> int | None:
+    """The first port not in `used` in [start, hi], then in [lo, start);
+    `start` defaults to lo.  None when every port in [lo, hi] is in use."""
+    start = lo if start is None else max(start, lo)
+    ports = itertools.chain(range(start, hi + 1), range(lo, start))
+    return next((port for port in ports if port not in used), None)
 
 
 class IpNode:

@@ -85,12 +85,10 @@ class LinkSpec:
     filter: MiddleboxFilter | None = None
 
     def __post_init__(self):
-        if self.mtu < wire.MIN_MTU:
-            raise ValueError(f"link {self.frm}->{self.to}: mtu {self.mtu} below {wire.MIN_MTU}")
-        if self.delay < 1:
-            raise ValueError(f"link {self.frm}->{self.to}: delay must be >= 1")
+        wire.check_range("mtu", self.mtu, wire.MIN_MTU)
+        wire.check_range("delay", self.delay, 1)
         if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"link {self.frm}->{self.to}: loss outside [0, 1]")
+            raise ValueError(f"loss: {self.loss} is outside [0, 1]")
 
 
 class PacketHandler(TypingProtocol):
@@ -431,16 +429,12 @@ class Simulator:
 
     def _arrive(self, node_id: str, d: Ipv4Datagram) -> None:
         node = self.nodes[node_id]
-        if node.intercept and node.handler is not None:
-            action = "deliver" if d.dst == node.address else "forward"
-            if action == "deliver":
+        local = d.dst == node.address
+        # an intercepting handler (the NAT) sees transit packets too
+        if local or (node.intercept and node.handler is not None):
+            if local:
                 self._count_delivered(node_id, d)
-            self.record(node_id, action, "", d)
-            node.handler.on_datagram(self, node_id, d)
-            return
-        if d.dst == node.address:
-            self._count_delivered(node_id, d)
-            self.record(node_id, "deliver", "", d)
+            self.record(node_id, "deliver" if local else "forward", "", d)
             if node.handler is not None:
                 node.handler.on_datagram(self, node_id, d)
             return

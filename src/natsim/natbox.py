@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import wire
-from .endpoint import DEFAULT_RCV_WND, IpNode, pick_port
+from .endpoint import DEFAULT_RCV_WND, IpNode, lowest_free_port, pick_port
 from .fabric import Simulator, derive_rng
 from .wire import (
     EchoRequest,
@@ -59,6 +59,9 @@ class NatPolicy:
     port_allocation: PortAllocation = PortAllocation.SEQUENTIAL
     sequential_start: int = 1024
     pmtud_sync: PmtudSync = PmtudSync.LEAKY_SIDE_CHANNEL
+
+    def __post_init__(self):
+        wire.check_range("sequential_start", self.sequential_start, 0, 0x10000)
 
     def summary(self) -> str:
         bits = [
@@ -302,22 +305,13 @@ class NatBox(IpNode):
         if alloc is PortAllocation.PRESERVING:
             if internal_port >= self.MIN_PORT and internal_port not in self._used_ports:
                 return internal_port
-            return self._scan_free(self.MIN_PORT)
+            return lowest_free_port(self._used_ports, self.MIN_PORT, 0xFFFF)
         if alloc is PortAllocation.SEQUENTIAL:
-            port = self._scan_free(self._next_sequential)
+            port = lowest_free_port(self._used_ports, self.MIN_PORT, 0xFFFF, self._next_sequential)
             if port is not None:
                 self._next_sequential = port + 1
             return port
         return pick_port(self._rng, self.MIN_PORT, 0xFFFF, self._used_ports)
-
-    def _scan_free(self, start: int) -> int | None:
-        for port in range(max(start, self.MIN_PORT), 0x10000):
-            if port not in self._used_ports:
-                return port
-        for port in range(self.MIN_PORT, max(start, self.MIN_PORT)):
-            if port not in self._used_ports:
-                return port
-        return None
 
     # -- external interface -----------------------------------------------------------
 

@@ -45,8 +45,10 @@ class ProbeConfig:
     vantage: str = "vantage"
 
     def __post_init__(self):
-        if not wire.MIN_MTU <= self.forged_mtu < self.baseline_size:
-            raise ValueError("forged_mtu must lie in [68, baseline_size)")
+        # the echo request is one datagram of baseline_size octets
+        wire.check_range("baseline_size", self.baseline_size, wire.MIN_MTU, 0x10000)
+        wire.check_range("forged_mtu", self.forged_mtu, wire.MIN_MTU, self.baseline_size)
+        wire.check_range("timeout_ticks", self.timeout_ticks, 1)
 
 
 class VerdictKind(Enum):

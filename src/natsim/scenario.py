@@ -4,23 +4,28 @@ Scenario objects, then built into a live simulator.
 
 Schema top-level keys: name, seed, tick_duration, nodes[], links[],
 nat{}, server{}, clients[], ephemeral_range, workload{}, probe{},
-attack{}, force_attack, expect{}.  All defaults are filled at load time
-so a minimal document only names the topology.
+attack{}, force_attack, expect{}.  The loader passes only the fields a
+document sets to the run objects (LinkSpec, NatPolicy, WorkloadSpec,
+ProbeConfig, AttackPlan), which hold the defaults and check their own
+ranges; it checks the types, the references between blocks and the
+rules that span blocks.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, replace
+from enum import EnumMeta
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, Host, LINUX_LIKE, OPENBSD_LIKE, StackProfile, TcpState
 from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
 from .natbox import NatBox, NatPolicy, PmtudSync, PortAllocation, RstHandling, UnmappedInbound
 from .probe import ProbeConfig
 from .strike import AttackPlan
-from .wire import SEQ_MOD
+from .wire import MIN_MTU, check_port_range, check_range
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
+HOST_KINDS = ("client", "server", "vantage")  # the kinds that `build` gives a Host
 PROFILES = {"linux-like": LINUX_LIKE, "openbsd-like": OPENBSD_LIKE}
 SESSION_PAYLOAD = 1460  # guarantees one full-sized baseline segment
 
@@ -43,12 +48,11 @@ def _require(doc: dict, key: str, typ, where: str):
     if key not in doc:
         raise ScenarioError(f"{where}.{key}: required field missing")
     value = doc[key]
-    if typ is float and isinstance(value, int):
-        value = float(value)
     # JSON true/false are Python ints too; only a bool field takes them
+    if typ is float and type(value) is int:
+        value = float(value)
     if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
-        names = typ.__name__ if isinstance(typ, type) else "/".join(t.__name__ for t in typ)
-        raise ScenarioError(f"{where}.{key}: expected {names}, got {type(value).__name__}")
+        raise ScenarioError(f"{where}.{key}: expected {typ.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -58,30 +62,33 @@ def _optional(doc: dict, key: str, typ, default, where: str):
     return _require(doc, key, typ, where)
 
 
-def _at_least(doc: dict, key: str, default: int, low: int, where: str) -> int:
-    value = _optional(doc, key, int, default, where)
-    if value < low:
-        raise ScenarioError(f"{where}.{key}: {value} is below the minimum {low}")
-    return value
+def _fields(doc: dict, where: str, **types) -> dict:
+    """The fields named in `types` that `doc` sets, each type-checked; an
+    Enum type takes one of its members' values, and `tuple` a [lo, hi]
+    pair of ints."""
+    out = {}
+    for key, typ in types.items():
+        if doc.get(key) is None:
+            continue
+        if isinstance(typ, EnumMeta):
+            out[key] = _enum_value(f"{where}.{key}", _require(doc, key, str, where), typ)
+        elif typ is tuple:
+            pair = _require(doc, key, list, where)
+            if len(pair) != 2 or not all(type(x) is int for x in pair):
+                raise ScenarioError(f"{where}.{key}: expected [lo, hi]")
+            out[key] = tuple(pair)
+        else:
+            out[key] = _require(doc, key, typ, where)
+    return out
 
 
-def _in_range(doc: dict, key: str, default: int, low: int, stop: int, where: str) -> int:
-    value = _optional(doc, key, int, default, where)
-    if not low <= value < stop:
-        raise ScenarioError(f"{where}.{key}: {value} is outside [{low}, {stop})")
-    return value
-
-
-def _port_range(doc: dict, key: str, default, where: str) -> tuple[int, int]:
-    raw = _optional(doc, key, list, None, where)
-    if raw is None:
-        return default
-    if len(raw) != 2 or not all(type(x) is int for x in raw):
-        raise ScenarioError(f"{where}.{key}: expected [lo, hi]")
-    lo, hi = raw
-    if lo > hi or lo < 0 or hi > 0xFFFF:
-        raise ScenarioError(f"{where}.{key}: range [{lo}, {hi}] empty or out of bounds")
-    return (lo, hi)
+def _checked(where: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the ValueError of a range check, whose
+    message starts with the field, raised as a ScenarioError under `where`."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ScenarioError(f"{where}.{e}") from None
 
 
 @dataclass(frozen=True)
@@ -116,24 +123,18 @@ class WorkloadSpec:
     send_period: int = 10
     payload: int = 512
 
+    def __post_init__(self):
+        check_range("connections", self.connections, 0)
+        # a period of 0 would reschedule the session send at the same tick forever
+        check_range("send_period", self.send_period, 1)
+        check_range("payload", self.payload, 0)
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
     config: ProbeConfig
     # applied between the probe stages, like re-dialing a testbed router
     pre_echo_mtu: tuple[str, str, int] | None = None
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    dst_port_range: tuple[int, int]
-    push_ack_src_port_range: tuple[int, int]
-    interleave_batch: int = 1024
-    rounds: int = 1
-    forged_seq: int = 0
-    set_ack_flag_on_rst: bool = True
-    new_connection_attempts: int = 2
-    settle_ticks: int = 60
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,14 @@ class Scenario:
     ephemeral_range: tuple[int, int]
     workload: WorkloadSpec
     probe: ProbeSpec | None
-    attack: AttackSpec | None
+    # seeded with the document's seed; `build` reseeds it for each run
+    attack: AttackPlan | None
     force_attack: bool
     expect: Expectation | None
     doc: dict
-
-    @property
-    def target_addr(self) -> str:
-        node_map = {n.node_id: n for n in self.nodes}
-        if self.nat_node:
-            return node_map[self.nat_node].address
-        return node_map[self.clients[0]].address
+    # the public address the probe and the attack aim at: the NAT's, or
+    # the first client's when there is no NAT
+    target_addr: str
 
     def policy_summary(self) -> str:
         policy = self.nat_policy.summary() if self.nat_policy else "no-nat"
@@ -177,15 +175,17 @@ class Scenario:
 
 
 def load_scenario(doc: dict) -> Scenario:
-    """Validate a scenario document and fill every default."""
+    """Validate a scenario document and build its run objects."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected an object")
     name = _require(doc, "name", str, "scenario")
     seed = _optional(doc, "seed", int, 1, "scenario")
-    tick_duration = float(_optional(doc, "tick_duration", (int, float), 0.001, "scenario"))
+    tick_duration = _optional(doc, "tick_duration", float, 0.001, "scenario")
+    if not tick_duration > 0:
+        raise ScenarioError(f"scenario.tick_duration: {tick_duration} is not positive")
 
     nodes = []
-    seen_ids: set[str] = set()
+    addresses: dict[str, str] = {}
     raw_nodes = _require(doc, "nodes", list, "scenario")
     for i, nd in enumerate(raw_nodes):
         where = f"nodes[{i}]"
@@ -198,9 +198,11 @@ def load_scenario(doc: dict) -> Scenario:
             ipaddress.IPv4Address(address)
         except ValueError:
             raise ScenarioError(f"{where}.address: {address!r} is not an IPv4 address") from None
-        if node_id in seen_ids:
+        if node_id in addresses:
             raise ScenarioError(f"{where}.id: duplicate node id {node_id!r}")
-        seen_ids.add(node_id)
+        if address in addresses.values():
+            raise ScenarioError(f"{where}.address: duplicate address {address!r}")
+        addresses[node_id] = address
         nodes.append(NodeSpec(node_id, kind, address))
     if not nodes:
         raise ScenarioError("scenario.nodes: at least one node required")
@@ -211,30 +213,18 @@ def load_scenario(doc: dict) -> Scenario:
         frm = _require(ld, "from", str, where)
         to = _require(ld, "to", str, where)
         for end in (frm, to):
-            if end not in seen_ids:
+            if end not in addresses:
                 raise ScenarioError(f"{where}: unknown node {end!r}")
-        filt = None
+        link = _fields(ld, where, mtu=int, delay=int, loss=float)
         raw_filter = _optional(ld, "filter", list, None, where)
         if raw_filter:
-            classes = frozenset(
+            link["filter"] = MiddleboxFilter(frozenset(
                 _enum_value(f"{where}.filter[{j}]", c, DropClass) for j, c in enumerate(raw_filter)
-            )
-            filt = MiddleboxFilter(classes)
-        try:
-            links.append(
-                LinkSpec(
-                    frm=frm,
-                    to=to,
-                    mtu=_optional(ld, "mtu", int, 1500, where),
-                    delay=_optional(ld, "delay", int, 1, where),
-                    loss=float(_optional(ld, "loss", (int, float), 0.0, where)),
-                    filter=filt,
-                )
-            )
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}") from None
+            ))
+        links.append(_checked(where, LinkSpec, frm=frm, to=to, **link))
 
     nat_kind_nodes = [n.node_id for n in nodes if n.kind == "nat"]
+    host_nodes = {n.node_id for n in nodes if n.kind in HOST_KINDS}
     if len(nat_kind_nodes) > 1:
         raise ScenarioError("nodes: at most one NAT node per scenario")
     _check_connected(nodes, links)
@@ -244,30 +234,23 @@ def load_scenario(doc: dict) -> Scenario:
     nat_doc = _optional(doc, "nat", dict, None, "scenario")
     if nat_doc is not None:
         nat_node = _optional(nat_doc, "node", str, "nat", "nat")
-        if nat_node not in seen_ids:
-            raise ScenarioError(f"nat.node: unknown node {nat_node!r}")
-        nat_policy = NatPolicy(
-            rst_handling=_enum_value(
-                "nat.rst_handling",
-                _optional(nat_doc, "rst_handling", str, "vulnerable-remove", "nat"),
-                RstHandling,
-            ),
-            require_ack_flag_on_rst=_optional(nat_doc, "require_ack_on_rst", bool, False, "nat"),
-            unmapped_inbound=_enum_value(
-                "nat.unmapped_inbound",
-                _optional(nat_doc, "unmapped_inbound", str, "rst-reply", "nat"),
-                UnmappedInbound,
-            ),
-            port_allocation=_enum_value(
-                "nat.port_allocation",
-                _optional(nat_doc, "port_allocation", str, "sequential", "nat"),
-                PortAllocation,
-            ),
-            sequential_start=_optional(nat_doc, "sequential_start", int, 1024, "nat"),
-            pmtud_sync=_enum_value(
-                "nat.pmtud_sync", _optional(nat_doc, "pmtud_sync", str, "leaky", "nat"), PmtudSync
-            ),
+        if nat_node not in nat_kind_nodes:
+            raise ScenarioError(f"nat.node: {nat_node!r} is not a node of kind nat")
+        policy = _fields(
+            nat_doc,
+            "nat",
+            rst_handling=RstHandling,
+            require_ack_on_rst=bool,
+            unmapped_inbound=UnmappedInbound,
+            port_allocation=PortAllocation,
+            sequential_start=int,
+            pmtud_sync=PmtudSync,
         )
+        if "require_ack_on_rst" in policy:
+            policy["require_ack_flag_on_rst"] = policy.pop("require_ack_on_rst")
+        nat_policy = _checked("nat", NatPolicy, **policy)
+    elif nat_kind_nodes:
+        raise ScenarioError(f"nat: node {nat_kind_nodes[0]!r} present but not configured")
 
     server_node = None
     server_profile = LINUX_LIKE
@@ -275,86 +258,85 @@ def load_scenario(doc: dict) -> Scenario:
     server_doc = _optional(doc, "server", dict, None, "scenario")
     if server_doc is not None:
         server_node = _optional(server_doc, "node", str, "server", "server")
-        if server_node not in seen_ids:
-            raise ScenarioError(f"server.node: unknown node {server_node!r}")
+        if server_node not in host_nodes:
+            raise ScenarioError(f"server.node: {server_node!r} is not a host node")
         profile_name = _optional(server_doc, "profile", str, "linux-like", "server")
         if profile_name not in PROFILES:
             raise ScenarioError(
                 f"server.profile: unknown value {profile_name!r} (valid: {', '.join(PROFILES)})"
             )
         server_profile = PROFILES[profile_name]
-        server_port = _in_range(server_doc, "port", 80, 0, 0x10000, "server")
+        server_port = _optional(server_doc, "port", int, server_port, "server")
+        _checked("server", check_range, "port", server_port, 0, 0x10000)
 
     default_clients = [n.node_id for n in nodes if n.kind == "client"]
     clients = _optional(doc, "clients", list, default_clients, "scenario")
     for c in clients:
-        if not isinstance(c, str) or c not in seen_ids:
-            raise ScenarioError(f"clients: unknown node {c!r}")
+        if not isinstance(c, str) or c not in host_nodes:
+            raise ScenarioError(f"clients: {c!r} is not a host node")
     if not clients:
         raise ScenarioError("clients: at least one client node required")
+    target_addr = addresses[nat_node or clients[0]]
 
-    ephemeral = _port_range(doc, "ephemeral_range", DEFAULT_EPHEMERAL_RANGE, "scenario")
+    ephemeral = _fields(doc, "scenario", ephemeral_range=tuple).get(
+        "ephemeral_range", DEFAULT_EPHEMERAL_RANGE
+    )
+    _checked("scenario", check_port_range, "ephemeral_range", ephemeral)
 
     wl_doc = _optional(doc, "workload", dict, {}, "scenario")
-    workload = WorkloadSpec(
-        connections=_at_least(wl_doc, "connections", 4, 0, "workload"),
-        # a period of 0 would reschedule the session send at the same tick forever
-        send_period=_at_least(wl_doc, "send_period", 10, 1, "workload"),
-        payload=_optional(wl_doc, "payload", int, 512, "workload"),
-    )
+    wl_fields = _fields(wl_doc, "workload", connections=int, send_period=int, payload=int)
+    workload = _checked("workload", WorkloadSpec, **wl_fields)
 
     probe_spec = None
     probe_doc = _optional(doc, "probe", dict, None, "scenario")
     if probe_doc is not None:
-        vantage = _optional(probe_doc, "vantage", str, "vantage", "probe")
-        if vantage not in seen_ids:
-            raise ScenarioError(f"probe.vantage: unknown node {vantage!r}")
-        baseline = _optional(probe_doc, "baseline_size", int, 1500, "probe")
-        forged = _optional(probe_doc, "forged_mtu", int, 600, "probe")
-        if not 68 <= forged < baseline:
-            raise ScenarioError(
-                f"probe.forged_mtu: {forged} must lie in [68, baseline_size {baseline})"
-            )
+        probe_fields = _fields(
+            probe_doc, "probe", forged_mtu=int, baseline_size=int, timeout_ticks=int, vantage=str
+        )
+        config = _checked("probe", ProbeConfig, **probe_fields)
+        if config.vantage not in host_nodes:
+            raise ScenarioError(f"probe.vantage: {config.vantage!r} is not a host node")
         pre_echo = None
         pe_doc = _optional(probe_doc, "pre_echo_mtu", dict, None, "probe")
         if pe_doc is not None:
             link = _require(pe_doc, "link", list, "probe.pre_echo_mtu")
-            if len(link) != 2 or any(not isinstance(l, str) or l not in seen_ids for l in link):
-                raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming nodes")
-            pre_echo = (link[0], link[1], _require(pe_doc, "mtu", int, "probe.pre_echo_mtu"))
-        probe_spec = ProbeSpec(
-            config=ProbeConfig(
-                forged_mtu=forged,
-                baseline_size=baseline,
-                timeout_ticks=_optional(probe_doc, "timeout_ticks", int, 200, "probe"),
-                vantage=vantage,
-            ),
-            pre_echo_mtu=pre_echo,
-        )
+            if link not in [[l.frm, l.to] for l in links]:
+                raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming a link")
+            mtu = _require(pe_doc, "mtu", int, "probe.pre_echo_mtu")
+            _checked("probe.pre_echo_mtu", check_range, "mtu", mtu, MIN_MTU)
+            pre_echo = (link[0], link[1], mtu)
+        probe_spec = ProbeSpec(config=config, pre_echo_mtu=pre_echo)
 
-    attack_spec = None
+    plan = None
     attack_doc = _optional(doc, "attack", dict, None, "scenario")
     if attack_doc is not None:
-        attack_spec = AttackSpec(
-            dst_port_range=_port_range(attack_doc, "dst_port_range", DEFAULT_EPHEMERAL_RANGE, "attack"),
-            push_ack_src_port_range=_port_range(
-                attack_doc, "push_ack_src_port_range", DEFAULT_EPHEMERAL_RANGE, "attack"
+        if server_node is None:
+            raise ScenarioError("attack: an attack block requires a server block")
+        plan = _checked(
+            "attack",
+            AttackPlan,
+            nat_public_ip=target_addr,
+            victim_server=(addresses[server_node], server_port),
+            seed=seed,
+            **_fields(
+                attack_doc,
+                "attack",
+                dst_port_range=tuple,
+                push_ack_src_port_range=tuple,
+                interleave_batch=int,
+                rounds=int,
+                forged_seq=int,
+                set_ack_flag_on_rst=bool,
+                new_connection_attempts=int,
+                settle_ticks=int,
             ),
-            interleave_batch=_at_least(attack_doc, "interleave_batch", 1024, 1, "attack"),
-            rounds=_at_least(attack_doc, "rounds", 1, 1, "attack"),
-            forged_seq=_in_range(attack_doc, "forged_seq", 0, 0, SEQ_MOD, "attack"),
-            set_ack_flag_on_rst=_optional(attack_doc, "set_ack_flag_on_rst", bool, True, "attack"),
-            new_connection_attempts=_optional(attack_doc, "new_connection_attempts", int, 2, "attack"),
-            settle_ticks=_optional(attack_doc, "settle_ticks", int, 60, "attack"),
         )
 
     expect = None
     exp_doc = _optional(doc, "expect", dict, None, "scenario")
     if exp_doc is not None:
         expect = Expectation(
-            verdict=_optional(exp_doc, "verdict", str, None, "expect"),
-            attack_success=_optional(exp_doc, "attack_success", bool, None, "expect"),
-            diagnosis=_optional(exp_doc, "diagnosis", str, None, "expect"),
+            **_fields(exp_doc, "expect", verdict=str, attack_success=bool, diagnosis=str)
         )
 
     return Scenario(
@@ -372,10 +354,11 @@ def load_scenario(doc: dict) -> Scenario:
         ephemeral_range=ephemeral,
         workload=workload,
         probe=probe_spec,
-        attack=attack_spec,
+        attack=plan,
         force_attack=_optional(doc, "force_attack", bool, False, "scenario"),
         expect=expect,
         doc=doc,
+        target_addr=target_addr,
     )
 
 
@@ -402,10 +385,7 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
     hosts: dict[str, Host] = {}
     nat: NatBox | None = None
     attacker_node = None
-    node_map = {n.node_id: n for n in scenario.nodes}
-    internal_addrs = (
-        {node_map[c].address for c in scenario.clients} if scenario.nat_node else set()
-    )
+    internal_addrs = {n.address for n in scenario.nodes if n.node_id in scenario.clients}
     vantage_id = scenario.probe.config.vantage if scenario.probe else None
 
     for spec in scenario.nodes:
@@ -415,8 +395,6 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
             sim.add_node(spec.node_id, spec.address)
             attacker_node = spec.node_id
         elif spec.kind == "nat":
-            if scenario.nat_node != spec.node_id:
-                raise ScenarioError(f"nat: node {spec.node_id!r} present but not configured")
             nat = NatBox(
                 spec.node_id,
                 spec.address,
@@ -450,28 +428,12 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
         sim.add_link(replace(link))
     sim.finalize_routes()
 
-    server_host = hosts.get(scenario.server_node) if scenario.server_node else None
+    server_host = hosts.get(scenario.server_node)
     if server_host is not None:
         server_host.listen(scenario.server_port)
-    vantage_host = hosts.get(vantage_id) if vantage_id else None
+    vantage_host = hosts.get(vantage_id)
     if vantage_host is not None:
         vantage_host.listen(80)
-
-    plan = None
-    if scenario.attack is not None and scenario.server_node is not None:
-        a = scenario.attack
-        plan = AttackPlan(
-            nat_public_ip=scenario.target_addr,
-            victim_server=(node_map[scenario.server_node].address, scenario.server_port),
-            dst_port_range=a.dst_port_range,
-            push_ack_src_port_range=a.push_ack_src_port_range,
-            interleave_batch=a.interleave_batch,
-            rounds=a.rounds,
-            forged_seq=a.forged_seq,
-            set_ack_flag_on_rst=a.set_ack_flag_on_rst,
-            new_connection_attempts=a.new_connection_attempts,
-            seed=seed,
-        )
 
     return Handles(
         scenario=scenario,
@@ -481,7 +443,7 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
         server_host=server_host,
         vantage_host=vantage_host,
         attacker_node=attacker_node,
-        plan=plan,
+        plan=replace(scenario.attack, seed=seed) if scenario.attack else None,
     )
 
 

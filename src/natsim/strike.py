@@ -19,7 +19,7 @@ from enum import Enum
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, ConnKey, Host, TcpState
 from .fabric import Simulator, derive_rng
 from .natbox import NatBox
-from .wire import Ipv4Datagram, Protocol, TcpFlag, TcpSegment
+from .wire import SEQ_MOD, Ipv4Datagram, Protocol, TcpFlag, TcpSegment, check_port_range, check_range
 
 WINDOWS_EPHEMERAL = (49152, 65535)
 # the outcome columns of the attack and assessment CSVs, in order
@@ -54,13 +54,16 @@ class AttackPlan:
     set_ack_flag_on_rst: bool = True
     new_connection_attempts: int = 2
     seed: int = 0
+    settle_ticks: int = 60  # after the sweeps, and again after the victims' next sends
 
     def __post_init__(self):
-        for lo, hi in (self.dst_port_range, self.push_ack_src_port_range):
-            if lo > hi or lo < 0 or hi > 0xFFFF:
-                raise ValueError("port range empty or out of bounds")
-        if self.interleave_batch < 1 or self.rounds < 1:
-            raise ValueError("interleave_batch and rounds must be positive")
+        check_port_range("dst_port_range", self.dst_port_range)
+        check_port_range("push_ack_src_port_range", self.push_ack_src_port_range)
+        check_range("interleave_batch", self.interleave_batch, 1)
+        check_range("rounds", self.rounds, 1)
+        check_range("forged_seq", self.forged_seq, 0, SEQ_MOD)
+        check_range("new_connection_attempts", self.new_connection_attempts, 0)
+        check_range("settle_ticks", self.settle_ticks, 0)
 
 
 @dataclass
@@ -147,7 +150,6 @@ class StrikeContext:
     new_conn_clients: list[Host] = field(default_factory=list)
     nat: NatBox | None = None
     tick_duration: float = 0.001
-    settle_ticks: int = 60
     probe_payload: int = 16
 
 
@@ -197,13 +199,13 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
                     sim.run(until=sim.now + 1)
 
         report.duration_ticks = last_inject - window_start + 1
-        sim.run(until=sim.now + ctx.settle_ticks)
+        sim.run(until=sim.now + plan.settle_ticks)
 
         # the victims' own next transmissions complete the teardown chain
         for host, key in victims + attempts:
             if _state(host, key) == TcpState.ESTABLISHED:
                 host.send_data(sim, key, ctx.probe_payload)
-        sim.run(until=sim.now + ctx.settle_ticks)
+        sim.run(until=sim.now + plan.settle_ticks)
 
     report.octets_sent = sim.counters[ctx.attacker_node].octets_sent - sent_before
     if report.duration_ticks > 0 and ctx.tick_duration > 0:

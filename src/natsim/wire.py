@@ -69,6 +69,22 @@ def seq_in_range(seq: int, lo: int, hi: int) -> bool:
     return (seq - lo) % SEQ_MOD < (hi - lo) % SEQ_MOD
 
 
+def check_range(field: str, value: int, low: int, stop: int | None = None) -> None:
+    """Raise ValueError, its message starting with `field`, unless
+    low <= value, and value < stop when a stop is given."""
+    if stop is None and value < low:
+        raise ValueError(f"{field}: {value} is below the minimum {low}")
+    if stop is not None and not low <= value < stop:
+        raise ValueError(f"{field}: {value} is outside [{low}, {stop})")
+
+
+def check_port_range(field: str, ports: tuple[int, int]) -> None:
+    """Raise ValueError unless `ports` is a non-empty [lo, hi] of TCP ports."""
+    lo, hi = ports
+    if lo > hi or lo < 0 or hi > 0xFFFF:
+        raise ValueError(f"{field}: range [{lo}, {hi}] empty or out of bounds")
+
+
 @dataclass(frozen=True, slots=True)
 class TcpSegment:
     """A TCP segment; only the payload length is modeled, not its bytes."""

@@ -1,9 +1,12 @@
 """Scenario loading: schema validation, defaults, the shipped suite."""
 
+import copy
 import json
 import os
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natsim import scenario as sc
 from natsim.cli import main
@@ -173,6 +176,24 @@ class TestValidation:
         (("server", "port"), -1, "server.port"),
         (("attack", "forged_seq"), 2**40, "attack.forged_seq: 1099511627776 is outside [0, 4294967296)"),
         (("attack", "forged_seq"), -5, "attack.forged_seq: -5 is outside [0, 4294967296)"),
+        (("attack", "settle_ticks"), -60, "attack.settle_ticks: -60 is below the minimum 0"),
+        (("attack", "new_connection_attempts"), -3, "attack.new_connection_attempts"),
+        (("probe", "timeout_ticks"), -1, "probe.timeout_ticks: -1 is below the minimum 1"),
+        (("probe", "timeout_ticks"), 0, "probe.timeout_ticks"),
+        (("probe", "baseline_size"), 70000, "probe.baseline_size"),
+        (("workload", "payload"), -1, "workload.payload"),
+        (("nat", "sequential_start"), 70000, "nat.sequential_start: 70000 is outside [0, 65536)"),
+        (("tick_duration",), 0, "scenario.tick_duration"),
+        (("tick_duration",), True, "scenario.tick_duration"),
+        (("probe", "pre_echo_mtu"), {"link": ["r1", "vantage"], "mtu": 10}, "probe.pre_echo_mtu.mtu"),
+        (("probe", "pre_echo_mtu"), {"link": ["server", "vantage"], "mtu": 576}, "probe.pre_echo_mtu.link"),
+        (("server",), None, "attack: an attack block requires a server block"),
+        (("nodes", 1, "address"), "10.0.0.2", "nodes[1].address: duplicate address"),
+        (("nat", "node"), "client1", "nat.node"),
+        (("nat",), None, "nat: node 'nat' present but not configured"),
+        (("clients",), ["nat"], "clients"),
+        (("probe", "vantage"), "r1", "probe.vantage"),
+        (("server", "node"), "attacker", "server.node"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -193,6 +214,8 @@ class TestValidation:
         (("attack", "forged_seq"), 2**40, "configuration error: attack.forged_seq"),
         (("attack", "forged_seq"), -5, "configuration error: attack.forged_seq"),
         (("workload", "connections"), 0, "attack error: nothing-to-attack"),
+        (("attack", "settle_ticks"), -60, "configuration error: attack.settle_ticks"),
+        (("nodes", 8, "kind"), "router", "configuration error: attack: scenario has no attacker node"),
     ])
     def test_attack_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()
@@ -202,6 +225,96 @@ class TestValidation:
         assert main(["attack", str(bad), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("probe", "pre_echo_mtu"), {"link": ["r1", "vantage"], "mtu": 10},
+         "configuration error: probe.pre_echo_mtu.mtu"),
+        (("probe", "pre_echo_mtu"), {"link": ["server", "vantage"], "mtu": 576},
+         "configuration error: probe.pre_echo_mtu.link"),
+        (("probe", "timeout_ticks"), -1, "configuration error: probe.timeout_ticks"),
+        (("probe", "vantage"), "nat", "configuration error: probe.vantage"),
+    ])
+    def test_identify_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
+        doc = wifi_doc()
+        set_path(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["identify", str(bad), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+class TestExpectations:
+    @pytest.mark.parametrize("command, rc", [("attack", 2), ("identify", 0), ("assess", 2)])
+    def test_each_command_checks_the_expectations_of_its_runs(self, tmp_path, command, rc):
+        # the attack succeeds, so a packet-loss diagnosis is a mismatch for
+        # the commands that attack, and no concern of the one that does not
+        doc = wifi_doc()
+        doc["expect"]["diagnosis"] = "packet-loss"
+        path = tmp_path / "wifi.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--quiet"]) == rc
+
+
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SHIPPED_DOCS = [json.loads(p.read_text()) for p in sorted(pathlib.Path(SHIPPED).glob("*.json"))]
+# optional fields the shipped documents leave out
+ABSENT_FIELDS = [
+    ("seed",), ("tick_duration",), ("clients",), ("force_attack",),
+    ("attack", "forged_seq"), ("attack", "set_ack_flag_on_rst"),
+    ("attack", "new_connection_attempts"), ("attack", "settle_ticks"),
+    ("probe", "baseline_size"), ("probe", "timeout_ticks"), ("probe", "pre_echo_mtu"),
+    ("nat", "require_ack_on_rst"), ("links", 0, "loss"), ("links", 0, "delay"),
+    ("links", 0, "mtu"), ("links", 0, "filter"),
+]
+
+
+def _paths(value, prefix=()):
+    if prefix:
+        yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _leaves(value):
+    if isinstance(value, (dict, list)):
+        for child in (value.values() if isinstance(value, dict) else value):
+            yield from _leaves(child)
+    else:
+        yield value
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_DOCS)))
+    path = draw(st.sampled_from(list(_paths(doc)) + ABSENT_FIELDS))
+    # the document's own values make the mutations that pass the type checks
+    own = st.sampled_from(sorted({json.dumps(v) for v in _leaves(doc)})).map(json.loads)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent.get(key) if isinstance(parent, dict) else parent[key]
+    if parent is not None:  # a block the document leaves out stays out
+        parent[path[-1]] = draw(own | json_values)
+    return doc
+
+
+class TestLoaderFuzz:
+    @given(doc=mutated_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_one_bad_field_is_a_scenario_error_or_builds(self, doc):
+        try:
+            scn = load_scenario(doc)
+        except ScenarioError:
+            return
+        sc.build(scn)
 
 
 class TestSuite:
