@@ -10,7 +10,12 @@ is written or replayed (`fabric.keep_traces`).
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 
 from . import __version__ as VERSION
@@ -177,25 +182,29 @@ def _summarize(rows: list[AssessmentRow]) -> str:
 
 class TraceFile:
     """A multi-section trace: each section embeds the scenario document so
-    the file replays standalone."""
+    the file replays standalone.  A section is rendered to a spool file as
+    it is added, so no rendered line and no simulator is held; `write`
+    copies the spool to its path."""
 
     def __init__(self):
-        self.sections: list[tuple[str, str, int, dict, list[str]]] = []
+        self._spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+        weakref.finalize(self, self._spool.close)
 
     def add_section(self, scn: Scenario, mode: str, sim: Simulator) -> None:
-        lines = [rec.line() for rec in sim.trace]
-        self.sections.append((scn.name, mode, sim.seed, scn.doc, lines))
+        records = iter(sim.trace)  # raises before any byte is written if not kept
+        fh = self._spool
+        fh.write(
+            f"#natsim-trace {VERSION}\n#name {scn.name}\n#mode {mode}\n#seed {sim.seed}\n"
+            f"#scenario {json.dumps(scn.doc, sort_keys=True)}\n"
+        )
+        fh.writelines(rec.line() + "\n" for rec in records)
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for name, mode, seed, doc, lines in self.sections:
-                fh.write(f"#natsim-trace {VERSION}\n")
-                fh.write(f"#name {name}\n")
-                fh.write(f"#mode {mode}\n")
-                fh.write(f"#seed {seed}\n")
-                fh.write(f"#scenario {json.dumps(doc, sort_keys=True)}\n")
-                for line in lines:
-                    fh.write(line + "\n")
+        self._spool.flush()
+        self._spool.buffer.seek(0)
+        with open(path, "wb") as out:
+            shutil.copyfileobj(self._spool.buffer, out)
+        self._spool.seek(0, os.SEEK_END)  # later sections append
 
 
 @dataclass
@@ -212,62 +221,82 @@ class ReplayResult:
 
 
 def replay(path: str) -> ReplayResult:
-    """Re-run every section of a trace file and byte-compare the output."""
-    sections = _parse_trace(path)
-    if not sections:
+    """Re-run every section of a trace file and byte-compare the output,
+    reading and re-simulating one section at a time.  After the first
+    divergence the remaining sections are only read, for their versions."""
+    found = version_mismatch = False
+    divergence = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ver, name, mode, seed, doc, lines in _sections(path, fh):
+                found = True
+                version_mismatch |= ver != VERSION
+                if divergence is None:
+                    divergence = _replay_section(path, name, mode, seed, doc, lines)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioError(f"{path}: {e}") from None
+    if not found:
         raise ScenarioError(f"{path}: no trace sections found")
-    version_mismatch = any(ver != VERSION for ver, *_ in sections)
-    for ver, name, mode, seed, doc, lines in sections:
-        scn = scenario_mod.load_scenario(doc)
-        with keep_traces():
-            if mode == "identify":
-                _, handles = identify_scenario(scn, seed=seed)
-            elif mode == "attack":
-                _, handles = attack_scenario(scn, seed=seed)
-            else:
-                raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
-        fresh = [rec.line() for rec in handles.sim.trace]
-        for i, (old, new) in enumerate(zip(lines, fresh)):
-            if old != new:
-                return ReplayResult(
-                    False,
-                    version_mismatch,
-                    f"section {name} line {i + 1}: recorded {old!r} vs replayed {new!r}",
-                )
-        if len(lines) != len(fresh):
-            return ReplayResult(
-                False,
-                version_mismatch,
-                f"section {name}: recorded {len(lines)} lines vs replayed {len(fresh)}",
-            )
-    return ReplayResult(True, version_mismatch)
+    return ReplayResult(divergence is None, version_mismatch, divergence)
 
 
-def _parse_trace(path: str):
-    sections = []
-    current = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#natsim-trace"):
-                if current:
-                    sections.append(current)
-                current = [line.split(" ", 1)[1] if " " in line else "", "", "", 0, {}, []]
-            elif current is None:
-                raise ScenarioError(f"{path}: malformed trace header")
-            elif line.startswith("#name "):
-                current[1] = line[len("#name ") :]
-            elif line.startswith("#mode "):
-                current[2] = line[len("#mode ") :]
-            elif line.startswith("#seed "):
-                current[3] = int(line[len("#seed ") :])
-            elif line.startswith("#scenario "):
-                current[4] = json.loads(line[len("#scenario ") :])
+def _replay_section(path, name, mode, seed, doc, lines) -> str | None:
+    """Re-simulate one section and compare its recorded lines with freshly
+    rendered ones, a pair at a time; the first difference, or None."""
+    scn = scenario_mod.load_scenario(doc)
+    with keep_traces():
+        if mode == "identify":
+            _, handles = identify_scenario(scn, seed=seed)
+        elif mode == "attack":
+            _, handles = attack_scenario(scn, seed=seed)
+        else:
+            raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
+    fresh = (rec.line() for rec in handles.sim.trace)
+    recorded = replayed = 0
+    for old, new in itertools.zip_longest(lines, fresh):
+        recorded += old is not None
+        replayed += new is not None
+        if old is not None and new is not None and old != new:
+            return f"section {name} line {recorded}: recorded {old!r} vs replayed {new!r}"
+    if recorded != replayed:
+        return f"section {name}: recorded {recorded} lines vs replayed {replayed}"
+    return None
+
+
+def _sections(path: str, fh):
+    """Yield (version, name, mode, seed, doc, lines) for each section of an
+    open trace file.  `lines` iterates the section's non-empty record lines
+    straight from the file; whatever of them is left unread is skipped."""
+    count = 0
+
+    def section_of(raw: str) -> int:
+        nonlocal count
+        count += raw.startswith("#natsim-trace")
+        return count
+
+    for number, group in itertools.groupby(fh, section_of):
+        if number == 0:
+            raise ScenarioError(f"{path}: malformed trace header")
+        lines = (raw.rstrip("\n") for raw in group)
+        version = next(lines).partition(" ")[2]
+        header = {"#name": "", "#mode": "", "#seed": None, "#scenario": None}
+        for line in lines:
+            key, space, value = line.partition(" ")
+            if space and key in header:
+                header[key] = value
             elif line:
-                current[5].append(line)
-    if current:
-        sections.append(current)
-    return [tuple(s) for s in sections]
+                lines = itertools.chain((line,), lines)
+                break
+        seed, doc = header["#seed"], header["#scenario"]
+        try:
+            seed = 0 if seed is None else int(seed)
+        except ValueError:
+            raise ScenarioError(f"{path}: #seed: {seed!r} is not an integer") from None
+        try:
+            doc = {} if doc is None else json.loads(doc)
+        except ValueError as e:
+            raise ScenarioError(f"{path}: #scenario: invalid JSON: {e}") from None
+        yield version, header["#name"], header["#mode"], seed, doc, filter(None, lines)
 
 
 def probe_csv(target: str, verdict: Verdict) -> str:

@@ -113,12 +113,10 @@ class Counters:
     packets_dropped: int = 0
 
 
-_FLAG_ORDER = (
-    (TcpFlag.FIN, "F"),
-    (TcpFlag.SYN, "S"),
-    (TcpFlag.RST, "R"),
-    (TcpFlag.PSH, "P"),
-    (TcpFlag.ACK, "A"),
+_FLAG_ORDER = "FSRPA"  # the letters of TcpFlag's bits, lowest first
+# the flags column for each value of the five flag bits, built once
+_FLAG_COLUMN = tuple(
+    "".join(ch for i, ch in enumerate(_FLAG_ORDER) if bits >> i & 1) or "-" for bits in range(32)
 )
 
 
@@ -126,7 +124,7 @@ def packet_summary(d: Ipv4Datagram) -> str:
     """`proto src:port>dst:port flags seq ack len df off` trace column."""
     p = d.payload
     if isinstance(p, wire.TcpSegment):
-        flags = "".join(ch for fl, ch in _FLAG_ORDER if fl in p.flags) or "-"
+        flags = _FLAG_COLUMN[p.flags.value & 0x1F]
         sp, dp, seq, ack = p.src_port, p.dst_port, p.seq, p.ack
         proto = "TCP"
     elif isinstance(p, wire.EchoRequest):

@@ -91,6 +91,18 @@ def _checked(where: str, fn, *args, **kwargs):
         raise ScenarioError(f"{where}.{e}") from None
 
 
+def _busiest_client(clients: list[str], *dealt: int, first: int = 0) -> int:
+    """The most connections one client opens when each count in `dealt` is
+    dealt over `clients` in order and the first client opens `first` more;
+    a client keeps the ephemeral port of every connection it opens."""
+    k = len(clients)
+    opened = dict.fromkeys(clients, 0)
+    opened[clients[0]] += first
+    for j, c in enumerate(clients):
+        opened[c] += sum(n // k + (j < n % k) for n in dealt)
+    return max(opened.values())
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
@@ -330,6 +342,23 @@ def load_scenario(doc: dict) -> Scenario:
                 new_connection_attempts=int,
                 settle_ticks=int,
             ),
+        )
+
+    # the victims, then the vantage session on the first client, then the
+    # attack's new connections, each take a port for good
+    ports = ephemeral[1] - ephemeral[0] + 1
+    vantage = int(probe_spec is not None)
+    if _busiest_client(clients, workload.connections, first=vantage) > ports:
+        raise ScenarioError(
+            f"workload.connections: {workload.connections} connections need more than "
+            f"the {ports} ephemeral ports of a client in {clients}"
+        )
+    attempts = plan.new_connection_attempts if plan is not None else 0
+    if _busiest_client(clients, workload.connections, attempts, first=vantage) > ports:
+        raise ScenarioError(
+            f"attack.new_connection_attempts: {attempts} attempts after "
+            f"{workload.connections} connections need more than the {ports} "
+            f"ephemeral ports of a client in {clients}"
         )
 
     expect = None

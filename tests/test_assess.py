@@ -1,6 +1,9 @@
 """Assessor, CSV formats, trace replay, and the CLI exit-code contract."""
 
+import gc
 import json
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -121,6 +124,89 @@ class TestReplay:
         assert result.version_mismatch
         assert result.identical  # comparison still attempted and clean
 
+    def write_sections(self, tmp_path, runs):
+        """A trace file with one section per (doc, mode) in `runs`."""
+        sink = assess.TraceFile()
+        for doc, mode in runs:
+            scn = sc.load_scenario(doc)
+            run = assess.attack_scenario if mode == "attack" else assess.identify_scenario
+            with keep_traces():
+                _, handles = run(scn)
+            sink.add_section(scn, mode, handles.sim)
+        path = tmp_path / "multi.trace"
+        sink.write(str(path))
+        return path
+
+    def three_sections(self, tmp_path):
+        return self.write_sections(tmp_path, [
+            (fast_doc("m1"), "identify"), (fast_doc("m2"), "attack"), (fast_doc("m3"), "identify")])
+
+    def test_divergence_in_middle_section_names_its_line(self, tmp_path):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines()
+        second = [i for i, l in enumerate(lines) if l == "#name m2"][0]
+        body = second + 4  # after #name, #mode, #seed and #scenario
+        original = lines[body + 6]
+        lines[body + 6] = original.replace("\tsend\t", "\tforward\t", 1)
+        assert lines[body + 6] != original
+        path.write_text("\n".join(lines) + "\n")
+        result = assess.replay(str(path))
+        assert not result.identical and not result.version_mismatch
+        assert result.divergence == (
+            f"section m2 line 7: recorded {lines[body + 6]!r} vs replayed {original!r}")
+
+    def test_truncated_last_section_counts_lines(self, tmp_path):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines()
+        body = len(lines) - ([i for i, l in enumerate(lines) if l == "#name m3"][0] + 4)
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        result = assess.replay(str(path))
+        assert result.divergence == f"section m3: recorded {body - 3} lines vs replayed {body}"
+
+    def test_version_mismatch_in_last_header_alone(self, tmp_path):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines()
+        last = max(i for i, l in enumerate(lines) if l.startswith("#natsim-trace "))
+        lines[last] = "#natsim-trace 0.0.0"
+        path.write_text("\n".join(lines) + "\n")
+        result = assess.replay(str(path))
+        assert result.identical and result.version_mismatch
+        assert result.describe() == "identical (version mismatch noted)"
+        # a divergence in the first section still reads the later headers
+        path.write_text(path.read_text().replace("#seed 1", "#seed 99", 1))
+        result = assess.replay(str(path))
+        assert not result.identical and result.version_mismatch
+        assert result.divergence.startswith("section m1 line ")
+
+    def test_trace_file_holds_no_simulator(self, tmp_path):
+        scn = sc.load_scenario(fast_doc("w1"))
+        with keep_traces():
+            _, handles = assess.attack_scenario(scn)
+        sim = weakref.ref(handles.sim)
+        sink = assess.TraceFile()
+        sink.add_section(scn, "attack", handles.sim)
+        del handles
+        gc.collect()
+        assert sim() is None
+        sink.write(str(tmp_path / "w1.trace"))
+        assert assess.replay(str(tmp_path / "w1.trace")).identical
+
+    def test_replay_memory_follows_the_largest_section(self, tmp_path):
+        one = self.write_trace(tmp_path, fast_doc("b1"))
+        four = tmp_path / "four.trace"
+        four.write_text(one.read_text() * 4)
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                assert assess.replay(str(path)).identical
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(one)  # first-use allocations are not the file's
+        assert peak(four) < 1.5 * peak(one)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_text("")
@@ -170,6 +256,29 @@ class TestCli:
         doc["nat"]["rst_handling"] = "nope"
         assert main(["identify", self.scenario_file(tmp_path, doc)]) == 1
         assert main(["identify", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(lambda b: b.replace(b"#seed 1", b"#seed one"),
+                     "#seed: 'one' is not an integer", id="seed"),
+        pytest.param(lambda b: b.replace(b"#scenario {", b"#scenario {{"),
+                     "#scenario: invalid JSON", id="scenario-json"),
+        pytest.param(None, "No such file or directory", id="missing"),
+        pytest.param(lambda b: b.replace(b"#name c10", b"#name c10\xff\xfe"),
+                     "can't decode byte 0xff", id="not-utf8"),
+    ])
+    def test_malformed_trace_exits_1_with_one_line(self, tmp_path, capsys, damage, message):
+        trace = tmp_path / "c10.trace"
+        assert main(["attack", self.scenario_file(tmp_path, fast_doc("c10")), "--quiet",
+                     "--trace", str(trace)]) == 0
+        if damage is None:
+            trace.unlink()
+        else:
+            trace.write_bytes(damage(trace.read_bytes()))
+        capsys.readouterr()
+        assert main(["replay", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {trace}: ") and err.count("\n") == 1
+        assert message in err
 
     def test_assess_directory(self, tmp_path):
         self.scenario_file(tmp_path, fast_doc("c7", expect={"attack_success": True}))

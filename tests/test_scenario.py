@@ -194,6 +194,12 @@ class TestValidation:
         (("clients",), ["nat"], "clients"),
         (("probe", "vantage"), "r1", "probe.vantage"),
         (("server", "node"), "attacker", "server.node"),
+        # 4 clients x 2,048 ephemeral ports; the vantage session takes one
+        # more port of client1, the attack's new connections one each
+        (("workload", "connections"), 9000,
+         "workload.connections: 9000 connections need more than the 2048 ephemeral ports"),
+        (("workload", "connections"), 8189, "workload.connections"),
+        (("attack", "new_connection_attempts"), 10**9, "attack.new_connection_attempts"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -201,6 +207,12 @@ class TestValidation:
         with pytest.raises(ScenarioError) as e:
             load_scenario(doc)
         assert field in str(e.value)
+
+    def test_connections_may_use_every_ephemeral_port(self):
+        doc = wifi_doc()
+        doc["workload"]["connections"] = 8188
+        doc["attack"]["new_connection_attempts"] = 0
+        assert load_scenario(doc).workload.connections == 8188
 
     def test_malformed_document_exits_1(self, tmp_path):
         doc = wifi_doc()
@@ -216,6 +228,7 @@ class TestValidation:
         (("workload", "connections"), 0, "attack error: nothing-to-attack"),
         (("attack", "settle_ticks"), -60, "configuration error: attack.settle_ticks"),
         (("nodes", 8, "kind"), "router", "configuration error: attack: scenario has no attacker node"),
+        (("workload", "connections"), 9000, "configuration error: workload.connections"),
     ])
     def test_attack_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()
