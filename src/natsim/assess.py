@@ -129,31 +129,39 @@ def check_expectations(
             row.expected_mismatch.append(f"diagnosis {got_diag} != {exp.diagnosis}")
 
 
+def run_section(
+    scn: Scenario, mode: str, seed: int | None = None, sink: "TraceFile | None" = None
+) -> tuple[Verdict | AttackReport, Handles]:
+    """Run one `mode` ("identify" or "attack") on a fresh instance of `scn`;
+    with a `sink`, the run keeps its trace and is added to it as a section."""
+    with keep_traces(sink is not None):
+        run = identify_scenario if mode == "identify" else attack_scenario
+        result, handles = run(scn, seed=seed)
+    if sink is not None:
+        sink.add_section(scn, mode, handles.sim)
+    return result, handles
+
+
 def assess(
     scenarios: list[Scenario], seed: int | None = None, trace_sink: "TraceFile | None" = None
 ) -> tuple[list[AssessmentRow], str, str, bool]:
     """Run every scenario; returns (rows, csv, human summary, all-matched).
     Individual scenario failures become rows, never abort the suite."""
     rows = []
-    with keep_traces(trace_sink is not None):
-        for scn in sorted(scenarios, key=lambda s: s.name):
-            row = AssessmentRow(scenario=scn.name, policy=scn.policy_summary())
-            try:
-                if scn.probe is not None:
-                    row.verdict, handles = identify_scenario(scn, seed=seed)
-                    if trace_sink is not None:
-                        trace_sink.add_section(scn, "identify", handles.sim)
-                run_attack = scn.attack is not None
-                if run_attack and scn.probe is not None and not scn.force_attack:
-                    run_attack = row.verdict.kind is probe_mod.VerdictKind.NAT_DEVICE
-                if run_attack:
-                    row.report, handles = attack_scenario(scn, seed=seed)
-                    if trace_sink is not None:
-                        trace_sink.add_section(scn, "attack", handles.sim)
-            except Exception as e:  # noqa: BLE001 - per-row failures are reported, not raised
-                row.error = f"{type(e).__name__}: {e}"
-            check_expectations(scn, row)
-            rows.append(row)
+    for scn in sorted(scenarios, key=lambda s: s.name):
+        row = AssessmentRow(scenario=scn.name, policy=scn.policy_summary())
+        try:
+            if scn.probe is not None:
+                row.verdict, _ = run_section(scn, "identify", seed, trace_sink)
+            run_attack = scn.attack is not None
+            if run_attack and scn.probe is not None and not scn.force_attack:
+                run_attack = row.verdict.kind is probe_mod.VerdictKind.NAT_DEVICE
+            if run_attack:
+                row.report, _ = run_section(scn, "attack", seed, trace_sink)
+        except Exception as e:  # noqa: BLE001 - per-row failures are reported, not raised
+            row.error = f"{type(e).__name__}: {e}"
+        check_expectations(scn, row)
+        rows.append(row)
     csv = "\n".join([ASSESS_CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
     summary = _summarize(rows)
     matched = all(not r.expected_mismatch and not r.error for r in rows)
@@ -227,7 +235,7 @@ def replay(path: str) -> ReplayResult:
     found = version_mismatch = False
     divergence = None
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, keep_traces():
             for ver, name, mode, seed, doc, lines in _sections(path, fh):
                 found = True
                 version_mismatch |= ver != VERSION
@@ -244,13 +252,9 @@ def _replay_section(path, name, mode, seed, doc, lines) -> str | None:
     """Re-simulate one section and compare its recorded lines with freshly
     rendered ones, a pair at a time; the first difference, or None."""
     scn = scenario_mod.load_scenario(doc)
-    with keep_traces():
-        if mode == "identify":
-            _, handles = identify_scenario(scn, seed=seed)
-        elif mode == "attack":
-            _, handles = attack_scenario(scn, seed=seed)
-        else:
-            raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
+    if mode not in ("identify", "attack"):
+        raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
+    _, handles = run_section(scn, mode, seed)
     fresh = (rec.line() for rec in handles.sim.trace)
     recorded = replayed = 0
     for old, new in itertools.zip_longest(lines, fresh):

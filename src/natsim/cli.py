@@ -18,7 +18,6 @@ import sys
 
 from . import assess as assess_mod
 from . import scenario as scenario_mod
-from .fabric import keep_traces
 from .scenario import ScenarioError
 from .strike import NothingToAttackError
 
@@ -50,16 +49,29 @@ def _collect_scenarios(paths: list[str]) -> list[scenario_mod.Scenario]:
     return out
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _driven(command):
+    """A command that runs sections: `command(args, sink)` runs them, prints
+    its own output and returns its rows and CSV text.  The wrapper gives it
+    the trace sink, writes the CSV and the trace, and exits 2 when a row
+    failed or missed its expectations."""
+
+    def drive(args) -> int:
+        sink = assess_mod.TraceFile() if args.trace else None
+        rows, csv = command(args, sink)
+        if args.csv:
+            with open(args.csv, "w") as fh:
+                fh.write(csv)
+        if sink is not None:
+            sink.write(args.trace)
+        return 2 if any(r.expected_mismatch or r.error for r in rows) else 0
+
+    return drive
 
 
-def cmd_identify(args) -> int:
+@_driven
+def cmd_identify(args, sink):
     scn = _load_doc(args.scenario)
-    with keep_traces(args.trace is not None):
-        verdict, handles = assess_mod.identify_scenario(scn, seed=args.seed)
+    verdict, _ = assess_mod.run_section(scn, "identify", args.seed, sink)
     if not args.quiet:
         print(f"{scn.name}: {verdict.kind.value} ({verdict.reason.value})")
         ev = verdict.evidence
@@ -69,29 +81,21 @@ def cmd_identify(args) -> int:
             f"  echo reply fragments={ev.echo_reply_fragments} wire octets "
             f"(payloads {payloads}), total={ev.echo_reply_total}"
         )
-    _write(args.csv, assess_mod.probe_csv(scn.target_addr, verdict))
-    if args.trace:
-        sink = assess_mod.TraceFile()
-        sink.add_section(scn, "identify", handles.sim)
-        sink.write(args.trace)
     row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), verdict=verdict)
     assess_mod.check_expectations(scn, row, attack=False)
-    return 2 if row.expected_mismatch else 0
+    return [row], assess_mod.probe_csv(scn.target_addr, verdict)
 
 
-def cmd_attack(args) -> int:
+@_driven
+def cmd_attack(args, sink):
+    if args.repeat < 1:
+        raise ScenarioError(f"--repeat: {args.repeat} is below the minimum 1")
     scn = _load_doc(args.scenario)
     base_seed = args.seed if args.seed is not None else scn.seed
-    rows = []
-    sink = assess_mod.TraceFile() if args.trace else None
-    mismatched = False
-    for i in range(args.repeat):
-        seed = base_seed + i
-        with keep_traces(sink is not None):
-            report, handles = assess_mod.attack_scenario(scn, seed=seed)
-        rows.append((f"{scn.name}@{seed}", scn.policy_summary(), report))
-        if sink is not None:
-            sink.add_section(scn, "attack", handles.sim)
+    rows, reports = [], []
+    for seed in range(base_seed, base_seed + args.repeat):
+        report, _ = assess_mod.run_section(scn, "attack", seed, sink)
+        reports.append((f"{scn.name}@{seed}", scn.policy_summary(), report))
         if not args.quiet:
             outcome = "success" if report.success else f"failed ({report.failure_diagnosis.value})"
             print(
@@ -100,27 +104,20 @@ def cmd_attack(args) -> int:
                 f"{report.new_connections_attempted}, {report.octets_sent} octets in "
                 f"{report.duration_ticks} ticks"
             )
-        row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), report=report)
-        assess_mod.check_expectations(scn, row, identify=False)
-        mismatched |= bool(row.expected_mismatch)
+        rows.append(assess_mod.AssessmentRow(scn.name, scn.policy_summary(), report=report))
+        assess_mod.check_expectations(scn, rows[-1], identify=False)
     if not args.quiet:
         print(assess_mod.FIELD_CONTEXT_NOTE)
-    _write(args.csv, assess_mod.strike_csv(rows))
-    if sink is not None:
-        sink.write(args.trace)
-    return 2 if mismatched else 0
+    return rows, assess_mod.strike_csv(reports)
 
 
-def cmd_assess(args) -> int:
+@_driven
+def cmd_assess(args, sink):
     scenarios = _collect_scenarios(args.paths)
-    sink = assess_mod.TraceFile() if args.trace else None
-    rows, csv, summary, matched = assess_mod.assess(scenarios, seed=args.seed, trace_sink=sink)
+    rows, csv, summary, _ = assess_mod.assess(scenarios, seed=args.seed, trace_sink=sink)
     if not args.quiet:
         print(summary, end="")
-    _write(args.csv, csv)
-    if sink is not None:
-        sink.write(args.trace)
-    return 0 if matched else 2
+    return rows, csv
 
 
 def cmd_replay(args) -> int:

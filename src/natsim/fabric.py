@@ -21,7 +21,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Protocol as TypingProtocol
+from typing import Callable, Protocol as TypingProtocol
 
 from . import wire
 from .wire import Ipv4Datagram, FragNeeded, Protocol, TcpFlag
@@ -446,7 +446,3 @@ class Simulator:
         c = self.counters[node]
         c.packets_delivered += 1
         c.octets_delivered += d.total_length
-
-
-def render_trace(trace: Iterable[TraceRecord]) -> str:
-    return "\n".join(rec.line() for rec in trace)

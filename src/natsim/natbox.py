@@ -54,7 +54,7 @@ class PmtudSync(Enum):
 @dataclass(frozen=True)
 class NatPolicy:
     rst_handling: RstHandling = RstHandling.VULNERABLE_REMOVE
-    require_ack_flag_on_rst: bool = False
+    require_ack_on_rst: bool = False
     unmapped_inbound: UnmappedInbound = UnmappedInbound.RST_REPLY
     port_allocation: PortAllocation = PortAllocation.SEQUENTIAL
     sequential_start: int = 1024
@@ -70,7 +70,7 @@ class NatPolicy:
             self.port_allocation.value,
             self.pmtud_sync.value,
         ]
-        if self.require_ack_flag_on_rst:
+        if self.require_ack_on_rst:
             bits.insert(1, "ack-checked")
         return "/".join(bits)
 
@@ -213,7 +213,7 @@ class NatBox(IpNode):
         if policy is RstHandling.FORWARD_ONLY:
             return True
         if policy is RstHandling.VULNERABLE_REMOVE:
-            if self.policy.require_ack_flag_on_rst and TcpFlag.ACK not in seg.flags:
+            if self.policy.require_ack_on_rst and TcpFlag.ACK not in seg.flags:
                 return True
             self._remove(mapping)
             return True

@@ -4,22 +4,24 @@ Scenario objects, then built into a live simulator.
 
 Schema top-level keys: name, seed, tick_duration, nodes[], links[],
 nat{}, server{}, clients[], ephemeral_range, workload{}, probe{},
-attack{}, force_attack, expect{}.  The loader passes only the fields a
-document sets to the run objects (LinkSpec, NatPolicy, WorkloadSpec,
-ProbeConfig, AttackPlan), which hold the defaults and check their own
-ranges; it checks the types, the references between blocks and the
-rules that span blocks.
+attack{}, force_attack, expect{}.  A block takes exactly the fields of
+its run object (LinkSpec, NatPolicy, WorkloadSpec, ProbeConfig,
+AttackPlan, Expectation), typed by their annotations; the run objects
+hold the defaults and check their own ranges.  The loader checks the
+references between blocks and the rules that span blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import ipaddress
+import typing
 from dataclasses import dataclass, field, replace
 from enum import EnumMeta
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, Host, LINUX_LIKE, OPENBSD_LIKE, StackProfile, TcpState
 from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
-from .natbox import NatBox, NatPolicy, PmtudSync, PortAllocation, RstHandling, UnmappedInbound
+from .natbox import NatBox, NatPolicy
 from .probe import ProbeConfig
 from .strike import AttackPlan
 from .wire import MIN_MTU, check_port_range, check_range
@@ -43,10 +45,19 @@ def _enum_value(field_name: str, value: str, enum_cls):
 
 
 def _require(doc: dict, key: str, typ, where: str):
+    """doc[key] as a `typ`; an Enum type takes one of its members' values,
+    and `tuple` a [lo, hi] pair of ints."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise ScenarioError(f"{where}.{key}: required field missing")
+    if isinstance(typ, EnumMeta):
+        return _enum_value(f"{where}.{key}", _require(doc, key, str, where), typ)
+    if typ is tuple:
+        pair = _require(doc, key, list, where)
+        if len(pair) != 2 or not all(type(x) is int for x in pair):
+            raise ScenarioError(f"{where}.{key}: expected [lo, hi]")
+        return tuple(pair)
     value = doc[key]
     # JSON true/false are Python ints too; only a bool field takes them
     if typ is float and type(value) is int:
@@ -62,24 +73,26 @@ def _optional(doc: dict, key: str, typ, default, where: str):
     return _require(doc, key, typ, where)
 
 
-def _fields(doc: dict, where: str, **types) -> dict:
-    """The fields named in `types` that `doc` sets, each type-checked; an
-    Enum type takes one of its members' values, and `tuple` a [lo, hi]
-    pair of ints."""
-    out = {}
-    for key, typ in types.items():
-        if doc.get(key) is None:
-            continue
-        if isinstance(typ, EnumMeta):
-            out[key] = _enum_value(f"{where}.{key}", _require(doc, key, str, where), typ)
-        elif typ is tuple:
-            pair = _require(doc, key, list, where)
-            if len(pair) != 2 or not all(type(x) is int for x in pair):
-                raise ScenarioError(f"{where}.{key}: expected [lo, hi]")
-            out[key] = tuple(pair)
-        else:
-            out[key] = _require(doc, key, typ, where)
-    return out
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """The type a document gives each field of `cls`: `X | None` reads as
+    X and `tuple[...]` as tuple.  Cached, because resolving the annotations
+    costs several times more than loading a document."""
+    types = {}
+    for key, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if type(None) in args:
+            hint = next(a for a in args if a is not type(None))
+        types[key] = typing.get_origin(hint) or hint
+    return types
+
+
+def _build(cls, doc: dict, where: str, **given):
+    """A `cls` from `given` and every other field of it that `doc` sets."""
+    for key, typ in _field_types(cls).items():
+        if key not in given and doc.get(key) is not None:
+            given[key] = _require(doc, key, typ, where)
+    return _checked(where, cls, **given)
 
 
 def _checked(where: str, fn, *args, **kwargs):
@@ -227,13 +240,11 @@ def load_scenario(doc: dict) -> Scenario:
         for end in (frm, to):
             if end not in addresses:
                 raise ScenarioError(f"{where}: unknown node {end!r}")
-        link = _fields(ld, where, mtu=int, delay=int, loss=float)
         raw_filter = _optional(ld, "filter", list, None, where)
-        if raw_filter:
-            link["filter"] = MiddleboxFilter(frozenset(
-                _enum_value(f"{where}.filter[{j}]", c, DropClass) for j, c in enumerate(raw_filter)
-            ))
-        links.append(_checked(where, LinkSpec, frm=frm, to=to, **link))
+        filt = MiddleboxFilter(frozenset(
+            _enum_value(f"{where}.filter[{j}]", c, DropClass) for j, c in enumerate(raw_filter)
+        )) if raw_filter else None
+        links.append(_build(LinkSpec, ld, where, frm=frm, to=to, filter=filt))
 
     nat_kind_nodes = [n.node_id for n in nodes if n.kind == "nat"]
     host_nodes = {n.node_id for n in nodes if n.kind in HOST_KINDS}
@@ -248,19 +259,7 @@ def load_scenario(doc: dict) -> Scenario:
         nat_node = _optional(nat_doc, "node", str, "nat", "nat")
         if nat_node not in nat_kind_nodes:
             raise ScenarioError(f"nat.node: {nat_node!r} is not a node of kind nat")
-        policy = _fields(
-            nat_doc,
-            "nat",
-            rst_handling=RstHandling,
-            require_ack_on_rst=bool,
-            unmapped_inbound=UnmappedInbound,
-            port_allocation=PortAllocation,
-            sequential_start=int,
-            pmtud_sync=PmtudSync,
-        )
-        if "require_ack_on_rst" in policy:
-            policy["require_ack_flag_on_rst"] = policy.pop("require_ack_on_rst")
-        nat_policy = _checked("nat", NatPolicy, **policy)
+        nat_policy = _build(NatPolicy, nat_doc, "nat")
     elif nat_kind_nodes:
         raise ScenarioError(f"nat: node {nat_kind_nodes[0]!r} present but not configured")
 
@@ -290,22 +289,15 @@ def load_scenario(doc: dict) -> Scenario:
         raise ScenarioError("clients: at least one client node required")
     target_addr = addresses[nat_node or clients[0]]
 
-    ephemeral = _fields(doc, "scenario", ephemeral_range=tuple).get(
-        "ephemeral_range", DEFAULT_EPHEMERAL_RANGE
-    )
+    ephemeral = _optional(doc, "ephemeral_range", tuple, DEFAULT_EPHEMERAL_RANGE, "scenario")
     _checked("scenario", check_port_range, "ephemeral_range", ephemeral)
 
-    wl_doc = _optional(doc, "workload", dict, {}, "scenario")
-    wl_fields = _fields(wl_doc, "workload", connections=int, send_period=int, payload=int)
-    workload = _checked("workload", WorkloadSpec, **wl_fields)
+    workload = _build(WorkloadSpec, _optional(doc, "workload", dict, {}, "scenario"), "workload")
 
     probe_spec = None
     probe_doc = _optional(doc, "probe", dict, None, "scenario")
     if probe_doc is not None:
-        probe_fields = _fields(
-            probe_doc, "probe", forged_mtu=int, baseline_size=int, timeout_ticks=int, vantage=str
-        )
-        config = _checked("probe", ProbeConfig, **probe_fields)
+        config = _build(ProbeConfig, probe_doc, "probe")
         if config.vantage not in host_nodes:
             raise ScenarioError(f"probe.vantage: {config.vantage!r} is not a host node")
         pre_echo = None
@@ -324,24 +316,9 @@ def load_scenario(doc: dict) -> Scenario:
     if attack_doc is not None:
         if server_node is None:
             raise ScenarioError("attack: an attack block requires a server block")
-        plan = _checked(
-            "attack",
-            AttackPlan,
-            nat_public_ip=target_addr,
-            victim_server=(addresses[server_node], server_port),
-            seed=seed,
-            **_fields(
-                attack_doc,
-                "attack",
-                dst_port_range=tuple,
-                push_ack_src_port_range=tuple,
-                interleave_batch=int,
-                rounds=int,
-                forged_seq=int,
-                set_ack_flag_on_rst=bool,
-                new_connection_attempts=int,
-                settle_ticks=int,
-            ),
+        plan = _build(
+            AttackPlan, attack_doc, "attack", nat_public_ip=target_addr,
+            victim_server=(addresses[server_node], server_port), seed=seed,
         )
 
     # the victims, then the vantage session on the first client, then the
@@ -361,12 +338,8 @@ def load_scenario(doc: dict) -> Scenario:
             f"ephemeral ports of a client in {clients}"
         )
 
-    expect = None
     exp_doc = _optional(doc, "expect", dict, None, "scenario")
-    if exp_doc is not None:
-        expect = Expectation(
-            **_fields(exp_doc, "expect", verdict=str, attack_success=bool, diagnosis=str)
-        )
+    expect = None if exp_doc is None else _build(Expectation, exp_doc, "expect")
 
     return Scenario(
         name=name,

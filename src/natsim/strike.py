@@ -22,6 +22,8 @@ from .natbox import NatBox
 from .wire import SEQ_MOD, Ipv4Datagram, Protocol, TcpFlag, TcpSegment, check_port_range, check_range
 
 WINDOWS_EPHEMERAL = (49152, 65535)
+# forged packets one plan may send: 8 rounds of two full 65,536-port sweeps
+MAX_FORGED_PACKETS = 1 << 20
 # the outcome columns of the attack and assessment CSVs, in order
 OUTCOME_CSV_COLUMNS = "success,diagnosis,rst,pushack,octets,ticks,bandwidth,torn,blocked"
 
@@ -61,6 +63,13 @@ class AttackPlan:
         check_port_range("push_ack_src_port_range", self.push_ack_src_port_range)
         check_range("interleave_batch", self.interleave_batch, 1)
         check_range("rounds", self.rounds, 1)
+        sweeps = (self.dst_port_range, self.push_ack_src_port_range)
+        per_round = sum(hi - lo + 1 for lo, hi in sweeps)
+        if self.rounds * per_round > MAX_FORGED_PACKETS:
+            raise ValueError(
+                f"rounds: {self.rounds} rounds of {per_round} forged packets exceed the "
+                f"bound of {MAX_FORGED_PACKETS}"
+            )
         check_range("forged_seq", self.forged_seq, 0, SEQ_MOD)
         check_range("new_connection_attempts", self.new_connection_attempts, 0)
         check_range("settle_ticks", self.settle_ticks, 0)

@@ -380,6 +380,8 @@ def decode(buf: bytes) -> Ipv4Datagram:
     df = bool(flags_off & 0x4000)
     mf = bool(flags_off & 0x2000)
     offset = flags_off & 0x1FFF
+    if df and (mf or offset):
+        raise MalformedPacketError("malformed-packet: DF datagram cannot be a fragment")
     body = buf[IP_HEADER_LEN:]
     payload: Payload
     if mf or offset:

@@ -251,6 +251,34 @@ class TestCli:
             "c5", expect={"attack_success": False}))
         assert main(["assess", bad, "--quiet"]) == 2
 
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_attack_repeat_below_one_exits_1(self, tmp_path, capsys, repeat):
+        csv = tmp_path / "out.csv"
+        rc = main(["attack", self.scenario_file(tmp_path, fast_doc("c11")), "--quiet",
+                   "--repeat", repeat, "--csv", str(csv)])
+        assert rc == 1 and not csv.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --repeat: ") and err.count("\n") == 1
+
+    def test_every_command_runs_through_the_module_runners(self, tmp_path, monkeypatch):
+        # the benchmark times runs by replacing these two module attributes,
+        # so no command may hold its own reference to them
+        calls = []
+        for name in ("identify_scenario", "attack_scenario"):
+            def counted(scn, seed=None, _run=getattr(assess, name), _name=name):
+                calls.append(_name.partition("_")[0])
+                return _run(scn, seed=seed)
+            monkeypatch.setattr(assess, name, counted)
+        path = self.scenario_file(tmp_path, fast_doc("c12", expect={"attack_success": True}))
+        trace = tmp_path / "out.trace"
+        assert main(["assess", path, "--quiet", "--trace", str(trace)]) == 0
+        assert calls == ["identify", "attack"]
+        assert main(["replay", str(trace)]) == 0
+        assert calls == ["identify", "attack"] * 2
+        assert main(["identify", path, "--quiet"]) == 0
+        assert main(["attack", path, "--quiet", "--repeat", "2"]) == 0
+        assert calls == ["identify", "attack"] * 2 + ["identify", "attack", "attack"]
+
     def test_config_error_exit_code(self, tmp_path):
         doc = fast_doc("c6")
         doc["nat"]["rst_handling"] = "nope"

@@ -10,7 +10,6 @@ from natsim.fabric import (
     MiddleboxFilter,
     NoSuchNodeError,
     Simulator,
-    render_trace,
 )
 from natsim.wire import EchoReply, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
@@ -68,7 +67,7 @@ class TestInject:
             for i in range(10):
                 sim.inject("n0", rst(length=i))
             sim.run()
-            return render_trace(sim.trace)
+            return "\n".join(rec.line() for rec in sim.trace)
 
         assert run_once() == run_once()
 

@@ -132,7 +132,7 @@ class TestInboundRst:
         assert seen  # client received it (and discarded it as out of order)
 
     def test_require_ack_flag(self):
-        policy = NatPolicy(require_ack_flag_on_rst=True)
+        policy = NatPolicy(require_ack_on_rst=True)
         sim, client, nat, server = nat_triangle(policy)
         connect(sim, client)
         nat.on_datagram(sim, "nat", self.forged(nat, ack_flag=False))

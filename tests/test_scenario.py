@@ -200,6 +200,8 @@ class TestValidation:
          "workload.connections: 9000 connections need more than the 2048 ephemeral ports"),
         (("workload", "connections"), 8189, "workload.connections"),
         (("attack", "new_connection_attempts"), 10**9, "attack.new_connection_attempts"),
+        (("attack", "rounds"), 100000,
+         "attack.rounds: 100000 rounds of 4096 forged packets exceed the bound of 1048576"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -213,6 +215,16 @@ class TestValidation:
         doc["workload"]["connections"] = 8188
         doc["attack"]["new_connection_attempts"] = 0
         assert load_scenario(doc).workload.connections == 8188
+
+    def test_forged_packet_bound_is_inclusive(self):
+        # 16 rounds of two 32,768-port sweeps send exactly 2**20 packets
+        doc = wifi_doc()
+        doc["attack"].update(rounds=16, dst_port_range=[0, 32767],
+                             push_ack_src_port_range=[0, 32767])
+        assert load_scenario(doc).attack.rounds == 16
+        doc["attack"]["dst_port_range"] = [0, 32768]
+        with pytest.raises(ScenarioError, match=r"^attack\.rounds: 16 rounds of 65537 "):
+            load_scenario(doc)
 
     def test_malformed_document_exits_1(self, tmp_path):
         doc = wifi_doc()
@@ -229,6 +241,7 @@ class TestValidation:
         (("attack", "settle_ticks"), -60, "configuration error: attack.settle_ticks"),
         (("nodes", 8, "kind"), "router", "configuration error: attack: scenario has no attacker node"),
         (("workload", "connections"), 9000, "configuration error: workload.connections"),
+        (("attack", "rounds"), 100000, "configuration error: attack.rounds"),
     ])
     def test_attack_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()

@@ -229,6 +229,34 @@ class TestCodec:
         for payload in (0, 5, 1460):
             assert len(wire.quote_of(tcp_datagram(payload=payload))) == 28
 
+    def test_df_fragment_is_malformed(self):
+        buf = bytes.fromhex(
+            "4500002800005600400600000a0000010a000002000100020000000300000004505f00000000009e"
+        )
+        with pytest.raises(wire.MalformedPacketError, match="DF datagram cannot be a fragment"):
+            wire.decode(buf)
+
+    @given(st.one_of(
+        st.binary(max_size=80),
+        st.tuples(datagram_st(), st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 255)),
+                                          min_size=1, max_size=4)),
+    ))
+    @settings(max_examples=400)
+    def test_decode_raises_only_malformed(self, case):
+        # random bytes, or a valid encoding with a few octets overwritten
+        if isinstance(case, bytes):
+            buf = case
+        else:
+            d, edits = case
+            buf = bytearray(wire.encode(d))
+            for pos, value in edits:
+                buf[pos % len(buf)] = value
+            buf = bytes(buf)
+        try:
+            wire.decode(buf)
+        except wire.MalformedPacketError:
+            pass
+
 
 class TestEmbedded:
     def test_parse_fields(self):
