@@ -19,6 +19,7 @@ import contextvars
 import hashlib
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol as TypingProtocol
@@ -217,7 +218,10 @@ class Simulator:
         self.trace = Trace(keep_trace)
         self.watchers: list[Watcher] = []
         self.counters: dict[str, Counters] = {}
-        self._heap: list = []
+        # the event queue: a heap of the distinct pending ticks, and each
+        # tick's events in a FIFO bucket (a one-level calendar queue)
+        self._ticks: list[int] = []
+        self._buckets: dict[int, deque] = {}
         self._eventseq = 0
         self._neighbors: dict[str, list[str]] = {}
         self._loss_rng: dict[tuple[str, str], random.Random] = {}
@@ -302,7 +306,11 @@ class Simulator:
 
     def _schedule(self, tick: int, item: tuple) -> int:
         self._eventseq += 1
-        heapq.heappush(self._heap, (tick, self._eventseq, item))
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = deque()
+            heapq.heappush(self._ticks, tick)
+        bucket.append(item)
         return self._eventseq
 
     def schedule_call(self, tick: int, fn: Callable[["Simulator"], None]) -> int:
@@ -310,7 +318,7 @@ class Simulator:
 
     @property
     def idle(self) -> bool:
-        return not self._heap
+        return not self._ticks
 
     def run_until(self, done: Callable[[], bool], deadline: int) -> bool:
         """Run tick by tick until done() holds; False once the deadline is
@@ -330,17 +338,29 @@ class Simulator:
         return self._schedule(self.now, ("emit", at, d))
 
     def run(self, until: int | None = None) -> None:
-        """Process events up to `until` inclusive (None = quiescence)."""
-        while self._heap and (until is None or self._heap[0][0] <= until):
-            tick, _, item = heapq.heappop(self._heap)
+        """Process events up to `until` inclusive (None = quiescence), in
+        (tick, scheduling order) order: a bucket is left as soon as an
+        event schedules a call at an earlier tick."""
+        ticks, buckets = self._ticks, self._buckets
+        while ticks and (until is None or ticks[0] <= until):
+            tick = ticks[0]
+            bucket = buckets[tick]
             self.now = max(self.now, tick)
-            kind = item[0]
-            if kind == "emit":
-                self._traverse(item[1], item[2])
-            elif kind == "arrive":
-                self._arrive(item[1], item[2])
-            else:
-                item[1](self)
+            while True:
+                item = bucket.popleft()
+                last = not bucket
+                if last:  # the tick leaves the queue before its last event runs
+                    heapq.heappop(ticks)
+                    del buckets[tick]
+                kind = item[0]
+                if kind == "emit":
+                    self._traverse(item[1], item[2])
+                elif kind == "arrive":
+                    self._arrive(item[1], item[2])
+                else:
+                    item[1](self)
+                if last or ticks[0] != tick:
+                    break
         if until is not None:
             self.now = max(self.now, until)
 

@@ -2,13 +2,13 @@
 probe/attack plan, loaded from JSON-compatible dicts into validated
 Scenario objects, then built into a live simulator.
 
-Schema top-level keys: name, seed, tick_duration, nodes[], links[],
-nat{}, server{}, clients[], ephemeral_range, workload{}, probe{},
-attack{}, force_attack, expect{}.  A block takes exactly the fields of
-its run object (LinkSpec, NatPolicy, WorkloadSpec, ProbeConfig,
-AttackPlan, Expectation), typed by their annotations; the run objects
-hold the defaults and check their own ranges.  The loader checks the
-references between blocks and the rules that span blocks.
+Schema top-level keys: DOCUMENT_KEYS.  A block takes exactly the fields
+of its run object (LinkSpec, NatPolicy, WorkloadSpec, ProbeConfig,
+AttackPlan, Expectation) that the loader does not set itself, typed by
+their annotations, plus the keys the loader reads by hand; any other key
+is a ScenarioError.  The run objects hold the defaults and check their
+own ranges.  The loader checks the references between blocks and the
+rules that span blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ from .wire import MIN_MTU, check_port_range, check_range
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
 HOST_KINDS = ("client", "server", "vantage")  # the kinds that `build` gives a Host
+# the keys of the parts of a document that the loader reads by hand
+DOCUMENT_KEYS = (
+    "name", "seed", "tick_duration", "nodes", "links", "nat", "server", "clients",
+    "ephemeral_range", "workload", "probe", "attack", "force_attack", "expect",
+)
+NODE_KEYS = ("id", "kind", "address")
+SERVER_KEYS = ("node", "profile", "port")
+PRE_ECHO_KEYS = ("link", "mtu")
 PROFILES = {"linux-like": LINUX_LIKE, "openbsd-like": OPENBSD_LIKE}
 SESSION_PAYLOAD = 1460  # guarantees one full-sized baseline segment
 
@@ -87,9 +95,20 @@ def _field_types(cls) -> dict[str, type]:
     return types
 
 
-def _build(cls, doc: dict, where: str, **given):
-    """A `cls` from `given` and every other field of it that `doc` sets."""
-    for key, typ in _field_types(cls).items():
+def _known(doc: dict, where: str, keys) -> None:
+    """Reject a key of `doc` that is not one of `keys`: a misspelt
+    field would otherwise leave its default in force without a word."""
+    for key in doc:
+        if key not in keys:
+            raise ScenarioError(f"{where}.{key}: unknown field (valid: {', '.join(keys)})")
+
+
+def _build(cls, doc: dict, where: str, extras: tuple[str, ...] = (), **given):
+    """A `cls` from `given` and every other field of it that `doc` sets;
+    `doc` may also hold the `extras` its caller reads."""
+    types = _field_types(cls)
+    _known(doc, where, extras + tuple(k for k in types if k not in given))
+    for key, typ in types.items():
         if key not in given and doc.get(key) is not None:
             given[key] = _require(doc, key, typ, where)
     return _checked(where, cls, **given)
@@ -203,6 +222,7 @@ def load_scenario(doc: dict) -> Scenario:
     """Validate a scenario document and build its run objects."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected an object")
+    _known(doc, "scenario", DOCUMENT_KEYS)
     name = _require(doc, "name", str, "scenario")
     seed = _optional(doc, "seed", int, 1, "scenario")
     tick_duration = _optional(doc, "tick_duration", float, 0.001, "scenario")
@@ -215,6 +235,7 @@ def load_scenario(doc: dict) -> Scenario:
     for i, nd in enumerate(raw_nodes):
         where = f"nodes[{i}]"
         node_id = _require(nd, "id", str, where)
+        _known(nd, where, NODE_KEYS)
         kind = _require(nd, "kind", str, where)
         if kind not in NODE_KINDS:
             raise ScenarioError(f"{where}.kind: unknown value {kind!r} (valid: {', '.join(NODE_KINDS)})")
@@ -244,7 +265,7 @@ def load_scenario(doc: dict) -> Scenario:
         filt = MiddleboxFilter(frozenset(
             _enum_value(f"{where}.filter[{j}]", c, DropClass) for j, c in enumerate(raw_filter)
         )) if raw_filter else None
-        links.append(_build(LinkSpec, ld, where, frm=frm, to=to, filter=filt))
+        links.append(_build(LinkSpec, ld, where, ("from", "to", "filter"), frm=frm, to=to, filter=filt))
 
     nat_kind_nodes = [n.node_id for n in nodes if n.kind == "nat"]
     host_nodes = {n.node_id for n in nodes if n.kind in HOST_KINDS}
@@ -259,7 +280,7 @@ def load_scenario(doc: dict) -> Scenario:
         nat_node = _optional(nat_doc, "node", str, "nat", "nat")
         if nat_node not in nat_kind_nodes:
             raise ScenarioError(f"nat.node: {nat_node!r} is not a node of kind nat")
-        nat_policy = _build(NatPolicy, nat_doc, "nat")
+        nat_policy = _build(NatPolicy, nat_doc, "nat", ("node",))
     elif nat_kind_nodes:
         raise ScenarioError(f"nat: node {nat_kind_nodes[0]!r} present but not configured")
 
@@ -268,6 +289,7 @@ def load_scenario(doc: dict) -> Scenario:
     server_port = 80
     server_doc = _optional(doc, "server", dict, None, "scenario")
     if server_doc is not None:
+        _known(server_doc, "server", SERVER_KEYS)
         server_node = _optional(server_doc, "node", str, "server", "server")
         if server_node not in host_nodes:
             raise ScenarioError(f"server.node: {server_node!r} is not a host node")
@@ -297,12 +319,13 @@ def load_scenario(doc: dict) -> Scenario:
     probe_spec = None
     probe_doc = _optional(doc, "probe", dict, None, "scenario")
     if probe_doc is not None:
-        config = _build(ProbeConfig, probe_doc, "probe")
+        config = _build(ProbeConfig, probe_doc, "probe", ("pre_echo_mtu",))
         if config.vantage not in host_nodes:
             raise ScenarioError(f"probe.vantage: {config.vantage!r} is not a host node")
         pre_echo = None
         pe_doc = _optional(probe_doc, "pre_echo_mtu", dict, None, "probe")
         if pe_doc is not None:
+            _known(pe_doc, "probe.pre_echo_mtu", PRE_ECHO_KEYS)
             link = _require(pe_doc, "link", list, "probe.pre_echo_mtu")
             if link not in [[l.frm, l.to] for l in links]:
                 raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming a link")

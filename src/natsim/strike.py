@@ -13,6 +13,7 @@ attacker never reads victim connection state.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -105,12 +106,13 @@ class AttackReport:
         )
 
 
-def craft_rst_sweep(plan: AttackPlan) -> list[Ipv4Datagram]:
-    """One forged 40-octet RST per destination port, spoofing the victim
-    server; the sequence number is whatever the plan says, because a
-    vulnerable device never checks it."""
+def craft_rst_sweep(plan: AttackPlan, ports: range | None = None) -> list[Ipv4Datagram]:
+    """One forged 40-octet RST per destination port (by default the plan's
+    whole range), spoofing the victim server; the sequence number is
+    whatever the plan says, because a vulnerable device never checks it."""
     flags = TcpFlag.RST | TcpFlag.ACK if plan.set_ack_flag_on_rst else TcpFlag.RST
-    lo, hi = plan.dst_port_range
+    if ports is None:
+        ports = _port_span(plan.dst_port_range)
     server_addr, server_port = plan.victim_server
     return [
         Ipv4Datagram(
@@ -119,16 +121,24 @@ def craft_rst_sweep(plan: AttackPlan) -> list[Ipv4Datagram]:
             protocol=Protocol.TCP,
             payload=TcpSegment(server_port, port, seq=plan.forged_seq, flags=flags),
         )
-        for port in range(lo, hi + 1)
+        for port in ports
     ]
 
 
-def craft_push_ack_sweep(plan: AttackPlan) -> list[Ipv4Datagram]:
-    """One forged PUSH/ACK per source port, spoofing the NAT toward the
-    server.  Sequence and acknowledgment numbers are arbitrary (seeded);
-    one payload octet makes the segment impossible to ignore."""
-    rng = derive_rng(plan.seed, "push-ack", plan.nat_public_ip)
-    lo, hi = plan.push_ack_src_port_range
+def craft_push_ack_sweep(
+    plan: AttackPlan, ports: range | None = None, rng: random.Random | None = None
+) -> list[Ipv4Datagram]:
+    """One forged PUSH/ACK per source port (by default the plan's whole
+    range), spoofing the NAT toward the server.  Sequence and
+    acknowledgment numbers are arbitrary, drawn from `rng` (by default the
+    plan's freshly seeded one; a sweep crafted in parts passes the same
+    rng to each part); one payload octet makes the segment impossible to
+    ignore."""
+    if rng is None:
+        rng = _push_ack_rng(plan)
+    if ports is None:
+        ports = _port_span(plan.push_ack_src_port_range)
+    flags = TcpFlag.PSH | TcpFlag.ACK
     server_addr, server_port = plan.victim_server
     return [
         Ipv4Datagram(
@@ -140,12 +150,34 @@ def craft_push_ack_sweep(plan: AttackPlan) -> list[Ipv4Datagram]:
                 server_port,
                 seq=rng.getrandbits(32),
                 ack=rng.getrandbits(32),
-                flags=TcpFlag.PSH | TcpFlag.ACK,
+                flags=flags,
                 payload_length=1,
             ),
         )
-        for port in range(lo, hi + 1)
+        for port in ports
     ]
+
+
+def _push_ack_rng(plan: AttackPlan) -> random.Random:
+    return derive_rng(plan.seed, "push-ack", plan.nat_public_ip)
+
+
+def _port_span(port_range: tuple[int, int]) -> range:
+    lo, hi = port_range
+    return range(lo, hi + 1)
+
+
+def _sweep_batches(plan: AttackPlan):
+    """The two sweeps in (RSTs, PUSH/ACKs) pairs of up to `interleave_batch`
+    packets each, until the longer sweep is spent; a pair is crafted only
+    when it is asked for, so a single pass never holds a whole sweep."""
+    rst_ports = _port_span(plan.dst_port_range)
+    push_ports = _port_span(plan.push_ack_src_port_range)
+    rng = _push_ack_rng(plan)
+    size = plan.interleave_batch
+    for lo in range(0, max(len(rst_ports), len(push_ports)), size):
+        cut = slice(lo, lo + size)
+        yield craft_rst_sweep(plan, rst_ports[cut]), craft_push_ack_sweep(plan, push_ports[cut], rng)
 
 
 @dataclass
@@ -170,8 +202,11 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         raise NothingToAttackError("nothing-to-attack")
 
     report = AttackReport(victim_connections=len(victims))
-    rst_stream = craft_rst_sweep(plan)
-    push_stream = craft_push_ack_sweep(plan)
+    batches = _sweep_batches(plan)
+    if plan.rounds > 1:
+        # every round sends the same packets: holding them costs less than
+        # crafting them again; a one-round attack crafts each batch as it goes
+        batches = list(batches)
     sent_before = sim.counters[ctx.attacker_node].octets_sent
     removed_before = ctx.nat.mappings_removed_by_rst if ctx.nat else 0
     # only sockets that predate the attack count toward server resets;
@@ -192,19 +227,14 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
                 for i in range(plan.new_connection_attempts):
                     client = ctx.new_conn_clients[i % len(ctx.new_conn_clients)]
                     attempts.append((client, client.open_connection(sim, plan.victim_server)))
-            batches = max(_nbatches(rst_stream, plan), _nbatches(push_stream, plan))
-            for chunk in range(batches):
-                lo, hi = chunk * plan.interleave_batch, (chunk + 1) * plan.interleave_batch
-                for stream in (rst_stream, push_stream):
-                    batch = stream[lo:hi]
+            for rsts, pushes in batches:
+                report.rst_packets_sent += len(rsts)
+                report.push_ack_packets_sent += len(pushes)
+                for batch in (rsts, pushes):
                     for pkt in batch:
                         sim.inject(ctx.attacker_node, pkt)
                     if batch:
                         last_inject = sim.now
-                        if stream is rst_stream:
-                            report.rst_packets_sent += len(batch)
-                        else:
-                            report.push_ack_packets_sent += len(batch)
                     sim.run(until=sim.now + 1)
 
         report.duration_ticks = last_inject - window_start + 1
@@ -318,7 +348,3 @@ def _diagnose(
     if "loss" in seen:
         return FailureDiagnosis.PACKET_LOSS
     return FailureDiagnosis.NONE
-
-
-def _nbatches(stream: list, plan: AttackPlan) -> int:
-    return (len(stream) + plan.interleave_batch - 1) // plan.interleave_batch

@@ -1,8 +1,10 @@
 """Simulator core: routing, link MTU handling, loss, determinism, trace."""
 
+import heapq
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natsim.fabric import (
     DropClass,
@@ -94,6 +96,78 @@ class TestRun:
         assert not any(r.action == "deliver" for r in sim.trace)
         sim.run()
         assert any(r.action == "deliver" for r in sim.trace)
+
+
+class HeapQueue:
+    """The event queue as one heap of (tick, seq, call): the order the
+    simulator's per-tick buckets must keep."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = 0
+
+    def schedule_call(self, tick, fn):
+        self._seq += 1
+        heapq.heappush(self._heap, (tick, self._seq, fn))
+        return self._seq
+
+    @property
+    def idle(self):
+        return not self._heap
+
+    def run(self, until=None):
+        while self._heap and (until is None or self._heap[0][0] <= until):
+            tick, _, fn = heapq.heappop(self._heap)
+            self.now = max(self.now, tick)
+            fn(self)
+        if until is not None:
+            self.now = max(self.now, until)
+
+
+def play(queue, first, spawn, stops):
+    """Run a program of calls on `queue`: the calls scheduled at the ticks
+    in `first`, then every call numbered n (its schedule_call result)
+    schedules one more call at now + d for each d in spawn[n - 1], into
+    the past, at now or into the future.  Returns what each call saw
+    (number, now, idle), and now and idle after each run."""
+    seen = []
+
+    def schedule(tick):
+        n = queue.schedule_call(tick, lambda q: body(q, n))
+        return n
+
+    def body(q, n):
+        seen.append((n, q.now, q.idle))
+        for delta in spawn[n - 1] if n <= len(spawn) else ():
+            seen.append(("scheduled", schedule(q.now + delta)))
+
+    for tick in first:
+        seen.append(("scheduled", schedule(tick)))
+    for until in stops + [None]:
+        queue.run(until=until)
+        seen.append(("ran", until, queue.now, queue.idle))
+    return seen
+
+
+class TestEventOrder:
+    @given(
+        first=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        spawn=st.lists(st.lists(st.integers(-6, 6), max_size=3), max_size=40),
+        stops=st.lists(st.integers(0, 30), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_calls_run_in_reference_heap_order(self, first, spawn, stops):
+        expected = play(HeapQueue(), first, spawn, stops)
+        assert play(Simulator(keep_trace=False), first, spawn, stops) == expected
+
+    def test_call_into_the_past_leaves_the_bucket_it_interrupts(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_call(5, lambda s: order.append("a") or s.schedule_call(2, lambda s: order.append("past")))
+        sim.schedule_call(5, lambda s: order.append("b"))
+        sim.run()
+        assert order == ["a", "past", "b"] and sim.now == 5 and sim.idle
 
 
 class TestForwarding:

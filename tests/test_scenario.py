@@ -202,6 +202,20 @@ class TestValidation:
         (("attack", "new_connection_attempts"), 10**9, "attack.new_connection_attempts"),
         (("attack", "rounds"), 100000,
          "attack.rounds: 100000 rounds of 4096 forged packets exceed the bound of 1048576"),
+        # a key that names no field, or a field the loader sets itself
+        (("nat", "require_ack_flag_on_rst"), True, "nat.require_ack_flag_on_rst: unknown field"),
+        (("attack", "round"), 99, "attack.round: unknown field"),
+        (("attack", "seed"), 5, "attack.seed: unknown field"),
+        (("attack", "nat_public_ip"), "6.6.6.7", "attack.nat_public_ip: unknown field"),
+        (("links", 0, "frm"), "nat", "links[0].frm: unknown field (valid: from, to, filter, mtu"),
+        (("nodes", 0, "name"), "c", "nodes[0].name: unknown field (valid: id, kind, address)"),
+        (("server", "address"), "7.7.7.7", "server.address: unknown field"),
+        (("probe", "pre_echo_mtu"), {"link": ["r1", "vantage"], "mtu": 576, "ttl": 1},
+         "probe.pre_echo_mtu.ttl: unknown field"),
+        (("probe", "vantage_node"), "vantage", "probe.vantage_node: unknown field"),
+        (("workload", "conections"), 4, "workload.conections: unknown field"),
+        (("expect", "verdicts"), "nat-device", "expect.verdicts: unknown field"),
+        (("rounds",), 2, "scenario.rounds: unknown field"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -242,6 +256,8 @@ class TestValidation:
         (("nodes", 8, "kind"), "router", "configuration error: attack: scenario has no attacker node"),
         (("workload", "connections"), 9000, "configuration error: workload.connections"),
         (("attack", "rounds"), 100000, "configuration error: attack.rounds"),
+        (("nat", "require_ack_flag_on_rst"), True,
+         "configuration error: nat.require_ack_flag_on_rst: unknown field"),
     ])
     def test_attack_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()
