@@ -21,6 +21,13 @@ from dataclasses import dataclass
 from . import wire
 from .fabric import Simulator, derive_rng
 from .wire import (
+    ACK_BIT,
+    PSH_ACK,
+    PSH_BIT,
+    RST_ACK,
+    RST_BIT,
+    SYN_ACK,
+    SYN_BIT,
     EchoReply,
     EchoRequest,
     FragNeeded,
@@ -155,9 +162,10 @@ class IpNode:
 
     def _reflect_reset(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         """RFC 793 reset for a segment that matches no connection."""
-        if TcpFlag.RST in seg.flags:
+        flags = int(seg.flags)
+        if flags & RST_BIT:
             return  # never reset in response to a reset
-        if TcpFlag.ACK in seg.flags:
+        if flags & ACK_BIT:
             reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=TcpFlag.RST)
         else:
             reply = TcpSegment(
@@ -165,7 +173,7 @@ class IpNode:
                 seg.src_port,
                 seq=0,
                 ack=seq_add(seg.seq, seg.seg_len),
-                flags=TcpFlag.RST | TcpFlag.ACK,
+                flags=RST_ACK,
             )
         self._emit_tcp(sim, d.src, reply)
 
@@ -273,7 +281,7 @@ class Host(IpNode):
         remaining = length
         while remaining > 0:
             chunk = min(remaining, mss)
-            self._send(sim, sock, TcpFlag.PSH | TcpFlag.ACK, chunk)
+            self._send(sim, sock, PSH_ACK, chunk)
             sock.snd_nxt = seq_add(sock.snd_nxt, chunk)
             remaining -= chunk
 
@@ -317,9 +325,10 @@ class Host(IpNode):
     def _on_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         key = (seg.dst_port, d.src, seg.src_port)
         sock = self.sockets.get(key)
+        flags = int(seg.flags)
 
         if sock is None or sock.state == TcpState.CLOSED:
-            if sock is None and TcpFlag.SYN in seg.flags and TcpFlag.ACK not in seg.flags:
+            if sock is None and flags & SYN_BIT and not flags & ACK_BIT:
                 if seg.dst_port in self.listeners:
                     remote = (d.src, seg.src_port)
                     self._open(sim, seg.dst_port, remote, TcpState.ESTABLISHED, seq_add(seg.seq, 1))
@@ -327,7 +336,7 @@ class Host(IpNode):
             self._reflect_reset(sim, d, seg)
             return
 
-        if TcpFlag.RST in seg.flags:
+        if flags & RST_BIT:
             # exact-sequence acceptance only: a robust stack discards the rest
             if sock.state == TcpState.ESTABLISHED and seg.seq == sock.rcv_nxt:
                 sock.reset_record = (sim.now, seg.seq, sock.rcv_nxt, d.src)
@@ -335,11 +344,7 @@ class Host(IpNode):
             return
 
         if sock.state == TcpState.SYN_SENT:
-            if (
-                TcpFlag.SYN in seg.flags
-                and TcpFlag.ACK in seg.flags
-                and seg.ack == sock.snd_nxt
-            ):
+            if flags & SYN_BIT and flags & ACK_BIT and seg.ack == sock.snd_nxt:
                 sock.rcv_nxt = seq_add(seg.seq, 1)
                 sock.snd_una = seg.ack
                 sock.state = TcpState.ESTABLISHED
@@ -350,9 +355,7 @@ class Host(IpNode):
             return
 
         if seg.seq == sock.rcv_nxt:
-            if TcpFlag.ACK in seg.flags and seq_in_range(
-                seg.ack, sock.snd_una, seq_add(sock.snd_nxt, 1)
-            ):
+            if flags & ACK_BIT and seq_in_range(seg.ack, sock.snd_una, seq_add(sock.snd_nxt, 1)):
                 sock.snd_una = seg.ack
             if seg.payload_length > 0:
                 sock.rcv_nxt = seq_add(sock.rcv_nxt, seg.payload_length)
@@ -360,7 +363,7 @@ class Host(IpNode):
                     self._send(sim, sock, TcpFlag.ACK)
             return
 
-        if TcpFlag.PSH in seg.flags and TcpFlag.ACK in seg.flags:
+        if flags & PSH_BIT and flags & ACK_BIT:
             # out-of-window PUSH/ACK: fast-retransmit style duplicate ACK,
             # whose ack field necessarily exposes rcv_nxt
             if self.profile.emits_dup_ack_on_stray_push_ack:
@@ -378,7 +381,7 @@ class Host(IpNode):
         isn = self._rng.getrandbits(32)
         sock = Socket(port, remote, state, snd_una=isn, snd_nxt=seq_add(isn, 1), rcv_nxt=rcv_nxt)
         self.sockets[sock.key] = sock
-        flags = TcpFlag.SYN if state == TcpState.SYN_SENT else TcpFlag.SYN | TcpFlag.ACK
+        flags = TcpFlag.SYN if state == TcpState.SYN_SENT else SYN_ACK
         self._send(sim, sock, flags, seq=isn)
         return sock
 

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Callable, Protocol as TypingProtocol
 
 from . import wire
-from .wire import Ipv4Datagram, FragNeeded, Protocol, TcpFlag
+from .wire import RST_BIT, Ipv4Datagram, FragNeeded, Protocol
 
 
 class FabricError(Exception):
@@ -70,7 +70,7 @@ class MiddleboxFilter:
         if (
             DropClass.TCP_RST_INBOUND in self.drop_classes
             and isinstance(p, wire.TcpSegment)
-            and TcpFlag.RST in p.flags
+            and int(p.flags) & RST_BIT
         ):
             return DropClass.TCP_RST_INBOUND
         return None

@@ -18,11 +18,14 @@ from . import wire
 from .endpoint import DEFAULT_RCV_WND, IpNode, lowest_free_port, pick_port
 from .fabric import Simulator, derive_rng
 from .wire import (
+    ACK_BIT,
+    FIN_BIT,
+    RST_BIT,
+    SYN_BIT,
     EchoRequest,
     FragNeeded,
     Ipv4Datagram,
     Protocol,
-    TcpFlag,
     TcpSegment,
     seq_add,
     seq_in_range,
@@ -146,6 +149,7 @@ class NatBox(IpNode):
             sim.record(self.node_id, "drop", "unsupported-outbound", d)
             return
         seg = d.payload
+        flags = int(seg.flags)
         key = ((d.src, seg.src_port), (d.dst, seg.dst_port))
         mapping = self.by_internal.get(key)
         if mapping is None:
@@ -153,7 +157,7 @@ class NatBox(IpNode):
             if port is None:
                 sim.record(self.node_id, "drop", "nat-ports-exhausted", d)
                 return
-            state = MappingState.SYN_SENT if TcpFlag.SYN in seg.flags else MappingState.ESTABLISHED
+            state = MappingState.SYN_SENT if flags & SYN_BIT else MappingState.ESTABLISHED
             mapping = NatMapping(
                 internal=(d.src, seg.src_port),
                 external_port=port,
@@ -163,11 +167,11 @@ class NatBox(IpNode):
             )
             self._insert(mapping)
         mapping.last_tick = sim.now
-        if mapping.state == MappingState.SYN_SENT and TcpFlag.ACK in seg.flags:
+        if mapping.state == MappingState.SYN_SENT and flags & ACK_BIT:
             mapping.state = MappingState.ESTABLISHED
-        if TcpFlag.FIN in seg.flags:
+        if flags & FIN_BIT:
             mapping.state = MappingState.FIN_WAIT
-        if self.policy.rst_handling is RstHandling.STRICT_VALIDATE and TcpFlag.ACK in seg.flags:
+        if self.policy.rst_handling is RstHandling.STRICT_VALIDATE and flags & ACK_BIT:
             mapping.inbound_seq_window = (seg.ack, seq_add(seg.ack, DEFAULT_RCV_WND))
         self._translate(sim, d, seg, (self.address, mapping.external_port), (d.dst, seg.dst_port))
 
@@ -188,19 +192,20 @@ class NatBox(IpNode):
 
     def _inbound_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         mapping = self.by_external.get((seg.dst_port, (d.src, seg.src_port)))
+        flags = int(seg.flags)
         if mapping is None:
             silent = self.policy.unmapped_inbound is UnmappedInbound.SILENT_DROP
-            if TcpFlag.RST in seg.flags or silent:
+            if flags & RST_BIT or silent:
                 sim.record(self.node_id, "drop", "no-mapping", d)
             else:
                 self._reflect_reset(sim, d, seg)
             return
-        if TcpFlag.RST in seg.flags:
+        if flags & RST_BIT:
             if not self._on_inbound_rst(sim, d, seg, mapping):
                 return
         else:
             mapping.last_tick = sim.now
-            if TcpFlag.FIN in seg.flags:
+            if flags & FIN_BIT:
                 mapping.state = MappingState.FIN_WAIT
         self._translate(sim, d, seg, (d.src, seg.src_port), mapping.internal)
 
@@ -213,7 +218,7 @@ class NatBox(IpNode):
         if policy is RstHandling.FORWARD_ONLY:
             return True
         if policy is RstHandling.VULNERABLE_REMOVE:
-            if self.policy.require_ack_on_rst and TcpFlag.ACK not in seg.flags:
+            if self.policy.require_ack_on_rst and not int(seg.flags) & ACK_BIT:
                 return True
             self._remove(mapping)
             return True

@@ -20,7 +20,19 @@ from enum import Enum
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, ConnKey, Host, TcpState
 from .fabric import Simulator, derive_rng
 from .natbox import NatBox
-from .wire import SEQ_MOD, Ipv4Datagram, Protocol, TcpFlag, TcpSegment, check_port_range, check_range
+from .wire import (
+    PSH_ACK,
+    PSH_BIT,
+    RST_ACK,
+    RST_BIT,
+    SEQ_MOD,
+    Ipv4Datagram,
+    Protocol,
+    TcpFlag,
+    TcpSegment,
+    check_port_range,
+    check_range,
+)
 
 WINDOWS_EPHEMERAL = (49152, 65535)
 # forged packets one plan may send: 8 rounds of two full 65,536-port sweeps
@@ -110,7 +122,7 @@ def craft_rst_sweep(plan: AttackPlan, ports: range | None = None) -> list[Ipv4Da
     """One forged 40-octet RST per destination port (by default the plan's
     whole range), spoofing the victim server; the sequence number is
     whatever the plan says, because a vulnerable device never checks it."""
-    flags = TcpFlag.RST | TcpFlag.ACK if plan.set_ack_flag_on_rst else TcpFlag.RST
+    flags = RST_ACK if plan.set_ack_flag_on_rst else TcpFlag.RST
     if ports is None:
         ports = _port_span(plan.dst_port_range)
     server_addr, server_port = plan.victim_server
@@ -138,7 +150,6 @@ def craft_push_ack_sweep(
         rng = _push_ack_rng(plan)
     if ports is None:
         ports = _port_span(plan.push_ack_src_port_range)
-    flags = TcpFlag.PSH | TcpFlag.ACK
     server_addr, server_port = plan.victim_server
     return [
         Ipv4Datagram(
@@ -150,7 +161,7 @@ def craft_push_ack_sweep(
                 server_port,
                 seq=rng.getrandbits(32),
                 ack=rng.getrandbits(32),
-                flags=flags,
+                flags=PSH_ACK,
                 payload_length=1,
             ),
         )
@@ -285,8 +296,8 @@ def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
     (delivered at a victim client) for a forged RST, which spoofs the server
     with the plan's sequence number; "push-at-server" for a PUSH from the
     NAT's address delivered at the server.  Each record is placed by its
-    action and node first: the flag test is slow, and only the first
-    record of each kind needs it."""
+    action and node first: only the first record of each kind needs the
+    flag test."""
     server_addr, server_port = plan.victim_server
     forged_seq = plan.forged_seq
     nat_addr = plan.nat_public_ip
@@ -313,7 +324,7 @@ def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
             kind = "rst-at-client"
         elif node == server_node and d.src == nat_addr and "push-at-server" not in seen:
             seg = d.payload
-            if isinstance(seg, TcpSegment) and TcpFlag.PSH in seg.flags:
+            if isinstance(seg, TcpSegment) and int(seg.flags) & PSH_BIT:
                 seen.add("push-at-server")
             return
         else:
@@ -325,7 +336,7 @@ def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
             and isinstance(seg, TcpSegment)
             and seg.seq == forged_seq
             and seg.src_port == server_port
-            and TcpFlag.RST in seg.flags
+            and int(seg.flags) & RST_BIT
         ):
             seen.add(kind)
 

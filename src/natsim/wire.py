@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
+from typing import ClassVar
 
 IP_HEADER_LEN = 20
 TCP_HEADER_LEN = 20
@@ -51,13 +52,29 @@ class Protocol(Enum):
     ICMP = 1
 
 
+# the bits of the TCP flags octet, as plain ints: `int(seg.flags) & RST_BIT`
+# costs a fraction of `TcpFlag.RST in seg.flags` on the per-packet paths
+FIN_BIT = 0x01
+SYN_BIT = 0x02
+RST_BIT = 0x04
+PSH_BIT = 0x08
+ACK_BIT = 0x10
+
+
 class TcpFlag(IntFlag):
     # values match the wire bit layout of the TCP flags octet
-    FIN = 0x01
-    SYN = 0x02
-    RST = 0x04
-    PSH = 0x08
-    ACK = 0x10
+    FIN = FIN_BIT
+    SYN = SYN_BIT
+    RST = RST_BIT
+    PSH = PSH_BIT
+    ACK = ACK_BIT
+
+
+# the flag pairs sent per segment, built once: an IntFlag `|` costs about
+# as much as building the TcpSegment
+PSH_ACK = TcpFlag.PSH | TcpFlag.ACK
+RST_ACK = TcpFlag.RST | TcpFlag.ACK
+SYN_ACK = TcpFlag.SYN | TcpFlag.ACK
 
 
 def seq_add(a: int, b: int) -> int:
@@ -85,7 +102,11 @@ def check_port_range(field: str, ports: tuple[int, int]) -> None:
         raise ValueError(f"{field}: range [{lo}, {hi}] empty or out of bounds")
 
 
-@dataclass(frozen=True, slots=True)
+# TcpSegment and Ipv4Datagram are built once per packet, so each has a
+# hand-written __init__: its checks, then one store per field through the
+# slot descriptor's __set__ (fetched once, below the class), where the
+# generated frozen __init__ calls object.__setattr__ per field.
+@dataclass(frozen=True, slots=True, init=False)
 class TcpSegment:
     """A TCP segment; only the payload length is modeled, not its bytes."""
 
@@ -96,11 +117,25 @@ class TcpSegment:
     flags: TcpFlag = TcpFlag(0)
     payload_length: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.src_port <= 0xFFFF or not 0 <= self.dst_port <= 0xFFFF:
+    def __init__(
+        self,
+        src_port: int,
+        dst_port: int,
+        seq: int,
+        ack: int = 0,
+        flags: TcpFlag = TcpFlag(0),
+        payload_length: int = 0,
+    ):
+        if not 0 <= src_port <= 0xFFFF or not 0 <= dst_port <= 0xFFFF:
             raise ValueError("port out of range")
-        if self.payload_length < 0:
+        if payload_length < 0:
             raise ValueError("negative payload length")
+        _set_src_port(self, src_port)
+        _set_dst_port(self, dst_port)
+        _set_seq(self, seq)
+        _set_ack(self, ack)
+        _set_flags(self, flags)
+        _set_payload_length(self, payload_length)
 
     @property
     def wire_payload_length(self) -> int:
@@ -110,11 +145,20 @@ class TcpSegment:
     def seg_len(self) -> int:
         """Sequence-space length: payload plus SYN/FIN."""
         n = self.payload_length
-        if TcpFlag.SYN in self.flags:
+        flags = int(self.flags)
+        if flags & SYN_BIT:
             n += 1
-        if TcpFlag.FIN in self.flags:
+        if flags & FIN_BIT:
             n += 1
         return n
+
+
+_set_src_port = TcpSegment.src_port.__set__
+_set_dst_port = TcpSegment.dst_port.__set__
+_set_seq = TcpSegment.seq.__set__
+_set_ack = TcpSegment.ack.__set__
+_set_flags = TcpSegment.flags.__set__
+_set_payload_length = TcpSegment.payload_length.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,12 +167,20 @@ class EchoRequest:
     seq_no: int
     padding_length: int = 0
 
+    @property
+    def wire_payload_length(self) -> int:
+        return ICMP_HEADER_LEN + self.padding_length
+
 
 @dataclass(frozen=True, slots=True)
 class EchoReply:
     ident: int
     seq_no: int
     padding_length: int = 0
+
+    @property
+    def wire_payload_length(self) -> int:
+        return ICMP_HEADER_LEN + self.padding_length
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +191,8 @@ class FragNeeded:
     next_hop_mtu: int
     embedded: bytes
 
+    wire_payload_length: ClassVar[int] = ICMP_HEADER_LEN + EMBEDDED_QUOTE_LEN
+
     def __post_init__(self):
         if len(self.embedded) != EMBEDDED_QUOTE_LEN:
             raise ValueError("embedded quote must be exactly 28 octets")
@@ -146,19 +200,12 @@ class FragNeeded:
 
 IcmpMessage = EchoRequest | EchoReply | FragNeeded
 Payload = TcpSegment | EchoRequest | EchoReply | FragNeeded | bytes
+# for the datagram checks: reading an Enum member costs several times a global
+_TCP = Protocol.TCP
+_ICMP = Protocol.ICMP
 
 
-def _payload_octets(payload: Payload) -> int:
-    if isinstance(payload, TcpSegment):
-        return payload.wire_payload_length
-    if isinstance(payload, (EchoRequest, EchoReply)):
-        return ICMP_HEADER_LEN + payload.padding_length
-    if isinstance(payload, FragNeeded):
-        return ICMP_HEADER_LEN + EMBEDDED_QUOTE_LEN
-    return len(payload)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Ipv4Datagram:
     src: str
     dst: str
@@ -169,22 +216,45 @@ class Ipv4Datagram:
     more_fragments: bool = False
     fragment_offset: int = 0  # in 8-octet units
 
-    def __post_init__(self):
-        if self.df and (self.more_fragments or self.fragment_offset):
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        protocol: Protocol,
+        payload: Payload,
+        identification: int = 0,
+        df: bool = False,
+        more_fragments: bool = False,
+        fragment_offset: int = 0,
+    ):
+        if df and (more_fragments or fragment_offset):
             raise ValueError("DF datagram cannot be a fragment")
-        if self.fragment_offset < 0:
+        if fragment_offset < 0:
             raise ValueError("negative fragment offset")
-        if not 0 <= self.identification <= 0xFFFF:
+        if not 0 <= identification <= 0xFFFF:
             raise ValueError("identification out of range")
-        if isinstance(self.payload, TcpSegment) and self.protocol is not Protocol.TCP:
-            raise ValueError("TCP payload on non-TCP datagram")
-        if isinstance(self.payload, (EchoRequest, EchoReply, FragNeeded)):
-            if self.protocol is not Protocol.ICMP:
-                raise ValueError("ICMP payload on non-ICMP datagram")
+        if isinstance(payload, TcpSegment):
+            if protocol is not _TCP:
+                raise ValueError("TCP payload on non-TCP datagram")
+        elif isinstance(payload, IcmpMessage) and protocol is not _ICMP:
+            raise ValueError("ICMP payload on non-ICMP datagram")
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_protocol(self, protocol)
+        _set_payload(self, payload)
+        _set_identification(self, identification)
+        _set_df(self, df)
+        _set_more_fragments(self, more_fragments)
+        _set_fragment_offset(self, fragment_offset)
 
     @property
     def total_length(self) -> int:
-        return IP_HEADER_LEN + _payload_octets(self.payload)
+        # every payload class reports its own octet count; a fragment's
+        # payload is its raw bytes
+        p = self.payload
+        if isinstance(p, bytes):
+            return IP_HEADER_LEN + len(p)
+        return IP_HEADER_LEN + p.wire_payload_length
 
     @property
     def is_fragment(self) -> bool:
@@ -192,6 +262,16 @@ class Ipv4Datagram:
 
     def group_key(self) -> tuple:
         return (self.src, self.dst, self.protocol, self.identification)
+
+
+_set_src = Ipv4Datagram.src.__set__
+_set_dst = Ipv4Datagram.dst.__set__
+_set_protocol = Ipv4Datagram.protocol.__set__
+_set_payload = Ipv4Datagram.payload.__set__
+_set_identification = Ipv4Datagram.identification.__set__
+_set_df = Ipv4Datagram.df.__set__
+_set_more_fragments = Ipv4Datagram.more_fragments.__set__
+_set_fragment_offset = Ipv4Datagram.fragment_offset.__set__
 
 
 def frag_cap(mtu: int) -> int:

@@ -1,11 +1,14 @@
 """Simulator core: routing, link MTU handling, loss, determinism, trace."""
 
+import gc
 import heapq
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from natsim import scenario as sc
 from natsim.fabric import (
     DropClass,
     LinkSpec,
@@ -13,6 +16,7 @@ from natsim.fabric import (
     NoSuchNodeError,
     Simulator,
 )
+from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
 
@@ -168,6 +172,47 @@ class TestEventOrder:
         sim.schedule_call(5, lambda s: order.append("b"))
         sim.run()
         assert order == ["a", "past", "b"] and sim.now == 5 and sim.idle
+
+
+def attack_cut_short():
+    """A scenario-built simulator whose attack stops, by run(until=...), one
+    tick into its first batch: forged packets are still in flight."""
+    doc = sc.nat_scenario_doc("cut-short", with_probe=False, ephemeral_range=(40000, 40063),
+                              port_range=(40000, 40063), interleave_batch=16)
+    handles = sc.build(sc.load_scenario(doc), seed=1)
+    sc.establish(handles)
+    sim, plan = handles.sim, handles.plan
+    for d in craft_rst_sweep(plan) + craft_push_ack_sweep(plan):
+        sim.inject(handles.attacker_node, d)
+    sim.run(until=sim.now + 1)
+    return sim
+
+
+def chain_cut_short():
+    sim = chain()
+    sim.inject("n0", big_echo())
+    sim.schedule_call(50, lambda s: s.inject("n2", rst(dst="10.1.0.1")))
+    sim.run(until=1)
+    return sim
+
+
+class TestQueueHoldsNoCycle:
+    """No queued event refers back to its simulator (an event that held a
+    bound method of it would), so a simulator dropped with events still
+    queued is freed by reference counting alone."""
+
+    @pytest.mark.parametrize("make", [chain_cut_short, attack_cut_short])
+    def test_dropped_simulator_is_freed_without_the_collector(self, make):
+        gc.collect()
+        gc.disable()
+        try:
+            sim = make()
+            assert not sim.idle
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestForwarding:

@@ -8,10 +8,12 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from natsim import assess
 from natsim import scenario as sc
 from natsim.cli import main
 from natsim.natbox import PmtudSync, PortAllocation, RstHandling, UnmappedInbound
 from natsim.scenario import ScenarioError, load_scenario
+from natsim.wire import TcpFlag, TcpSegment
 
 WIFI = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "vulnerable-wifi.json")
 
@@ -300,6 +302,34 @@ class TestExpectations:
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SHIPPED_DOCS = [json.loads(p.read_text()) for p in sorted(pathlib.Path(SHIPPED).glob("*.json"))]
+
+
+@pytest.mark.parametrize("doc", SHIPPED_DOCS, ids=lambda d: d["name"])
+def test_shipped_runs_carry_tcpflag_flags(doc, monkeypatch):
+    """Every TCP segment an identify or attack run records has a TcpFlag,
+    never a plain int, in its public flags field."""
+    flag_types = set()
+
+    def watch(tick, node, action, reason, d):
+        if isinstance(d.payload, TcpSegment):
+            flag_types.add(type(d.payload.flags))
+
+    build = sc.build
+
+    def watched_build(scn, seed=None):
+        handles = build(scn, seed=seed)
+        handles.sim.watchers.append(watch)
+        return handles
+
+    monkeypatch.setattr(sc, "build", watched_build)
+    scn = load_scenario(doc)
+    if scn.probe is not None:
+        assess.identify_scenario(scn)
+    if scn.attack is not None:
+        assess.attack_scenario(scn)
+    assert flag_types == {TcpFlag}
+
+
 # optional fields the shipped documents leave out
 ABSENT_FIELDS = [
     ("seed",), ("tick_duration",), ("clients",), ("force_attack",),

@@ -1,5 +1,8 @@
 """Packet model: fragmentation, reassembly, and the byte codec."""
 
+import dataclasses
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,8 +151,7 @@ segment_st = st.builds(
     payload_length=st.integers(0, 2000),
 )
 addr_st = st.builds(lambda a, b, c, d: f"{a}.{b}.{c}.{d}", *([st.integers(0, 255)] * 4))
-payload_st = st.one_of(
-    segment_st,
+icmp_payload_st = st.one_of(
     st.builds(EchoRequest, ident=st.integers(0, 0xFFFF), seq_no=st.integers(0, 0xFFFF),
               padding_length=st.integers(0, 2000)),
     st.builds(EchoReply, ident=st.integers(0, 0xFFFF), seq_no=st.integers(0, 0xFFFF),
@@ -160,6 +162,7 @@ payload_st = st.one_of(
         embedded=st.binary(min_size=28, max_size=28),
     ),
 )
+payload_st = st.one_of(segment_st, icmp_payload_st)
 
 
 @st.composite
@@ -289,3 +292,192 @@ class TestSeqArithmetic:
                          df=True, more_fragments=True)
         with pytest.raises(ValueError):
             FragNeeded(600, b"\x00" * 27)
+
+
+class Reference:
+    """TcpSegment and Ipv4Datagram as generated dataclasses, validated in
+    __post_init__, with the isinstance chain for total_length and IntFlag
+    membership for seg_len: what the hand-written constructors, payload
+    octet counts and flag bit tests must keep."""
+
+    @dataclass(frozen=True, slots=True)
+    class TcpSegment:
+        src_port: int
+        dst_port: int
+        seq: int
+        ack: int = 0
+        flags: TcpFlag = TcpFlag(0)
+        payload_length: int = 0
+
+        def __post_init__(self):
+            if not 0 <= self.src_port <= 0xFFFF or not 0 <= self.dst_port <= 0xFFFF:
+                raise ValueError("port out of range")
+            if self.payload_length < 0:
+                raise ValueError("negative payload length")
+
+        @property
+        def seg_len(self):
+            n = self.payload_length
+            if TcpFlag.SYN in self.flags:
+                n += 1
+            if TcpFlag.FIN in self.flags:
+                n += 1
+            return n
+
+    @dataclass(frozen=True, slots=True)
+    class Ipv4Datagram:
+        src: str
+        dst: str
+        protocol: Protocol
+        payload: object
+        identification: int = 0
+        df: bool = False
+        more_fragments: bool = False
+        fragment_offset: int = 0
+
+        def __post_init__(self):
+            if self.df and (self.more_fragments or self.fragment_offset):
+                raise ValueError("DF datagram cannot be a fragment")
+            if self.fragment_offset < 0:
+                raise ValueError("negative fragment offset")
+            if not 0 <= self.identification <= 0xFFFF:
+                raise ValueError("identification out of range")
+            if isinstance(self.payload, Reference.TcpSegment) and self.protocol is not Protocol.TCP:
+                raise ValueError("TCP payload on non-TCP datagram")
+            if isinstance(self.payload, (EchoRequest, EchoReply, FragNeeded)):
+                if self.protocol is not Protocol.ICMP:
+                    raise ValueError("ICMP payload on non-ICMP datagram")
+
+        @property
+        def total_length(self):
+            p = self.payload
+            if isinstance(p, Reference.TcpSegment):
+                octets = wire.TCP_HEADER_LEN + p.payload_length
+            elif isinstance(p, (EchoRequest, EchoReply)):
+                octets = wire.ICMP_HEADER_LEN + p.padding_length
+            elif isinstance(p, FragNeeded):
+                octets = wire.ICMP_HEADER_LEN + wire.EMBEDDED_QUOTE_LEN
+            else:
+                octets = len(p)
+            return wire.IP_HEADER_LEN + octets
+
+
+def build(cls, args, kwargs):
+    """(instance, None), or (None, (exception type, message)) when the
+    constructor rejects its arguments."""
+    try:
+        return cls(*args, **kwargs), None
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return None, (type(e), str(e))
+
+
+DEFAULT = object()  # an optional argument left out of the call
+# each field's bounds and their neighbours, then anything
+any_int = st.one_of(st.sampled_from([-1, 0, 1, 0xFFFF, 0x10000]), st.integers(-3, 0x10003),
+                    st.integers(-(2**40), 2**40))
+
+
+def optional(strategy):
+    return st.one_of(st.just(DEFAULT), strategy)
+
+
+def split_call(k, names, values):
+    """(args, kwargs): the first k values positional, fewer when an
+    earlier one is left out, and the rest by keyword; a DEFAULT value is
+    left out of the call."""
+    k = min([k] + [i for i, v in enumerate(values) if v is DEFAULT])
+    return values[:k], {n: v for n, v in zip(names[k:], values[k:]) if v is not DEFAULT}
+
+
+SEGMENT_FIELDS = ["src_port", "dst_port", "seq", "ack", "flags", "payload_length"]
+DATAGRAM_FIELDS = ["src", "dst", "protocol", "payload", "identification", "df",
+                   "more_fragments", "fragment_offset"]
+
+
+@st.composite
+def segment_call(draw):
+    values = [
+        draw(any_int),
+        draw(any_int),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(optional(st.integers(0, 2**32 - 1))),
+        draw(optional(flags_st)),
+        draw(optional(any_int)),
+    ]
+    return split_call(draw(st.integers(0, len(values))), SEGMENT_FIELDS, values)
+
+
+@st.composite
+def datagram_calls(draw):
+    """The same datagram call for the reference and for the fast class, over
+    every payload and protocol pairing, DF with MF or an offset, and
+    out-of-range identifications and offsets."""
+    kind = draw(st.sampled_from(["tcp", "icmp", "bytes"]))
+    if kind == "tcp":
+        seg = draw(segment_st)
+        seg_args = [getattr(seg, n) for n in SEGMENT_FIELDS]
+        payloads = (Reference.TcpSegment(*seg_args), TcpSegment(*seg_args))
+    else:
+        payload = draw(icmp_payload_st if kind == "icmp" else st.binary(max_size=64))
+        payloads = (payload, payload)
+    head = [draw(addr_st), draw(addr_st), draw(st.sampled_from(list(Protocol)))]
+    tail = [
+        draw(optional(any_int)),
+        draw(optional(st.booleans())),
+        draw(optional(st.booleans())),
+        draw(optional(st.one_of(st.integers(-2, 3), any_int))),
+    ]
+    k = draw(st.integers(0, len(DATAGRAM_FIELDS)))
+    return [split_call(k, DATAGRAM_FIELDS, head + [p] + tail) for p in payloads]
+
+
+class TestFastConstructors:
+    """The hand-written TcpSegment and Ipv4Datagram constructors accept,
+    reject and build exactly what the generated dataclasses did."""
+
+    @staticmethod
+    def check_same(ref_cls, fast_cls, ref_call, fast_call):
+        ref, ref_err = build(ref_cls, *ref_call)
+        fast, fast_err = build(fast_cls, *fast_call)
+        assert fast_err == ref_err
+        if fast is None:
+            return None, None
+        # same fields, values, hash and repr; frozen
+        assert repr(fast) == repr(ref).replace("Reference.", "")
+        assert hash(fast) == hash(ref)
+        assert dataclasses.astuple(fast) == dataclasses.astuple(ref)
+        assert fast == build(fast_cls, *fast_call)[0]
+        assert dataclasses.replace(fast) == fast
+        for f in dataclasses.fields(fast):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fast, f.name, getattr(fast, f.name))
+        return ref, fast
+
+    def test_same_fields_slots_and_defaults(self):
+        for ref_cls, fast_cls in ((Reference.TcpSegment, TcpSegment),
+                                  (Reference.Ipv4Datagram, Ipv4Datagram)):
+            assert [(f.name, f.default) for f in dataclasses.fields(fast_cls)] == [
+                (f.name, f.default) for f in dataclasses.fields(ref_cls)]
+            assert fast_cls.__slots__ == ref_cls.__slots__
+        assert not hasattr(TcpSegment(1, 2, 3), "__dict__")
+        assert not hasattr(Ipv4Datagram("1.1.1.1", "2.2.2.2", Protocol.ICMP, b""), "__dict__")
+
+    @given(segment_call(), segment_call())
+    @settings(max_examples=150)
+    def test_segment(self, call, other):
+        ref, fast = self.check_same(Reference.TcpSegment, TcpSegment, call, call)
+        if fast is not None:
+            assert fast.seg_len == ref.seg_len
+            assert fast.wire_payload_length == wire.TCP_HEADER_LEN + ref.payload_length
+            ref2, fast2 = build(Reference.TcpSegment, *other)[0], build(TcpSegment, *other)[0]
+            assert (fast == fast2) == (ref == ref2)
+
+    @given(datagram_calls(), datagram_calls())
+    @settings(max_examples=200)
+    def test_datagram(self, calls, others):
+        ref, fast = self.check_same(Reference.Ipv4Datagram, Ipv4Datagram, *calls)
+        if fast is not None:
+            assert fast.total_length == ref.total_length
+            ref2 = build(Reference.Ipv4Datagram, *others[0])[0]
+            fast2 = build(Ipv4Datagram, *others[1])[0]
+            assert (fast == fast2) == (ref == ref2)
