@@ -75,9 +75,9 @@ def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, 
     """Build a fresh instance, establish the workload, and run the probe."""
     handles = _build_and_establish(scn, seed, "probe")
     before_echo = None
-    if scn.probe.pre_echo_mtu is not None:
-        frm, to, mtu = scn.probe.pre_echo_mtu
-        before_echo = lambda sim: sim.set_link_mtu(frm, to, mtu)
+    pre_echo = scn.probe.pre_echo_mtu
+    if pre_echo is not None:
+        before_echo = lambda sim: sim.set_link_mtu(*pre_echo.link, pre_echo.mtu)
     verdict = probe_mod.run_identification(
         handles.sim,
         handles.vantage_host,
@@ -298,7 +298,7 @@ def _sections(path: str, fh):
             raise ScenarioError(f"{path}: #seed: {seed!r} is not an integer") from None
         try:
             doc = {} if doc is None else json.loads(doc)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ScenarioError(f"{path}: #scenario: invalid JSON: {e}") from None
         yield version, header["#name"], header["#mode"], seed, doc, filter(None, lines)
 

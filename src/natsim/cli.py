@@ -24,11 +24,12 @@ from .strike import NothingToAttackError
 
 def _load_doc(path: str) -> scenario_mod.Scenario:
     try:
-        with open(path) as fh:
+        # JSON exchanged between systems is UTF-8 (RFC 8259, section 8.1)
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ScenarioError(f"{path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # a JSON, UTF-8 or nesting error
         raise ScenarioError(f"{path}: invalid JSON: {e}") from None
     return scenario_mod.load_scenario(doc)
 

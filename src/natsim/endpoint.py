@@ -244,14 +244,14 @@ class Host(IpNode):
         seed: int = 0,
         profile: StackProfile = LINUX_LIKE,
         ephemeral_range: tuple[int, int] = DEFAULT_EPHEMERAL_RANGE,
-        ack_data: bool = True,
-        observe: bool = False,
+        vantage: bool = False,
     ):
         super().__init__(node_id, address)
         self.profile = profile
         self.ephemeral_range = ephemeral_range
-        self.ack_data = ack_data
-        self.observe = observe
+        # a vantage host records each TCP arrival in `observations` and
+        # leaves the data it receives unacknowledged, for the probe
+        self.vantage = vantage
         self.sockets: dict[ConnKey, Socket] = {}
         self.listeners: set[int] = set()
         self.dup_acks_sent = 0
@@ -292,7 +292,7 @@ class Host(IpNode):
         if isinstance(p, bytes):
             self._on_fragment(sim, d)
         elif isinstance(p, TcpSegment):
-            if self.observe:
+            if self.vantage:
                 self.observations.append(TcpObservation(sim.now, d, p))
             self._on_tcp(sim, d, p)
         elif isinstance(p, EchoRequest):
@@ -359,7 +359,7 @@ class Host(IpNode):
                 sock.snd_una = seg.ack
             if seg.payload_length > 0:
                 sock.rcv_nxt = seq_add(sock.rcv_nxt, seg.payload_length)
-                if self.ack_data:
+                if not self.vantage:
                     self._send(sim, sock, TcpFlag.ACK)
             return
 

@@ -110,7 +110,6 @@ class Counters:
     packets_sent: int = 0
     octets_sent: int = 0
     packets_delivered: int = 0
-    octets_delivered: int = 0
     packets_dropped: int = 0
 
 
@@ -451,7 +450,7 @@ class Simulator:
         # an intercepting handler (the NAT) sees transit packets too
         if local or (node.intercept and node.handler is not None):
             if local:
-                self._count_delivered(node_id, d)
+                self.counters[node_id].packets_delivered += 1
             self.record(node_id, "deliver" if local else "forward", "", d)
             if node.handler is not None:
                 node.handler.on_datagram(self, node_id, d)
@@ -461,8 +460,3 @@ class Simulator:
             self._traverse(node_id, d)
             return
         self.record(node_id, "drop", "no-route", d)
-
-    def _count_delivered(self, node: str, d: Ipv4Datagram) -> None:
-        c = self.counters[node]
-        c.packets_delivered += 1
-        c.octets_delivered += d.total_length

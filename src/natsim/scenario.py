@@ -3,12 +3,13 @@ probe/attack plan, loaded from JSON-compatible dicts into validated
 Scenario objects, then built into a live simulator.
 
 Schema top-level keys: DOCUMENT_KEYS.  A block takes exactly the fields
-of its run object (LinkSpec, NatPolicy, WorkloadSpec, ProbeConfig,
-AttackPlan, Expectation) that the loader does not set itself, typed by
-their annotations, plus the keys the loader reads by hand; any other key
-is a ScenarioError.  The run objects hold the defaults and check their
-own ranges.  The loader checks the references between blocks and the
-rules that span blocks.
+of its run object (NodeSpec, LinkSpec, NatPolicy, ServerSpec,
+WorkloadSpec, ProbeConfig, PreEchoSpec, AttackPlan, Expectation) that
+the loader does not set itself, typed by their annotations, plus the
+keys the loader reads by hand; any other key is a ScenarioError.  A
+field with no default is required.  The run objects hold the defaults
+and check their own values.  The loader checks the references between
+blocks and the rules that span blocks.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import functools
 import ipaddress
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import EnumMeta
 
-from .endpoint import DEFAULT_EPHEMERAL_RANGE, Host, LINUX_LIKE, OPENBSD_LIKE, StackProfile, TcpState
+from .endpoint import DEFAULT_EPHEMERAL_RANGE, DEFAULT_RCV_WND, Host, LINUX_LIKE, OPENBSD_LIKE, TcpState
 from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
 from .natbox import NatBox, NatPolicy
 from .probe import ProbeConfig
@@ -28,14 +29,11 @@ from .wire import MIN_MTU, check_port_range, check_range
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
 HOST_KINDS = ("client", "server", "vantage")  # the kinds that `build` gives a Host
-# the keys of the parts of a document that the loader reads by hand
+# the top-level keys of a document, which the loader reads by hand
 DOCUMENT_KEYS = (
     "name", "seed", "tick_duration", "nodes", "links", "nat", "server", "clients",
     "ephemeral_range", "workload", "probe", "attack", "force_attack", "expect",
 )
-NODE_KEYS = ("id", "kind", "address")
-SERVER_KEYS = ("node", "profile", "port")
-PRE_ECHO_KEYS = ("link", "mtu")
 PROFILES = {"linux-like": LINUX_LIKE, "openbsd-like": OPENBSD_LIKE}
 SESSION_PAYLOAD = 1460  # guarantees one full-sized baseline segment
 
@@ -52,11 +50,14 @@ def _enum_value(field_name: str, value: str, enum_cls):
     raise ScenarioError(f"{field_name}: unknown value {value!r} (valid: {valid})")
 
 
-def _require(doc: dict, key: str, typ, where: str):
-    """doc[key] as a `typ`; an Enum type takes one of its members' values,
-    and `tuple` a [lo, hi] pair of ints."""
+def _require(doc: dict, key: str, typ, where: str, default=MISSING):
+    """doc[key] as a `typ`, or `default` when the key is absent or null;
+    with no default the key is required.  An Enum type takes one of its
+    members' values, and `tuple` a [lo, hi] pair of ints."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(doc).__name__}")
+    if default is not MISSING and doc.get(key) is None:
+        return default
     if key not in doc:
         raise ScenarioError(f"{where}.{key}: required field missing")
     if isinstance(typ, EnumMeta):
@@ -75,41 +76,41 @@ def _require(doc: dict, key: str, typ, where: str):
     return value
 
 
-def _optional(doc: dict, key: str, typ, default, where: str):
-    if isinstance(doc, dict) and doc.get(key) is None:
-        return default
-    return _require(doc, key, typ, where)
-
-
 @functools.cache
-def _field_types(cls) -> dict[str, type]:
-    """The type a document gives each field of `cls`: `X | None` reads as
-    X and `tuple[...]` as tuple.  Cached, because resolving the annotations
+def _field_types(cls) -> dict[str, tuple[type, object]]:
+    """The type a document gives each field of `cls`, and the field's
+    default (MISSING for a required field): `X | None` reads as X and
+    `tuple[...]` as tuple.  Cached, because resolving the annotations
     costs several times more than loading a document."""
+    hints = typing.get_type_hints(cls)
     types = {}
-    for key, hint in typing.get_type_hints(cls).items():
+    for f in fields(cls):
+        hint = hints[f.name]
         args = typing.get_args(hint)
         if type(None) in args:
             hint = next(a for a in args if a is not type(None))
-        types[key] = typing.get_origin(hint) or hint
+        types[f.name] = (typing.get_origin(hint) or hint, f.default)
     return types
 
 
 def _known(doc: dict, where: str, keys) -> None:
-    """Reject a key of `doc` that is not one of `keys`: a misspelt
-    field would otherwise leave its default in force without a word."""
+    """Reject a `doc` that is not an object, or a key of it that is not one
+    of `keys`: a misspelt field would otherwise leave its default in force
+    without a word."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: expected an object, got {type(doc).__name__}")
     for key in doc:
         if key not in keys:
             raise ScenarioError(f"{where}.{key}: unknown field (valid: {', '.join(keys)})")
 
 
 def _build(cls, doc: dict, where: str, extras: tuple[str, ...] = (), **given):
-    """A `cls` from `given` and every other field of it that `doc` sets;
+    """A `cls` from `given` and every other field of it, read from `doc`;
     `doc` may also hold the `extras` its caller reads."""
     types = _field_types(cls)
     _known(doc, where, extras + tuple(k for k in types if k not in given))
-    for key, typ in types.items():
-        if key not in given and doc.get(key) is not None:
+    for key, (typ, default) in types.items():
+        if key not in given and (default is MISSING or doc.get(key) is not None):
             given[key] = _require(doc, key, typ, where)
     return _checked(where, cls, **given)
 
@@ -137,20 +138,40 @@ def _busiest_client(clients: list[str], *dealt: int, first: int = 0) -> int:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    node_id: str
+    id: str
     kind: str
     address: str
+
+    def __post_init__(self):
+        if self.kind not in NODE_KINDS:
+            raise ValueError(f"kind: unknown value {self.kind!r} (valid: {', '.join(NODE_KINDS)})")
+        try:
+            ipaddress.IPv4Address(self.address)
+        except ValueError:
+            raise ValueError(f"address: {self.address!r} is not an IPv4 address") from None
+
+
+@dataclass(frozen=True)
+class ServerSpec:
+    node: str = "server"
+    profile: str = "linux-like"  # a key of PROFILES
+    port: int = 80
+
+    def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile: unknown value {self.profile!r} (valid: {', '.join(PROFILES)})")
+        check_range("port", self.port, 0, 0x10000)
 
 
 def _check_connected(nodes, links) -> None:
     if not nodes:
         return
-    adjacency: dict[str, set[str]] = {n.node_id: set() for n in nodes}
+    adjacency: dict[str, set[str]] = {n.id: set() for n in nodes}
     for link in links:
         adjacency[link.frm].add(link.to)
         adjacency[link.to].add(link.frm)
-    seen = {nodes[0].node_id}
-    queue = [nodes[0].node_id]
+    seen = {nodes[0].id}
+    queue = [nodes[0].id]
     while queue:
         for nb in adjacency[queue.pop()]:
             if nb not in seen:
@@ -171,14 +192,27 @@ class WorkloadSpec:
         check_range("connections", self.connections, 0)
         # a period of 0 would reschedule the session send at the same tick forever
         check_range("send_period", self.send_period, 1)
-        check_range("payload", self.payload, 0)
+        # one receive window: the model has no flow control, and `establish`
+        # sends each victim's payload in one burst
+        check_range("payload", self.payload, 0, DEFAULT_RCV_WND + 1)
+
+
+@dataclass(frozen=True)
+class PreEchoSpec:
+    """The MTU a link is set to between the probe stages, like re-dialing
+    a testbed router."""
+
+    link: list[str]  # [from, to]
+    mtu: int
+
+    def __post_init__(self):
+        check_range("mtu", self.mtu, MIN_MTU)
 
 
 @dataclass(frozen=True)
 class ProbeSpec:
     config: ProbeConfig
-    # applied between the probe stages, like re-dialing a testbed router
-    pre_echo_mtu: tuple[str, str, int] | None = None
+    pre_echo_mtu: PreEchoSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -197,9 +231,7 @@ class Scenario:
     links: list[LinkSpec]
     nat_node: str | None
     nat_policy: NatPolicy | None
-    server_node: str | None
-    server_profile: StackProfile
-    server_port: int
+    server: ServerSpec | None
     clients: list[str]
     ephemeral_range: tuple[int, int]
     workload: WorkloadSpec
@@ -215,7 +247,8 @@ class Scenario:
 
     def policy_summary(self) -> str:
         policy = self.nat_policy.summary() if self.nat_policy else "no-nat"
-        return f"{policy}/{self.server_profile.name}"
+        profile = self.server.profile if self.server else LINUX_LIKE.name
+        return f"{policy}/{profile}"
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -224,32 +257,22 @@ def load_scenario(doc: dict) -> Scenario:
         raise ScenarioError("scenario: expected an object")
     _known(doc, "scenario", DOCUMENT_KEYS)
     name = _require(doc, "name", str, "scenario")
-    seed = _optional(doc, "seed", int, 1, "scenario")
-    tick_duration = _optional(doc, "tick_duration", float, 0.001, "scenario")
+    seed = _require(doc, "seed", int, "scenario", 1)
+    tick_duration = _require(doc, "tick_duration", float, "scenario", 0.001)
     if not tick_duration > 0:
         raise ScenarioError(f"scenario.tick_duration: {tick_duration} is not positive")
 
     nodes = []
     addresses: dict[str, str] = {}
-    raw_nodes = _require(doc, "nodes", list, "scenario")
-    for i, nd in enumerate(raw_nodes):
+    for i, nd in enumerate(_require(doc, "nodes", list, "scenario")):
         where = f"nodes[{i}]"
-        node_id = _require(nd, "id", str, where)
-        _known(nd, where, NODE_KEYS)
-        kind = _require(nd, "kind", str, where)
-        if kind not in NODE_KINDS:
-            raise ScenarioError(f"{where}.kind: unknown value {kind!r} (valid: {', '.join(NODE_KINDS)})")
-        address = _require(nd, "address", str, where)
-        try:
-            ipaddress.IPv4Address(address)
-        except ValueError:
-            raise ScenarioError(f"{where}.address: {address!r} is not an IPv4 address") from None
-        if node_id in addresses:
-            raise ScenarioError(f"{where}.id: duplicate node id {node_id!r}")
-        if address in addresses.values():
-            raise ScenarioError(f"{where}.address: duplicate address {address!r}")
-        addresses[node_id] = address
-        nodes.append(NodeSpec(node_id, kind, address))
+        node = _build(NodeSpec, nd, where)
+        if node.id in addresses:
+            raise ScenarioError(f"{where}.id: duplicate node id {node.id!r}")
+        if node.address in addresses.values():
+            raise ScenarioError(f"{where}.address: duplicate address {node.address!r}")
+        addresses[node.id] = node.address
+        nodes.append(node)
     if not nodes:
         raise ScenarioError("scenario.nodes: at least one node required")
 
@@ -261,49 +284,38 @@ def load_scenario(doc: dict) -> Scenario:
         for end in (frm, to):
             if end not in addresses:
                 raise ScenarioError(f"{where}: unknown node {end!r}")
-        raw_filter = _optional(ld, "filter", list, None, where)
+        raw_filter = _require(ld, "filter", list, where, None)
         filt = MiddleboxFilter(frozenset(
             _enum_value(f"{where}.filter[{j}]", c, DropClass) for j, c in enumerate(raw_filter)
         )) if raw_filter else None
         links.append(_build(LinkSpec, ld, where, ("from", "to", "filter"), frm=frm, to=to, filter=filt))
 
-    nat_kind_nodes = [n.node_id for n in nodes if n.kind == "nat"]
-    host_nodes = {n.node_id for n in nodes if n.kind in HOST_KINDS}
+    nat_kind_nodes = [n.id for n in nodes if n.kind == "nat"]
+    host_nodes = {n.id for n in nodes if n.kind in HOST_KINDS}
     if len(nat_kind_nodes) > 1:
         raise ScenarioError("nodes: at most one NAT node per scenario")
     _check_connected(nodes, links)
 
     nat_node = None
     nat_policy = None
-    nat_doc = _optional(doc, "nat", dict, None, "scenario")
+    nat_doc = _require(doc, "nat", dict, "scenario", None)
     if nat_doc is not None:
-        nat_node = _optional(nat_doc, "node", str, "nat", "nat")
+        nat_node = _require(nat_doc, "node", str, "nat", "nat")
         if nat_node not in nat_kind_nodes:
             raise ScenarioError(f"nat.node: {nat_node!r} is not a node of kind nat")
         nat_policy = _build(NatPolicy, nat_doc, "nat", ("node",))
     elif nat_kind_nodes:
         raise ScenarioError(f"nat: node {nat_kind_nodes[0]!r} present but not configured")
 
-    server_node = None
-    server_profile = LINUX_LIKE
-    server_port = 80
-    server_doc = _optional(doc, "server", dict, None, "scenario")
+    server = None
+    server_doc = _require(doc, "server", dict, "scenario", None)
     if server_doc is not None:
-        _known(server_doc, "server", SERVER_KEYS)
-        server_node = _optional(server_doc, "node", str, "server", "server")
-        if server_node not in host_nodes:
-            raise ScenarioError(f"server.node: {server_node!r} is not a host node")
-        profile_name = _optional(server_doc, "profile", str, "linux-like", "server")
-        if profile_name not in PROFILES:
-            raise ScenarioError(
-                f"server.profile: unknown value {profile_name!r} (valid: {', '.join(PROFILES)})"
-            )
-        server_profile = PROFILES[profile_name]
-        server_port = _optional(server_doc, "port", int, server_port, "server")
-        _checked("server", check_range, "port", server_port, 0, 0x10000)
+        server = _build(ServerSpec, server_doc, "server")
+        if server.node not in host_nodes:
+            raise ScenarioError(f"server.node: {server.node!r} is not a host node")
 
-    default_clients = [n.node_id for n in nodes if n.kind == "client"]
-    clients = _optional(doc, "clients", list, default_clients, "scenario")
+    default_clients = [n.id for n in nodes if n.kind == "client"]
+    clients = _require(doc, "clients", list, "scenario", default_clients)
     for c in clients:
         if not isinstance(c, str) or c not in host_nodes:
             raise ScenarioError(f"clients: {c!r} is not a host node")
@@ -311,37 +323,33 @@ def load_scenario(doc: dict) -> Scenario:
         raise ScenarioError("clients: at least one client node required")
     target_addr = addresses[nat_node or clients[0]]
 
-    ephemeral = _optional(doc, "ephemeral_range", tuple, DEFAULT_EPHEMERAL_RANGE, "scenario")
+    ephemeral = _require(doc, "ephemeral_range", tuple, "scenario", DEFAULT_EPHEMERAL_RANGE)
     _checked("scenario", check_port_range, "ephemeral_range", ephemeral)
 
-    workload = _build(WorkloadSpec, _optional(doc, "workload", dict, {}, "scenario"), "workload")
+    workload = _build(WorkloadSpec, _require(doc, "workload", dict, "scenario", {}), "workload")
 
     probe_spec = None
-    probe_doc = _optional(doc, "probe", dict, None, "scenario")
+    probe_doc = _require(doc, "probe", dict, "scenario", None)
     if probe_doc is not None:
         config = _build(ProbeConfig, probe_doc, "probe", ("pre_echo_mtu",))
         if config.vantage not in host_nodes:
             raise ScenarioError(f"probe.vantage: {config.vantage!r} is not a host node")
         pre_echo = None
-        pe_doc = _optional(probe_doc, "pre_echo_mtu", dict, None, "probe")
+        pe_doc = _require(probe_doc, "pre_echo_mtu", dict, "probe", None)
         if pe_doc is not None:
-            _known(pe_doc, "probe.pre_echo_mtu", PRE_ECHO_KEYS)
-            link = _require(pe_doc, "link", list, "probe.pre_echo_mtu")
-            if link not in [[l.frm, l.to] for l in links]:
+            pre_echo = _build(PreEchoSpec, pe_doc, "probe.pre_echo_mtu")
+            if pre_echo.link not in [[l.frm, l.to] for l in links]:
                 raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming a link")
-            mtu = _require(pe_doc, "mtu", int, "probe.pre_echo_mtu")
-            _checked("probe.pre_echo_mtu", check_range, "mtu", mtu, MIN_MTU)
-            pre_echo = (link[0], link[1], mtu)
         probe_spec = ProbeSpec(config=config, pre_echo_mtu=pre_echo)
 
     plan = None
-    attack_doc = _optional(doc, "attack", dict, None, "scenario")
+    attack_doc = _require(doc, "attack", dict, "scenario", None)
     if attack_doc is not None:
-        if server_node is None:
+        if server is None:
             raise ScenarioError("attack: an attack block requires a server block")
         plan = _build(
             AttackPlan, attack_doc, "attack", nat_public_ip=target_addr,
-            victim_server=(addresses[server_node], server_port), seed=seed,
+            victim_server=(addresses[server.node], server.port), seed=seed,
         )
 
     # the victims, then the vantage session on the first client, then the
@@ -361,7 +369,7 @@ def load_scenario(doc: dict) -> Scenario:
             f"ephemeral ports of a client in {clients}"
         )
 
-    exp_doc = _optional(doc, "expect", dict, None, "scenario")
+    exp_doc = _require(doc, "expect", dict, "scenario", None)
     expect = None if exp_doc is None else _build(Expectation, exp_doc, "expect")
 
     return Scenario(
@@ -372,15 +380,13 @@ def load_scenario(doc: dict) -> Scenario:
         links=links,
         nat_node=nat_node,
         nat_policy=nat_policy,
-        server_node=server_node,
-        server_profile=server_profile,
-        server_port=server_port,
+        server=server,
         clients=clients,
         ephemeral_range=ephemeral,
         workload=workload,
         probe=probe_spec,
         attack=plan,
-        force_attack=_optional(doc, "force_attack", bool, False, "scenario"),
+        force_attack=_require(doc, "force_attack", bool, "scenario", False),
         expect=expect,
         doc=doc,
         target_addr=target_addr,
@@ -410,52 +416,47 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
     hosts: dict[str, Host] = {}
     nat: NatBox | None = None
     attacker_node = None
-    internal_addrs = {n.address for n in scenario.nodes if n.node_id in scenario.clients}
+    internal_addrs = {n.address for n in scenario.nodes if n.id in scenario.clients}
     vantage_id = scenario.probe.config.vantage if scenario.probe else None
+    server = scenario.server
 
     for spec in scenario.nodes:
         if spec.kind == "router":
-            sim.add_node(spec.node_id, spec.address, transit=True)
+            sim.add_node(spec.id, spec.address, transit=True)
         elif spec.kind == "attacker":
-            sim.add_node(spec.node_id, spec.address)
-            attacker_node = spec.node_id
+            sim.add_node(spec.id, spec.address)
+            attacker_node = spec.id
         elif spec.kind == "nat":
             nat = NatBox(
-                spec.node_id,
+                spec.id,
                 spec.address,
                 scenario.nat_policy,
                 internal_addrs,
                 seed=seed,
             )
-            sim.add_node(spec.node_id, spec.address, handler=nat, intercept=True)
+            sim.add_node(spec.id, spec.address, handler=nat, intercept=True)
         else:
             profile = LINUX_LIKE
-            observe = False
-            ack_data = True
-            if spec.kind == "server" and spec.node_id == scenario.server_node:
-                profile = scenario.server_profile
-            if spec.kind == "vantage" or spec.node_id == vantage_id:
-                observe = True
-                ack_data = False  # leave probe-relevant segments unacknowledged
+            if server and spec.kind == "server" and spec.id == server.node:
+                profile = PROFILES[server.profile]
             host = Host(
-                spec.node_id,
+                spec.id,
                 spec.address,
                 seed=seed,
                 profile=profile,
                 ephemeral_range=scenario.ephemeral_range,
-                ack_data=ack_data,
-                observe=observe,
+                vantage=spec.kind == "vantage" or spec.id == vantage_id,
             )
-            hosts[spec.node_id] = host
-            sim.add_node(spec.node_id, spec.address, handler=host)
+            hosts[spec.id] = host
+            sim.add_node(spec.id, spec.address, handler=host)
 
     for link in scenario.links:
         sim.add_link(replace(link))
     sim.finalize_routes()
 
-    server_host = hosts.get(scenario.server_node)
+    server_host = hosts[server.node] if server else None
     if server_host is not None:
-        server_host.listen(scenario.server_port)
+        server_host.listen(server.port)
     vantage_host = hosts.get(vantage_id)
     if vantage_host is not None:
         vantage_host.listen(80)
@@ -494,7 +495,7 @@ def establish(handles: Handles) -> None:
             sim.schedule_call(
                 sim.now + 1 + i,
                 lambda s, c=client: handles.victims.append(
-                    (c, c.open_connection(s, (server_addr, scn.server_port)))
+                    (c, c.open_connection(s, (server_addr, scn.server.port)))
                 ),
             )
         established = lambda: len(handles.victims) == scn.workload.connections and all(

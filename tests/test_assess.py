@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -11,6 +12,9 @@ from natsim import assess
 from natsim import scenario as sc
 from natsim.cli import main
 from natsim.fabric import keep_traces
+
+# JSON nested too deep for the decoder's recursion limit
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
 
 
 def fast_doc(name, **kw):
@@ -293,6 +297,8 @@ class TestCli:
         pytest.param(None, "No such file or directory", id="missing"),
         pytest.param(lambda b: b.replace(b"#name c10", b"#name c10\xff\xfe"),
                      "can't decode byte 0xff", id="not-utf8"),
+        pytest.param(lambda b: re.sub(rb"#scenario .*", b"#scenario " + DEEP_JSON, b),
+                     "#scenario: invalid JSON: maximum recursion depth", id="scenario-nesting"),
     ])
     def test_malformed_trace_exits_1_with_one_line(self, tmp_path, capsys, damage, message):
         trace = tmp_path / "c10.trace"
@@ -306,6 +312,20 @@ class TestCli:
         assert main(["replay", str(trace)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {trace}: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command, content, message", [
+        pytest.param("identify", b"\xff\xfe{}", "can't decode byte 0xff", id="not-utf8"),
+        pytest.param("assess", DEEP_JSON, "maximum recursion depth", id="nesting"),
+        pytest.param("attack", b"{", "Expecting property name", id="truncated"),
+    ])
+    def test_unreadable_scenario_file_exits_1_with_one_line(self, tmp_path, capsys, command, content,
+                                                            message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([command, str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: invalid JSON: ") and err.count("\n") == 1
         assert message in err
 
     def test_assess_directory(self, tmp_path):

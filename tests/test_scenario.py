@@ -59,9 +59,16 @@ class TestDefaults:
         assert p.port_allocation is PortAllocation.SEQUENTIAL
         assert p.pmtud_sync is PmtudSync.LEAKY_SIDE_CHANNEL
         assert scn.ephemeral_range == (32768, 61000)
-        assert scn.server_port == 80
+        assert scn.server.port == 80
         assert scn.clients == ["c"]
         assert scn.attack is None and scn.probe is None
+
+    def test_no_server_block(self):
+        doc = minimal_doc()
+        del doc["server"]
+        scn = load_scenario(doc)
+        assert scn.server is None
+        assert scn.policy_summary().endswith("/linux-like")
 
     def test_attack_defaults(self):
         doc = minimal_doc()
@@ -218,6 +225,12 @@ class TestValidation:
         (("workload", "conections"), 4, "workload.conections: unknown field"),
         (("expect", "verdicts"), "nat-device", "expect.verdicts: unknown field"),
         (("rounds",), 2, "scenario.rounds: unknown field"),
+        (("nodes", 0, "kind"), "toaster",
+         "nodes[0].kind: unknown value 'toaster' (valid: client, nat, router, server, vantage, attacker)"),
+        (("server", "profile"), "bsd-like",
+         "server.profile: unknown value 'bsd-like' (valid: linux-like, openbsd-like)"),
+        (("probe", "pre_echo_mtu"), {"link": ["r1", "vantage"]}, "probe.pre_echo_mtu.mtu: required field missing"),
+        (("workload", "payload"), 65536, "workload.payload: 65536 is outside [0, 65536)"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -231,6 +244,11 @@ class TestValidation:
         doc["workload"]["connections"] = 8188
         doc["attack"]["new_connection_attempts"] = 0
         assert load_scenario(doc).workload.connections == 8188
+
+    def test_payload_may_fill_one_receive_window(self):
+        doc = wifi_doc()
+        doc["workload"]["payload"] = 65535
+        assert load_scenario(doc).workload.payload == 65535
 
     def test_forged_packet_bound_is_inclusive(self):
         # 16 rounds of two 32,768-port sweeps send exactly 2**20 packets
