@@ -22,7 +22,7 @@ from . import __version__ as VERSION
 from . import probe as probe_mod
 from . import scenario as scenario_mod
 from . import strike as strike_mod
-from .fabric import Simulator, keep_traces
+from .fabric import Simulator, keep_traces, render_lines
 from .probe import Verdict
 from .scenario import Handles, Scenario, ScenarioError
 from .strike import OUTCOME_CSV_COLUMNS, AttackReport, StrikeContext
@@ -39,6 +39,8 @@ FIELD_CONTEXT_NOTE = (
     ">92% of surveyed NAT networks vulnerable) are live-Internet figures, "
     "not desk-scale simulator targets"
 )
+
+WRITE_LINES = 1024  # trace lines joined into one write to a section's spool
 
 
 @dataclass
@@ -205,7 +207,9 @@ class TraceFile:
             f"#natsim-trace {VERSION}\n#name {scn.name}\n#mode {mode}\n#seed {sim.seed}\n"
             f"#scenario {json.dumps(scn.doc, sort_keys=True)}\n"
         )
-        fh.writelines(rec.line() + "\n" for rec in records)
+        lines = render_lines(records)
+        while chunk := "".join(itertools.islice(lines, WRITE_LINES)):
+            fh.write(chunk)
 
     def write(self, path: str) -> None:
         self._spool.flush()
@@ -255,13 +259,13 @@ def _replay_section(path, name, mode, seed, doc, lines) -> str | None:
     if mode not in ("identify", "attack"):
         raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
     _, handles = run_section(scn, mode, seed)
-    fresh = (rec.line() for rec in handles.sim.trace)
+    fresh = render_lines(handles.sim.trace)
     recorded = replayed = 0
     for old, new in itertools.zip_longest(lines, fresh):
         recorded += old is not None
         replayed += new is not None
-        if old is not None and new is not None and old != new:
-            return f"section {name} line {recorded}: recorded {old!r} vs replayed {new!r}"
+        if old is not None and new is not None and old != new[:-1]:
+            return f"section {name} line {recorded}: recorded {old!r} vs replayed {new[:-1]!r}"
     if recorded != replayed:
         return f"section {name}: recorded {recorded} lines vs replayed {replayed}"
     return None

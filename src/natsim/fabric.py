@@ -22,7 +22,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol as TypingProtocol
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol as TypingProtocol
 
 from . import wire
 from .wire import RST_BIT, Ipv4Datagram, FragNeeded, Protocol
@@ -124,7 +124,7 @@ def packet_summary(d: Ipv4Datagram) -> str:
     """`proto src:port>dst:port flags seq ack len df off` trace column."""
     p = d.payload
     if isinstance(p, wire.TcpSegment):
-        flags = _FLAG_COLUMN[p.flags.value & 0x1F]
+        flags = _FLAG_COLUMN[int(p.flags) & 0x1F]
         sp, dp, seq, ack = p.src_port, p.dst_port, p.seq, p.ack
         proto = "TCP"
     elif isinstance(p, wire.EchoRequest):
@@ -143,8 +143,7 @@ def packet_summary(d: Ipv4Datagram) -> str:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     tick: int
     node: str
     action: str  # send | forward | fragment | drop | deliver
@@ -154,6 +153,29 @@ class TraceRecord:
     def line(self) -> str:
         return f"{self.tick}\t{self.node}\t{self.action}\t{self.reason}\t{packet_summary(self.dgram)}"
 
+
+# `render_lines` forgets its rendered columns when it holds this many; every
+# record of one datagram falls within a few ticks of the datagram's first
+SUMMARY_CACHE_ENTRIES = 1024
+
+
+def render_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
+    """Yield `rec.line() + "\n"` for each record, rendering the packet column
+    of each datagram once for all the records that carry it."""
+    summaries: dict[int, str] = {}  # id(d) -> d's column
+    held: list[Ipv4Datagram] = []  # the cached datagrams: no other object takes their ids
+    for tick, node, action, reason, d in records:
+        column = summaries.get(id(d))
+        if column is None:
+            if len(summaries) >= SUMMARY_CACHE_ENTRIES:
+                summaries.clear()
+                held.clear()
+            column = summaries[id(d)] = packet_summary(d)
+            held.append(d)
+        yield f"{tick}\t{node}\t{action}\t{reason}\t{column}\n"
+
+
+_new_record = tuple.__new__  # builds a TraceRecord without its Python-level __new__
 
 # (tick, node, action, reason, datagram) for every trace record, kept or not
 Watcher = Callable[[int, str, str, str, Ipv4Datagram], None]
@@ -389,7 +411,7 @@ class Simulator:
         if records is None:
             self.trace.count += 1
         else:
-            records.append(TraceRecord(self.now, node, action, reason, d))
+            records.append(_new_record(TraceRecord, (self.now, node, action, reason, d)))
         for watch in self.watchers:
             watch(self.now, node, action, reason, d)
         if action == "drop":

@@ -334,6 +334,11 @@ def load_scenario(doc: dict) -> Scenario:
         config = _build(ProbeConfig, probe_doc, "probe", ("pre_echo_mtu",))
         if config.vantage not in host_nodes:
             raise ScenarioError(f"probe.vantage: {config.vantage!r} is not a host node")
+        # the vantage host observes the session a client opens to it
+        if server is not None and config.vantage == server.node:
+            raise ScenarioError(f"probe.vantage: {config.vantage!r} is also server.node")
+        if config.vantage in clients:
+            raise ScenarioError(f"probe.vantage: {config.vantage!r} is also one of clients")
         pre_echo = None
         pe_doc = _require(probe_doc, "pre_echo_mtu", dict, "probe", None)
         if pe_doc is not None:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import re
 import tracemalloc
 import weakref
@@ -11,7 +12,10 @@ import pytest
 from natsim import assess
 from natsim import scenario as sc
 from natsim.cli import main
-from natsim.fabric import keep_traces
+from natsim.fabric import Simulator, keep_traces, render_lines
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SHIPPED = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json"))
 
 # JSON nested too deep for the decoder's recursion limit
 DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
@@ -216,6 +220,47 @@ class TestReplay:
         path.write_text("")
         with pytest.raises(sc.ScenarioError):
             assess.replay(str(path))
+
+
+class TestTraceRendering:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_render_lines_matches_line_on_shipped_runs(self, name):
+        with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+            scn = sc.load_scenario(json.load(fh))
+        runs = [(scn.probe, assess.identify_scenario), (scn.attack, assess.attack_scenario)]
+        for block, run in runs:
+            if block is None:
+                continue
+            with keep_traces():
+                _, handles = run(scn, seed=1)
+            trace = handles.sim.trace
+            assert len(trace) > 0
+            assert "".join(render_lines(trace)) == "".join(rec.line() + "\n" for rec in trace)
+
+    def test_add_section_memory_does_not_follow_its_length(self):
+        # one run renders more datagrams than the summary cache holds; the
+        # long section is four runs' records, with four times the datagrams
+        scn = sc.load_scenario(fast_doc("m1", port_range=(40000, 40255)))
+        sims = []
+        for seed in range(1, 5):
+            with keep_traces():
+                sims.append(assess.attack_scenario(scn, seed=seed)[1].sim)
+        one = sims[0]
+        four = Simulator(seed=one.seed)
+        for sim in sims:
+            four.trace.records.extend(sim.trace)
+
+        def peak(sim):
+            sink = assess.TraceFile()
+            tracemalloc.start()
+            try:
+                sink.add_section(scn, "attack", sim)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(one)  # first-use allocations are not the section's
+        assert peak(four) < 1.5 * peak(one)
 
 
 class TestCli:

@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from natsim import scenario as sc
 from natsim.fabric import (
+    SUMMARY_CACHE_ENTRIES,
     DropClass,
     LinkSpec,
     MiddleboxFilter,
     NoSuchNodeError,
     Simulator,
+    TraceRecord,
+    render_lines,
 )
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
@@ -310,6 +313,33 @@ class TestTraceFormat:
         sim.run()
         line = sim.trace[0].line()
         assert "\tsend\t" in line and " R " in line
+
+
+class TestRenderLines:
+    @staticmethod
+    def reference(records):
+        return "".join(rec.line() + "\n" for rec in records)
+
+    def test_more_datagrams_than_the_cache_holds(self):
+        dgrams = [rst(length=i % 7) if i % 3 else big_echo(size=100 + i)
+                  for i in range(2 * SUMMARY_CACHE_ENTRIES + 5)]
+        records = []
+        for i, d in enumerate(dgrams):  # each datagram sent, then delivered
+            records += [TraceRecord(i, "n0", "send", "", d), TraceRecord(i + 1, "n2", "deliver", "", d)]
+        # and all of them once more, long after the cache was cleared
+        records += [TraceRecord(9999, "n1", "drop", "loss", d) for d in reversed(dgrams)]
+        assert "".join(render_lines(records)) == self.reference(records)
+
+    def test_records_made_while_rendering(self):
+        # each batch of datagrams is freed once its records are rendered, so
+        # the next batch is allocated where it was, under the same ids
+        def records():
+            for b in range(3 * SUMMARY_CACHE_ENTRIES // 64):
+                batch = [rst(length=64 * b + i) for i in range(64)]
+                yield from [TraceRecord(b, "n0", "send", "", d) for d in batch]
+                del batch
+
+        assert "".join(render_lines(records())) == self.reference(records())
 
 
 class TestRouting:

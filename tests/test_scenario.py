@@ -231,6 +231,9 @@ class TestValidation:
          "server.profile: unknown value 'bsd-like' (valid: linux-like, openbsd-like)"),
         (("probe", "pre_echo_mtu"), {"link": ["r1", "vantage"]}, "probe.pre_echo_mtu.mtu: required field missing"),
         (("workload", "payload"), 65536, "workload.payload: 65536 is outside [0, 65536)"),
+        # the vantage host must be neither the victims' server nor a client
+        (("server", "node"), "vantage", "probe.vantage: 'vantage' is also server.node"),
+        (("probe", "vantage"), "client1", "probe.vantage: 'client1' is also one of clients"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
