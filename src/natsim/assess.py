@@ -40,7 +40,8 @@ FIELD_CONTEXT_NOTE = (
     "not desk-scale simulator targets"
 )
 
-WRITE_LINES = 1024  # trace lines joined into one write to a section's spool
+WRITE_LINES = 1024  # trace lines joined into one write, or one read in replay
+TRACE_MARK = "#natsim-trace"  # the start of every section's first line
 
 
 @dataclass
@@ -201,13 +202,13 @@ class TraceFile:
         weakref.finalize(self, self._spool.close)
 
     def add_section(self, scn: Scenario, mode: str, sim: Simulator) -> None:
-        records = iter(sim.trace)  # raises before any byte is written if not kept
+        rows = sim.trace.rows()  # raises before any byte is written if not kept
         fh = self._spool
         fh.write(
-            f"#natsim-trace {VERSION}\n#name {scn.name}\n#mode {mode}\n#seed {sim.seed}\n"
+            f"{TRACE_MARK} {VERSION}\n#name {scn.name}\n#mode {mode}\n#seed {sim.seed}\n"
             f"#scenario {json.dumps(scn.doc, sort_keys=True)}\n"
         )
-        lines = render_lines(records)
+        lines = render_lines(rows)
         while chunk := "".join(itertools.islice(lines, WRITE_LINES)):
             fh.write(chunk)
 
@@ -240,11 +241,11 @@ def replay(path: str) -> ReplayResult:
     divergence = None
     try:
         with open(path, encoding="utf-8") as fh, keep_traces():
-            for ver, name, mode, seed, doc, lines in _sections(path, fh):
+            for ver, name, mode, seed, doc, body in _sections(path, fh):
                 found = True
                 version_mismatch |= ver != VERSION
                 if divergence is None:
-                    divergence = _replay_section(path, name, mode, seed, doc, lines)
+                    divergence = _replay_section(path, name, mode, seed, doc, body)
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
     if not found:
@@ -252,49 +253,63 @@ def replay(path: str) -> ReplayResult:
     return ReplayResult(divergence is None, version_mismatch, divergence)
 
 
-def _replay_section(path, name, mode, seed, doc, lines) -> str | None:
-    """Re-simulate one section and compare its recorded lines with freshly
-    rendered ones, a pair at a time; the first difference, or None."""
+def _replay_section(path, name, mode, seed, doc, body) -> str | None:
+    """Re-simulate one section and compare each block of its recorded lines
+    with as many freshly rendered ones, joined; the first difference, or None."""
     scn = scenario_mod.load_scenario(doc)
     if mode not in ("identify", "attack"):
         raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
     _, handles = run_section(scn, mode, seed)
-    fresh = render_lines(handles.sim.trace)
-    recorded = replayed = 0
-    for old, new in itertools.zip_longest(lines, fresh):
-        recorded += old is not None
-        replayed += new is not None
-        if old is not None and new is not None and old != new[:-1]:
-            return f"section {name} line {recorded}: recorded {old!r} vs replayed {new[:-1]!r}"
-    if recorded != replayed:
-        return f"section {name}: recorded {recorded} lines vs replayed {replayed}"
+    trace = handles.sim.trace
+    fresh = render_lines(trace.rows())
+    recorded = 0
+    for old in body:
+        count = old.count("\n")
+        new = "".join(itertools.islice(fresh, count))
+        if new != old:  # name the first differing line; `new` is short once `fresh` runs out
+            pairs = zip(old.split("\n"), new.split("\n")[:-1])
+            for number, (was, now) in enumerate(pairs, recorded + 1):
+                if was != now:
+                    return f"section {name} line {number}: recorded {was!r} vs replayed {now!r}"
+        recorded += count
+    if recorded != len(trace):
+        return f"section {name}: recorded {recorded} lines vs replayed {len(trace)}"
     return None
 
 
 def _sections(path: str, fh):
-    """Yield (version, name, mode, seed, doc, lines) for each section of an
-    open trace file.  `lines` iterates the section's non-empty record lines
-    straight from the file; whatever of them is left unread is skipped."""
-    count = 0
+    """Yield (version, name, mode, seed, doc, body) for each section of an
+    open trace file.  The file is read WRITE_LINES lines at a time, and each
+    block is cut before every line that starts a section.  `body` yields the
+    section's record lines a block at a time, blank lines dropped and each
+    line ending in a newline; whatever of it is left unread is skipped."""
+    blocks = _blocks(fh)
+    pending = next(blocks, "")  # the next section's first block
+    if pending and not pending.startswith(TRACE_MARK):
+        raise ScenarioError(f"{path}: malformed trace header")
 
-    def section_of(raw: str) -> int:
-        nonlocal count
-        count += raw.startswith("#natsim-trace")
-        return count
+    def body(text):
+        nonlocal pending
+        while text and not text.startswith(TRACE_MARK):
+            # blank lines, or the file's last line without its newline
+            if text[0] == "\n" or "\n\n" in text or text[-1] != "\n":
+                text = "".join(f"{line}\n" for line in text.split("\n") if line)
+            yield text
+            text = next(blocks, "")
+        pending = text
 
-    for number, group in itertools.groupby(fh, section_of):
-        if number == 0:
-            raise ScenarioError(f"{path}: malformed trace header")
-        lines = (raw.rstrip("\n") for raw in group)
-        version = next(lines).partition(" ")[2]
+    while pending:
+        line, _, text = pending.partition("\n")
+        version = line.partition(" ")[2]
         header = {"#name": "", "#mode": "", "#seed": None, "#scenario": None}
-        for line in lines:
+        while text or (text := next(blocks, "")):
+            line, _, rest = text.partition("\n")
             key, space, value = line.partition(" ")
             if space and key in header:
                 header[key] = value
             elif line:
-                lines = itertools.chain((line,), lines)
-                break
+                break  # the first record line, or the next section's
+            text = rest
         seed, doc = header["#seed"], header["#scenario"]
         try:
             seed = 0 if seed is None else int(seed)
@@ -304,7 +319,21 @@ def _sections(path: str, fh):
             doc = {} if doc is None else json.loads(doc)
         except (ValueError, RecursionError) as e:
             raise ScenarioError(f"{path}: #scenario: invalid JSON: {e}") from None
-        yield version, header["#name"], header["#mode"], seed, doc, filter(None, lines)
+        lines = body(text)
+        yield version, header["#name"], header["#mode"], seed, doc, lines
+        for _ in lines:  # sets `pending` to the next section's first block
+            pass
+
+
+def _blocks(fh):
+    """The text of an open trace file, WRITE_LINES lines at a time, with
+    each block cut before every line that starts a section."""
+    while block := "".join(itertools.islice(fh, WRITE_LINES)):
+        start = 0
+        while (cut := block.find("\n" + TRACE_MARK, start)) >= 0:
+            yield block[start : cut + 1]
+            start = cut + 1
+        yield block[start:]
 
 
 def probe_csv(target: str, verdict: Verdict) -> str:

@@ -12,6 +12,7 @@ Exit codes: 0 all expected outcomes matched, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,6 +51,15 @@ def _collect_scenarios(paths: list[str]) -> list[scenario_mod.Scenario]:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised inside the block as a configuration error."""
+    try:
+        yield
+    except OSError as e:
+        raise ScenarioError(f"{path}: {e}") from None
+
+
 def _driven(command):
     """A command that runs sections: `command(args, sink)` runs them, prints
     its own output and returns its rows and CSV text.  The wrapper gives it
@@ -60,10 +70,11 @@ def _driven(command):
         sink = assess_mod.TraceFile() if args.trace else None
         rows, csv = command(args, sink)
         if args.csv:
-            with open(args.csv, "w") as fh:
+            with _writing(args.csv), open(args.csv, "w") as fh:
                 fh.write(csv)
         if sink is not None:
-            sink.write(args.trace)
+            with _writing(args.trace):
+                sink.write(args.trace)
         return 2 if any(r.expected_mismatch or r.error for r in rows) else 0
 
     return drive

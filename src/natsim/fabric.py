@@ -9,13 +9,16 @@ per RFC 791 and forwarded in offset order.
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
 Every trace record is counted and shown to the registered watchers; the
-records themselves are kept only when asked (see `keep_traces`).
+records themselves are kept only when asked (see `keep_traces`), as five
+slots each of one flat list: a kept record allocates no object of its own
+for the cyclic GC to track and rescan.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
 import heapq
 import random
@@ -175,7 +178,8 @@ def render_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
         yield f"{tick}\t{node}\t{action}\t{reason}\t{column}\n"
 
 
-_new_record = tuple.__new__  # builds a TraceRecord without its Python-level __new__
+# a TraceRecord from a (tick, node, action, reason, dgram) row, without its __new__
+_as_record = functools.partial(tuple.__new__, TraceRecord)
 
 # (tick, node, action, reason, datagram) for every trace record, kept or not
 Watcher = Callable[[int, str, str, str, Ipv4Datagram], None]
@@ -201,24 +205,31 @@ def traces_kept() -> bool:
 
 class Trace:
     """The packet trace: len() counts every record; the records themselves
-    are there only when the trace was kept."""
+    are there only when the trace was kept, five flat slots each."""
 
     __slots__ = ("count", "records")
 
     def __init__(self, keep: bool = True):
         self.count = 0  # records made while not kept
-        self.records: list[TraceRecord] | None = [] if keep else None
+        self.records: list | None = [] if keep else None
 
     def __len__(self) -> int:
-        return self.count if self.records is None else len(self.records)
+        return self.count if self.records is None else len(self.records) // 5
 
-    def __iter__(self):
-        return iter(self._kept())
+    def rows(self) -> Iterator[tuple]:
+        """The kept records as plain (tick, node, action, reason, dgram) rows."""
+        slots = iter(self._kept())
+        return zip(slots, slots, slots, slots, slots)
 
-    def __getitem__(self, i):
-        return self._kept()[i]
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_as_record, self.rows())
 
-    def _kept(self) -> list[TraceRecord]:
+    def __getitem__(self, i: int) -> TraceRecord:
+        records = self._kept()
+        start = range(0, len(records), 5)[i]  # raises IndexError as a list would
+        return _as_record(records[start : start + 5])
+
+    def _kept(self) -> list:
         if self.records is None:
             raise TraceNotKeptError(
                 f"{self.count} trace records were counted, not kept; run inside fabric.keep_traces()"
@@ -411,7 +422,7 @@ class Simulator:
         if records is None:
             self.trace.count += 1
         else:
-            records.append(_new_record(TraceRecord, (self.now, node, action, reason, d)))
+            records += (self.now, node, action, reason, d)
         for watch in self.watchers:
             watch(self.now, node, action, reason, d)
         if action == "drop":

@@ -666,80 +666,31 @@ def default_suite() -> list[Scenario]:
     identification scenarios (plus their separate-host twins), and the two
     observed failure classes."""
     docs = []
+    profiles = (("linux-like", "sequential"), ("openbsd-like", "preserving"))
     for rst in ("vulnerable-remove", "forward-only", "strict-validate"):
         for unmapped in ("rst-reply", "silent-drop"):
-            for profile in ("linux-like", "openbsd-like"):
-                vulnerable = rst == "vulnerable-remove" and profile == "linux-like"
-                if profile == "openbsd-like":
-                    allocation, start = "preserving", 40000
-                    diagnosis = {
-                        "vulnerable-remove": "no-dup-ack-from-server",
-                        "forward-only": "forwarded-rst-no-removal",
-                        "strict-validate": "no-dup-ack-from-server",
-                    }[rst]
+            for profile, allocation in profiles:
+                if rst == "forward-only":
+                    diagnosis = "forwarded-rst-no-removal"
                 else:
-                    allocation, start = "sequential", 40000
-                    diagnosis = {
-                        "vulnerable-remove": "none",
-                        "forward-only": "forwarded-rst-no-removal",
-                        "strict-validate": "none",
-                    }[rst]
-                docs.append(
-                    nat_scenario_doc(
-                        f"matrix-{rst}-{unmapped}-{profile}",
-                        rst_handling=rst,
-                        unmapped_inbound=unmapped,
-                        port_allocation=allocation,
-                        sequential_start=start,
-                        server_profile=profile,
-                        expect={
-                            "verdict": "nat-device",
-                            "attack_success": vulnerable,
-                            "diagnosis": "none" if vulnerable else diagnosis,
-                        },
-                    )
-                )
+                    diagnosis = "none" if profile == "linux-like" else "no-dup-ack-from-server"
+                vulnerable = rst == "vulnerable-remove" and profile == "linux-like"
+                expect = {"verdict": "nat-device", "attack_success": vulnerable, "diagnosis": diagnosis}
+                docs.append(nat_scenario_doc(
+                    f"matrix-{rst}-{unmapped}-{profile}", rst_handling=rst, unmapped_inbound=unmapped,
+                    port_allocation=allocation, server_profile=profile, expect=expect))
     for mtu in (1500, 1492, 576):
-        pre_echo = mtu if mtu < 600 else None
-        static = mtu if mtu >= 600 else 1500
-        docs.append(
-            nat_scenario_doc(
-                f"frag-router-{mtu}-nat",
-                router_vantage_mtu=static,
-                pre_echo_mtu=pre_echo,
-                with_probe=True,
-                expect={"verdict": "nat-device", "attack_success": True, "diagnosis": "none"},
-            )
-        )
-        docs.append(
-            host_scenario_doc(
-                f"frag-router-{mtu}-host",
-                router_vantage_mtu=static,
-                pre_echo_mtu=pre_echo,
-                expect={"verdict": "separate-host"},
-            )
-        )
-    docs.append(
-        nat_scenario_doc(
-            "failure-forwarding-wifi",
-            rst_handling="forward-only",
-            expect={
-                "verdict": "nat-device",
-                "attack_success": False,
-                "diagnosis": "forwarded-rst-no-removal",
-            },
-        )
-    )
-    docs.append(
-        nat_scenario_doc(
-            "failure-middlebox-cloud",
-            nat_inbound_filter=["tcp-rst-inbound", "icmp-error"],
-            force_attack=True,
-            expect={
-                "verdict": "unknown",
-                "attack_success": False,
-                "diagnosis": "rst-blocked-by-middlebox",
-            },
-        )
-    )
+        pre_echo, static = (mtu, 1500) if mtu < 600 else (None, mtu)
+        docs.append(nat_scenario_doc(
+            f"frag-router-{mtu}-nat", router_vantage_mtu=static, pre_echo_mtu=pre_echo,
+            expect={"verdict": "nat-device", "attack_success": True, "diagnosis": "none"}))
+        docs.append(host_scenario_doc(
+            f"frag-router-{mtu}-host", router_vantage_mtu=static, pre_echo_mtu=pre_echo,
+            expect={"verdict": "separate-host"}))
+    docs.append(nat_scenario_doc("failure-forwarding-wifi", rst_handling="forward-only", expect={
+        "verdict": "nat-device", "attack_success": False, "diagnosis": "forwarded-rst-no-removal"}))
+    docs.append(nat_scenario_doc(
+        "failure-middlebox-cloud", nat_inbound_filter=["tcp-rst-inbound", "icmp-error"],
+        force_attack=True, expect={
+            "verdict": "unknown", "attack_success": False, "diagnosis": "rst-blocked-by-middlebox"}))
     return [load_scenario(d) for d in docs]

@@ -199,6 +199,40 @@ class TestReplay:
         sink.write(str(tmp_path / "w1.trace"))
         assert assess.replay(str(tmp_path / "w1.trace")).identical
 
+    def test_blank_lines_in_a_body_are_skipped(self, tmp_path):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines()
+        second = [i for i, l in enumerate(lines) if l == "#name m2"][0]
+        for at in (len(lines) - 1, second + 900, second + 10, second + 5):
+            lines[at:at] = [""] * 3
+        path.write_text("\n".join(lines) + "\n\n")
+        assert assess.replay(str(path)).describe() == "identical"
+
+    def test_extra_lines_in_a_middle_section_are_counted(self, tmp_path):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines()
+        second = [i for i, l in enumerate(lines) if l == "#name m2"][0]
+        third = [i for i, l in enumerate(lines) if l == "#name m3"][0] - 1
+        body = third - (second + 4)
+        lines[third:third] = lines[third - 2 : third]
+        path.write_text("\n".join(lines) + "\n")
+        result = assess.replay(str(path))
+        assert result.divergence == f"section m2: recorded {body + 2} lines vs replayed {body}"
+
+    # the header takes five lines, so body lines 1,019 and 1,020 end and
+    # start a 1,024-line block of the file
+    @pytest.mark.parametrize("line", [1019, 1020, 1024, 1025])
+    def test_divergence_at_a_block_edge_names_its_line(self, tmp_path, line):
+        path = self.write_trace(tmp_path, fast_doc("e1"))
+        lines = path.read_text().splitlines()
+        assert len(lines) > line + 5
+        original = lines[line + 4]
+        lines[line + 4] = original + " "
+        path.write_text("\n".join(lines) + "\n")
+        result = assess.replay(str(path))
+        assert result.divergence == (
+            f"section e1 line {line}: recorded {original + ' '!r} vs replayed {original!r}")
+
     def test_replay_memory_follows_the_largest_section(self, tmp_path):
         one = self.write_trace(tmp_path, fast_doc("b1"))
         four = tmp_path / "four.trace"
@@ -248,7 +282,7 @@ class TestTraceRendering:
         one = sims[0]
         four = Simulator(seed=one.seed)
         for sim in sims:
-            four.trace.records.extend(sim.trace)
+            four.trace.records.extend(sim.trace.records)
 
         def peak(sim):
             sink = assess.TraceFile()
@@ -372,6 +406,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: invalid JSON: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("command", ["identify", "attack", "assess"])
+    @pytest.mark.parametrize("option", ["--csv", "--trace"])
+    def test_unwritable_output_exits_1_with_one_line(self, tmp_path, capsys, command, option):
+        scenario = self.scenario_file(tmp_path, fast_doc("c13"))
+        path = tmp_path / "missing" / "out"
+        assert main([command, scenario, "--quiet", option, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ") and err.count("\n") == 1
+        assert "No such file or directory" in err
 
     def test_assess_directory(self, tmp_path):
         self.scenario_file(tmp_path, fast_doc("c7", expect={"attack_success": True}))

@@ -3,6 +3,7 @@
 import gc
 import heapq
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -313,6 +314,45 @@ class TestTraceFormat:
         sim.run()
         line = sim.trace[0].line()
         assert "\tsend\t" in line and " R " in line
+
+
+class TestKeptTrace:
+    def test_a_kept_record_costs_its_five_slots(self):
+        # the records share one datagram and one tick, so what each costs is
+        # its place in the trace: five list slots, not a tuple of its own
+        sim = chain(2)
+        d = rst(dst="10.1.0.2")
+        n = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(n):
+                sim.record("n0", "send", "", d)
+            per_record = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert len(sim.trace) == n
+        assert per_record < 48
+
+    def test_records_read_back_as_the_watcher_saw_them(self):
+        sim = chain(3, seed=7, loss=0.2)
+        sim.set_link_mtu("n1", "n2", 600)
+        seen = []
+        with sim.watching(lambda *rec: seen.append(rec)):
+            for i in range(4):
+                sim.inject("n0", big_echo(size=700 + i))
+                sim.inject("n0", rst(length=i))
+            sim.run()
+        trace = sim.trace
+        assert len(seen) > 10
+        assert len(trace) == len(seen)
+        assert list(trace) == seen
+        assert all(type(rec) is TraceRecord for rec in trace)
+        assert trace[0] == seen[0] and trace[-1] == seen[-1]
+        assert trace[-len(seen)] == seen[0] and trace[0].dgram is seen[0][4]
+        for i in (len(seen), -len(seen) - 1):
+            with pytest.raises(IndexError):
+                trace[i]
 
 
 class TestRenderLines:
