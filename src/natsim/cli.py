@@ -62,11 +62,18 @@ def _writing(path: str):
 
 def _driven(command):
     """A command that runs sections: `command(args, sink)` runs them, prints
-    its own output and returns its rows and CSV text.  The wrapper gives it
-    the trace sink, writes the CSV and the trace, and exits 2 when a row
-    failed or missed its expectations."""
+    its own output and returns its rows and CSV text.  The wrapper tries the
+    CSV and trace paths first (leaving no new file), gives the command the
+    trace sink, writes the CSV and the trace, and exits 2 when a row failed
+    or missed its expectations."""
 
     def drive(args) -> int:
+        for path in filter(None, (args.csv, args.trace)):
+            existed = os.path.lexists(path)
+            with _writing(path), open(path, "a"):
+                pass
+            if not existed:
+                os.remove(path)
         sink = assess_mod.TraceFile() if args.trace else None
         rows, csv = command(args, sink)
         if args.csv:

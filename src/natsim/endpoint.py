@@ -220,19 +220,6 @@ class Socket:
         return (self.local_port, self.remote[0], self.remote[1])
 
 
-@dataclass(frozen=True, slots=True)
-class TcpObservation:
-    """One TCP arrival as seen by an observing host (a vantage point)."""
-
-    tick: int
-    dgram: Ipv4Datagram
-    segment: TcpSegment
-
-    @property
-    def size(self) -> int:
-        return self.dgram.total_length
-
-
 class Host(IpNode):
     """A host endpoint attached to one simulator node."""
 
@@ -249,15 +236,14 @@ class Host(IpNode):
         super().__init__(node_id, address)
         self.profile = profile
         self.ephemeral_range = ephemeral_range
-        # a vantage host records each TCP arrival in `observations` and
-        # leaves the data it receives unacknowledged, for the probe
+        # a vantage host logs each TCP segment and echo reply it takes in as
+        # (tick, datagram) and leaves its data unacknowledged, for the probe
         self.vantage = vantage
         self.sockets: dict[ConnKey, Socket] = {}
         self.listeners: set[int] = set()
         self.dup_acks_sent = 0
         self.dup_ack_log: list[tuple[int, ConnKey, int]] = []  # (tick, key, ack value)
-        self.observations: list[TcpObservation] = []
-        self.echo_log: list[tuple[int, str, int, int, int]] = []  # tick, src, total, ident, seq_no
+        self.arrivals: list[tuple[int, Ipv4Datagram]] = []
         self._rng = derive_rng(seed, "host", node_id)
         self._used_ports: set[int] = set()
 
@@ -289,16 +275,14 @@ class Host(IpNode):
 
     def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
         p = d.payload
+        if self.vantage and isinstance(p, (TcpSegment, EchoReply)):
+            self.arrivals.append((sim.now, d))
         if isinstance(p, bytes):
             self._on_fragment(sim, d)
         elif isinstance(p, TcpSegment):
-            if self.vantage:
-                self.observations.append(TcpObservation(sim.now, d, p))
             self._on_tcp(sim, d, p)
         elif isinstance(p, EchoRequest):
             self._echo(sim, d, p)
-        elif isinstance(p, EchoReply):
-            self.echo_log.append((sim.now, d.src, d.total_length, p.ident, p.seq_no))
         elif isinstance(p, FragNeeded):
             self._on_frag_needed(sim, d, p)
 
@@ -416,5 +400,11 @@ class Host(IpNode):
     def socket(self, key: ConnKey) -> Socket | None:
         return self.sockets.get(key)
 
-    def observations_after(self, tick: int, src: str) -> list[TcpObservation]:
-        return [o for o in self.observations if o.tick > tick and o.dgram.src == src]
+    def state(self, key: ConnKey) -> str:
+        """The socket's state; CLOSED when there is no such socket."""
+        sock = self.sockets.get(key)
+        return sock.state if sock else TcpState.CLOSED
+
+    def observations_after(self, tick: int, src: str) -> list[tuple[int, Ipv4Datagram]]:
+        """The logged arrivals from `src` after `tick`, as (tick, datagram)."""
+        return [(t, d) for t, d in self.arrivals if t > tick and d.src == src]

@@ -111,7 +111,6 @@ class Node:
 @dataclass(slots=True)
 class Counters:
     packets_sent: int = 0
-    octets_sent: int = 0
     packets_delivered: int = 0
     packets_dropped: int = 0
 
@@ -353,19 +352,21 @@ class Simulator:
         return not self._ticks
 
     def run_until(self, done: Callable[[], bool], deadline: int) -> bool:
-        """Run tick by tick until done() holds; False once the deadline is
-        reached or nothing is left to run before it does."""
+        """Run until done() holds; False once the deadline is reached or
+        nothing is left to run before it does.  Each step runs to the next
+        event's tick, at least one tick on: that stops where a tick-by-tick
+        run would as long as done() reads only state that events change."""
         while not done():
             if self.now >= deadline or self.idle:
                 return False
-            self.run(until=self.now + 1)
+            self.run(until=min(max(self._ticks[0], self.now + 1), deadline))
         return True
 
     def inject(self, at: str, d: Ipv4Datagram) -> int:
         """Originate a datagram at a node; counted against its totals."""
         if at not in self.nodes:
             raise NoSuchNodeError(f"no-such-node: {at}")
-        self._count_sent(at, d)
+        self.counters[at].packets_sent += 1
         self.record(at, "send", "", d)
         return self._schedule(self.now, ("emit", at, d))
 
@@ -400,7 +401,7 @@ class Simulator:
 
     def send_from(self, node: str, d: Ipv4Datagram) -> None:
         """Node-originated packet: counted, traced as a send, then routed."""
-        self._count_sent(node, d)
+        self.counters[node].packets_sent += 1
         self.record(node, "send", "", d)
         self._traverse(node, d)
 
@@ -429,11 +430,6 @@ class Simulator:
             self.counters[node].packets_dropped += 1
 
     # -- internals ---------------------------------------------------------------
-
-    def _count_sent(self, node: str, d: Ipv4Datagram) -> None:
-        c = self.counters[node]
-        c.packets_sent += 1
-        c.octets_sent += d.total_length
 
     def _traverse(self, node: str, d: Ipv4Datagram) -> None:
         hop = self.routes.get(node, {}).get(d.dst)

@@ -125,16 +125,14 @@ def run_identification(
     """
     obs = Observation()
 
-    first = _wait_for_observation(
-        sim, vantage, target_addr, after_tick=-1, deadline=sim.now + cfg.timeout_ticks
-    )
+    first = _next_arrival(sim, vantage, target_addr, -1, sim.now + cfg.timeout_ticks, _carries_data)
     if first is None:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK, obs)
-    obs.baseline_tcp_size = first.size
+    obs.baseline_tcp_size = first[1].total_length
 
     # stage 1: plant the forged next-hop MTU
-    crafted = craft_frag_needed(first.dgram, cfg.forged_mtu)
-    probe_tick = sim.now
+    crafted = craft_frag_needed(first[1], cfg.forged_mtu)
+    seen = sim.now  # what arrived by the probe's own tick predates it
     sim.send_from(
         vantage.node_id,
         Ipv4Datagram(
@@ -144,7 +142,17 @@ def run_identification(
             payload=crafted,
         ),
     )
-    if not _confirm_shrink(sim, vantage, target_addr, cfg, probe_tick, obs):
+    # the first segment after the probe, or one more if that was in flight
+    deadline = sim.now + cfg.timeout_ticks
+    for _ in range(2):
+        nxt = _next_arrival(sim, vantage, target_addr, seen, deadline, _carries_data)
+        if nxt is None:
+            break
+        seen, dgram = nxt
+        obs.post_probe_tcp_size = dgram.total_length
+        if obs.post_probe_tcp_size <= cfg.forged_mtu:
+            break
+    if obs.post_probe_tcp_size is None or obs.post_probe_tcp_size > cfg.forged_mtu:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK, obs)
 
     if before_echo is not None:
@@ -179,17 +187,16 @@ def run_identification(
                 payload=EchoRequest(ident=ident, seq_no=1, padding_length=cfg.baseline_size - 28),
             ),
         )
-        sim.run_until(
-            lambda: any(t > echo_tick and src == target_addr for t, src, *_ in vantage.echo_log),
-            sim.now + cfg.timeout_ticks,
+        reply = _next_arrival(
+            sim, vantage, target_addr, echo_tick, sim.now + cfg.timeout_ticks,
+            lambda p: isinstance(p, EchoReply),
         )
-    completed = [e for e in vantage.echo_log if e[0] > echo_tick and e[1] == target_addr]
 
     obs.echo_reply_fragments = [total for total, _ in frags]
     obs.echo_reply_boundaries = frozenset(off * 8 for _, off in frags if off > 0)
-    if not completed:
+    if reply is None:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_ECHO_REPLY, obs)
-    obs.echo_reply_total = completed[0][2]
+    obs.echo_reply_total = reply[1].total_length
 
     return _classify(obs, cfg, path_mtu)
 
@@ -230,28 +237,25 @@ def restore_path_mtu(sim: Simulator, target_addr: str, vantage_addr: str) -> int
 # -- helpers -------------------------------------------------------------------
 
 
-def _wait_for_observation(sim, vantage: Host, target: str, *, after_tick: int, deadline: int):
-    """Next data-carrying segment from the target; pure ACKs say nothing
-    about the sender's path MTU sizing."""
-
-    def first_hit():
-        hits = vantage.observations_after(after_tick, target)
-        return next((o for o in hits if o.segment.payload_length > 0), None)
-
-    return first_hit() if sim.run_until(lambda: first_hit() is not None, deadline) else None
+def _carries_data(p) -> bool:
+    """A segment with data: a pure ACK says nothing of the sender's path MTU."""
+    return isinstance(p, wire.TcpSegment) and p.payload_length > 0
 
 
-def _confirm_shrink(sim, vantage, target, cfg, probe_tick, obs) -> bool:
-    """First post-probe segment, with one retry for anything already in
-    flight when the forged message landed."""
-    deadline = sim.now + cfg.timeout_ticks
-    seen = probe_tick
-    for _ in range(2):
-        nxt = _wait_for_observation(sim, vantage, target, after_tick=seen, deadline=deadline)
-        if nxt is None:
-            return False
-        obs.post_probe_tcp_size = nxt.size
-        if nxt.size <= cfg.forged_mtu:
-            return True
-        seen = nxt.tick
-    return False
+def _next_arrival(sim, vantage: Host, target: str, after_tick: int, deadline: int, wanted):
+    """The first (tick, datagram) the vantage logs from `target` after
+    `after_tick` whose payload `wanted` accepts, running the simulator to it
+    (None by the deadline); each check reads only the arrivals since the last."""
+    log, found = vantage.arrivals, []
+    read = 0
+
+    def arrived() -> bool:
+        nonlocal read
+        while read < len(log) and not found:
+            tick, d = log[read]
+            read += 1
+            if tick > after_tick and d.src == target and wanted(d.payload):
+                found.append((tick, d))
+        return bool(found)
+
+    return found[0] if sim.run_until(arrived, deadline) else None

@@ -36,6 +36,7 @@ DOCUMENT_KEYS = (
 )
 PROFILES = {"linux-like": LINUX_LIKE, "openbsd-like": OPENBSD_LIKE}
 SESSION_PAYLOAD = 1460  # guarantees one full-sized baseline segment
+DOC_CLIENTS = 4  # the clients of a canonical NAT document
 
 
 class ScenarioError(Exception):
@@ -482,11 +483,6 @@ class EstablishError(Exception):
     pass
 
 
-def _established(host: Host, key: tuple) -> bool:
-    sock = host.socket(key)
-    return sock is not None and sock.state == TcpState.ESTABLISHED
-
-
 def establish(handles: Handles) -> None:
     """Open the victim connections, push one round of data through each,
     and start the vantage session workload."""
@@ -504,7 +500,7 @@ def establish(handles: Handles) -> None:
                 ),
             )
         established = lambda: len(handles.victims) == scn.workload.connections and all(
-            _established(h, k) for h, k in handles.victims
+            h.state(k) == TcpState.ESTABLISHED for h, k in handles.victims
         )
         if not sim.run_until(established, sim.now + 40 + 4 * scn.workload.connections):
             raise EstablishError(f"{scn.name}: victim connections failed to establish")
@@ -516,12 +512,12 @@ def establish(handles: Handles) -> None:
         client = handles.hosts[scn.clients[0]]
         vantage_addr = handles.vantage_host.address
         key = client.open_connection(sim, (vantage_addr, 80))
-        if not sim.run_until(lambda: _established(client, key), sim.now + 40):
+        if not sim.run_until(lambda: client.state(key) == TcpState.ESTABLISHED, sim.now + 40):
             raise EstablishError(f"{scn.name}: vantage session failed to establish")
         horizon = sim.now + 4 * scn.probe.config.timeout_ticks
 
         def periodic(s: Simulator):
-            if _established(client, key):
+            if client.state(key) == TcpState.ESTABLISHED:
                 client.send_data(s, key, SESSION_PAYLOAD)
             if s.now + scn.workload.send_period <= horizon:
                 s.schedule_call(s.now + scn.workload.send_period, periodic)
@@ -536,15 +532,11 @@ def nat_scenario_doc(
     name: str,
     *,
     seed: int = 1,
-    clients: int = 4,
     rst_handling: str = "vulnerable-remove",
     unmapped_inbound: str = "rst-reply",
     port_allocation: str = "sequential",
-    sequential_start: int = 40000,
     pmtud_sync: str = "leaky",
-    require_ack_on_rst: bool = False,
     server_profile: str = "linux-like",
-    server_port: int = 80,
     router_vantage_mtu: int = 1500,
     pre_echo_mtu: int | None = None,
     nat_inbound_filter: list[str] | None = None,
@@ -552,7 +544,6 @@ def nat_scenario_doc(
     port_range: tuple[int, int] = (40000, 42047),
     rounds: int = 2,
     interleave_batch: int = 64,
-    forged_mtu: int = 600,
     loss: float = 0.0,
     with_probe: bool = True,
     force_attack: bool = False,
@@ -562,7 +553,7 @@ def nat_scenario_doc(
     vantage, attacker}, all links 1500/delay 1 unless overridden."""
     nodes = [
         {"id": f"client{i + 1}", "kind": "client", "address": f"10.0.0.{i + 2}"}
-        for i in range(clients)
+        for i in range(DOC_CLIENTS)
     ]
     nodes += [
         {"id": "nat", "kind": "nat", "address": "6.6.6.6"},
@@ -572,7 +563,7 @@ def nat_scenario_doc(
         {"id": "attacker", "kind": "attacker", "address": "9.9.9.9"},
     ]
     links = []
-    for i in range(clients):
+    for i in range(DOC_CLIENTS):
         links += [
             {"from": f"client{i + 1}", "to": "nat"},
             {"from": "nat", "to": f"client{i + 1}"},
@@ -599,15 +590,15 @@ def nat_scenario_doc(
         "nat": {
             "node": "nat",
             "rst_handling": rst_handling,
-            "require_ack_on_rst": require_ack_on_rst,
+            "require_ack_on_rst": False,
             "unmapped_inbound": unmapped_inbound,
             "port_allocation": port_allocation,
-            "sequential_start": sequential_start,
+            "sequential_start": 40000,
             "pmtud_sync": pmtud_sync,
         },
-        "server": {"node": "server", "profile": server_profile, "port": server_port},
+        "server": {"node": "server", "profile": server_profile, "port": 80},
         "ephemeral_range": list(ephemeral_range),
-        "workload": {"connections": clients, "send_period": 10, "payload": 512},
+        "workload": {"connections": DOC_CLIENTS, "send_period": 10, "payload": 512},
         "attack": {
             "dst_port_range": list(port_range),
             "push_ack_src_port_range": list(port_range),
@@ -618,7 +609,7 @@ def nat_scenario_doc(
         "expect": expect,
     }
     if with_probe:
-        doc["probe"] = {"forged_mtu": forged_mtu, "vantage": "vantage"}
+        doc["probe"] = {"forged_mtu": ProbeConfig.forged_mtu, "vantage": "vantage"}
         if pre_echo_mtu is not None:
             doc["probe"]["pre_echo_mtu"] = {"link": ["r1", "vantage"], "mtu": pre_echo_mtu}
     return doc
@@ -630,7 +621,6 @@ def host_scenario_doc(
     seed: int = 1,
     router_vantage_mtu: int = 1500,
     pre_echo_mtu: int | None = None,
-    forged_mtu: int = 600,
     expect: dict | None = None,
 ) -> dict:
     """A directly addressed host talking to the vantage: the probe's
@@ -652,7 +642,7 @@ def host_scenario_doc(
         "nat": None,
         "server": None,
         "workload": {"connections": 0, "send_period": 10, "payload": 512},
-        "probe": {"forged_mtu": forged_mtu, "vantage": "vantage"},
+        "probe": {"forged_mtu": ProbeConfig.forged_mtu, "vantage": "vantage"},
         "expect": expect,
     }
     if pre_echo_mtu is not None:

@@ -208,7 +208,7 @@ class StrikeContext:
 def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> AttackReport:
     """Drive the interleaved sweeps, then trigger each victim's next send
     and collect the outcome."""
-    victims = [(h, k) for h, k in ctx.victims if _state(h, k) == TcpState.ESTABLISHED]
+    victims = [(h, k) for h, k in ctx.victims if h.state(k) == TcpState.ESTABLISHED]
     if not victims:
         raise NothingToAttackError("nothing-to-attack")
 
@@ -218,7 +218,6 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         # every round sends the same packets: holding them costs less than
         # crafting them again; a one-round attack crafts each batch as it goes
         batches = list(batches)
-    sent_before = sim.counters[ctx.attacker_node].octets_sent
     removed_before = ctx.nat.mappings_removed_by_rst if ctx.nat else 0
     # only sockets that predate the attack count toward server resets;
     # half-open ghosts from blocked attempts are scored as blocked instead
@@ -244,6 +243,7 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
                 for batch in (rsts, pushes):
                     for pkt in batch:
                         sim.inject(ctx.attacker_node, pkt)
+                        report.octets_sent += pkt.total_length
                     if batch:
                         last_inject = sim.now
                     sim.run(until=sim.now + 1)
@@ -253,11 +253,10 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
 
         # the victims' own next transmissions complete the teardown chain
         for host, key in victims + attempts:
-            if _state(host, key) == TcpState.ESTABLISHED:
+            if host.state(key) == TcpState.ESTABLISHED:
                 host.send_data(sim, key, ctx.probe_payload)
         sim.run(until=sim.now + plan.settle_ticks)
 
-    report.octets_sent = sim.counters[ctx.attacker_node].octets_sent - sent_before
     if report.duration_ticks > 0 and ctx.tick_duration > 0:
         report.implied_bandwidth = report.octets_sent / (report.duration_ticks * ctx.tick_duration)
     report.mappings_removed = (ctx.nat.mappings_removed_by_rst - removed_before) if ctx.nat else 0
@@ -267,11 +266,11 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         if ctx.server_host.sockets[k].reset_record is not None
     )
     report.client_connections_torn = sum(
-        1 for h, k in victims if _state(h, k) == TcpState.CLOSED
+        1 for h, k in victims if h.state(k) == TcpState.CLOSED
     )
     report.new_connections_attempted = len(attempts)
     report.new_connections_blocked = sum(
-        1 for h, k in attempts if _state(h, k) != TcpState.ESTABLISHED
+        1 for h, k in attempts if h.state(k) != TcpState.ESTABLISHED
     )
     report.success = report.client_connections_torn == len(victims) and (
         report.new_connections_blocked == len(attempts)
@@ -282,11 +281,6 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
 
 
 # -- outcome analysis ------------------------------------------------------------
-
-
-def _state(host: Host, key: ConnKey) -> str:
-    sock = host.socket(key)
-    return sock.state if sock else TcpState.CLOSED
 
 
 def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):

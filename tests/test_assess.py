@@ -417,6 +417,15 @@ class TestCli:
         assert err.startswith(f"configuration error: {path}: ") and err.count("\n") == 1
         assert "No such file or directory" in err
 
+    def test_unwritable_trace_fails_before_any_section_runs(self, tmp_path, capsys, monkeypatch):
+        sections = []
+        monkeypatch.setattr(assess, "run_section", lambda *args: sections.append(args))
+        path = tmp_path / "missing" / "x.trace"
+        assert main(["assess", "--trace", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ") and err.count("\n") == 1
+        assert sections == []
+
     def test_assess_directory(self, tmp_path):
         self.scenario_file(tmp_path, fast_doc("c7", expect={"attack_success": True}))
         self.scenario_file(tmp_path, fast_doc(

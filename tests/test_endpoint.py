@@ -198,6 +198,23 @@ class TestEchoResponder:
         assert self.sizes(sim) == []
         assert any(r.reason == "reassembly-timeout" for r in sim.trace)
 
+    @given(replies=st.lists(st.tuples(
+        st.sampled_from(["1.1.1.1", "9.9.9.9", "203.0.113.99"]),
+        st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.integers(0, 4000),
+    ), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_echo_replies_leave_no_state_at_a_non_vantage_host(self, replies):
+        """Whole and fragmented echo replies, from any source, grow no list
+        of a host that is not the probe's vantage."""
+        sim, a, b = host_pair()
+        lengths = lambda: {k: len(v) for k, v in vars(b).items() if isinstance(v, list)}
+        before = lengths()
+        for i, (src, ident, seq_no, padding) in enumerate(replies):
+            sim.inject("a", Ipv4Datagram(src=src, dst="2.2.2.2", protocol=Protocol.ICMP,
+                                         payload=EchoReply(ident, seq_no, padding), identification=i))
+        sim.run()
+        assert lengths() == before
+
 
 class TestResetBehavior:
     def established(self, profile=None):

