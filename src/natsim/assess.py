@@ -89,7 +89,7 @@ def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, 
         before_echo=before_echo,
     )
     # undo the planted path MTU, mirroring a polite prober
-    probe_mod.restore_path_mtu(handles.sim, scn.target_addr, handles.vantage_host.address)
+    probe_mod.restore_path_mtu(handles.sim, handles.vantage_host.address)
     return verdict, handles
 
 
@@ -137,11 +137,12 @@ def run_section(
 ) -> tuple[Verdict | AttackReport, Handles]:
     """Run one `mode` ("identify" or "attack") on a fresh instance of `scn`;
     with a `sink`, the run keeps its trace and is added to it as a section."""
-    with keep_traces(sink is not None):
-        run = identify_scenario if mode == "identify" else attack_scenario
+    run = identify_scenario if mode == "identify" else attack_scenario
+    if sink is None:
+        return run(scn, seed=seed)
+    with keep_traces():
         result, handles = run(scn, seed=seed)
-    if sink is not None:
-        sink.add_section(scn, mode, handles.sim)
+    sink.add_section(scn, mode, handles.sim)
     return result, handles
 
 

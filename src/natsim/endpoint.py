@@ -69,12 +69,11 @@ OPENBSD_LIKE = StackProfile(name="openbsd-like", emits_dup_ack_on_stray_push_ack
 class PathMtuCache:
     """Per-destination path MTU; entries only shrink between resets."""
 
-    def __init__(self, default: int = wire.DEFAULT_MTU):
-        self.default = default
+    def __init__(self):
         self.entries: dict[str, int] = {}
 
     def get(self, dst: str) -> int:
-        return self.entries.get(dst, self.default)
+        return self.entries.get(dst, wire.DEFAULT_MTU)
 
     def shrink(self, dst: str, mtu: int) -> int:
         new = max(wire.MIN_MTU, min(mtu, self.get(dst)))

@@ -6,6 +6,12 @@ forwarding a too-large DF datagram drops it and answers with an ICMP
 Fragmentation Needed carrying the link MTU; DF-clear datagrams are split
 per RFC 791 and forwarded in offset order.
 
+Routing is static: `finalize_routes` gives each node one forwarding table,
+`dst address -> (next hop, LinkSpec, loss stream or None)`, so a hop is one
+lookup.  The tables hold the links' own LinkSpec objects (`set_link_mtu`
+changes the MTU every route sees), and each lossy link has one loss stream,
+keyed on (seed, from, to), whatever destinations route over it.
+
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
 Every trace record is counted and shown to the registered watchers; the
@@ -93,6 +99,10 @@ class LinkSpec:
         wire.check_range("delay", self.delay, 1)
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss: {self.loss} is outside [0, 1]")
+
+
+# a forwarding table entry: (next hop, the link to it, its loss stream or None)
+Route = tuple[str, LinkSpec, random.Random | None]
 
 
 class PacketHandler(TypingProtocol):
@@ -187,11 +197,10 @@ _keep_traces = contextvars.ContextVar("natsim_keep_traces", default=False)
 
 
 @contextlib.contextmanager
-def keep_traces(keep: bool = True):
+def keep_traces():
     """Inside the block, simulators built from scenarios keep their trace
-    records (outside it they only count them); `keep=False` leaves the
-    current setting as it is."""
-    token = _keep_traces.set(keep or _keep_traces.get())
+    records; outside it they only count them."""
+    token = _keep_traces.set(True)
     try:
         yield
     finally:
@@ -244,7 +253,7 @@ class Simulator:
         self.now = 0
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], LinkSpec] = {}
-        self.routes: dict[str, dict[str, str]] = {}
+        self.forwarding: dict[str, dict[str, Route]] = {}  # node -> dst address -> route
         self.addr_to_node: dict[str, str] = {}
         self.trace = Trace(keep_trace)
         self.watchers: list[Watcher] = []
@@ -253,9 +262,6 @@ class Simulator:
         # tick's events in a FIFO bucket (a one-level calendar queue)
         self._ticks: list[int] = []
         self._buckets: dict[int, deque] = {}
-        self._eventseq = 0
-        self._neighbors: dict[str, list[str]] = {}
-        self._loss_rng: dict[tuple[str, str], random.Random] = {}
 
     # -- topology ------------------------------------------------------------
 
@@ -276,15 +282,13 @@ class Simulator:
         self.nodes[node_id] = node
         self.addr_to_node[address] = node_id
         self.counters[node_id] = Counters()
-        self._neighbors[node_id] = []
+        self.forwarding[node_id] = {}
         return node
 
     def add_link(self, spec: LinkSpec) -> None:
         if spec.frm not in self.nodes or spec.to not in self.nodes:
             raise NoSuchNodeError(f"no-such-node: link {spec.frm}->{spec.to}")
         self.links[(spec.frm, spec.to)] = spec
-        if spec.to not in self._neighbors[spec.frm]:
-            self._neighbors[spec.frm].append(spec.to)
 
     def set_link_mtu(self, frm: str, to: str, mtu: int) -> None:
         link = self.links.get((frm, to))
@@ -295,57 +299,50 @@ class Simulator:
         link.mtu = mtu
 
     def finalize_routes(self) -> None:
-        """Build the static next-hop table with per-source BFS; neighbor
-        order follows link insertion so routing is deterministic."""
+        """Build every node's forwarding table by per-source BFS over its
+        out-neighbours in link-insertion order, so routing is deterministic.
+        Call it once, after the last add_link, as `scenario.build` and the
+        test topologies do: each lossy link gets its one loss stream here."""
+        out: dict[str, list[tuple[str, Route]]] = {node: [] for node in self.nodes}
+        for (frm, to), link in self.links.items():
+            rng = derive_rng(self.seed, "loss", frm, to) if link.loss > 0.0 else None
+            out[frm].append((to, (to, link, rng)))
         for origin in self.nodes:
-            nxt: dict[str, str] = {}
-            parent: dict[str, str] = {origin: origin}
-            queue = [origin]
+            table = self.forwarding[origin] = {}
+            reached = {origin}
+            queue = deque([(origin, None)])  # (node, the origin's route toward it)
             while queue:
-                cur = queue.pop(0)
-                for nb in self._neighbors[cur]:
-                    if nb not in parent:
-                        parent[nb] = cur
-                        queue.append(nb)
-            for dest, via in parent.items():
-                if dest == origin:
-                    continue
-                hop = dest
-                while parent[hop] != origin:
-                    hop = parent[hop]
-                nxt[self.nodes[dest].address] = hop
-            self.routes[origin] = nxt
+                cur, via = queue.popleft()
+                for nb, route in out[cur]:
+                    if nb not in reached:
+                        reached.add(nb)
+                        table[self.nodes[nb].address] = route = via or route
+                        queue.append((nb, route))
 
     def path_min_mtu(self, from_node: str, dst_addr: str) -> int | None:
-        """Smallest link MTU along the current route toward dst_addr."""
+        """Smallest link MTU along the current route toward dst_addr.  Each
+        hop is one step nearer along a BFS tree, so the walk ends."""
         node = from_node
         best: int | None = None
-        seen = set()
         while self.nodes[node].address != dst_addr:
-            if node in seen:
+            route = self.forwarding[node].get(dst_addr)
+            if route is None:
                 return None
-            seen.add(node)
-            hop = self.routes.get(node, {}).get(dst_addr)
-            if hop is None:
-                return None
-            link = self.links[(node, hop)]
+            node, link, _ = route
             best = link.mtu if best is None else min(best, link.mtu)
-            node = hop
         return best
 
     # -- event queue -----------------------------------------------------------
 
-    def _schedule(self, tick: int, item: tuple) -> int:
-        self._eventseq += 1
+    def _schedule(self, tick: int, item: tuple) -> None:
         bucket = self._buckets.get(tick)
         if bucket is None:
             bucket = self._buckets[tick] = deque()
             heapq.heappush(self._ticks, tick)
         bucket.append(item)
-        return self._eventseq
 
-    def schedule_call(self, tick: int, fn: Callable[["Simulator"], None]) -> int:
-        return self._schedule(tick, ("call", fn))
+    def schedule_call(self, tick: int, fn: Callable[["Simulator"], None]) -> None:
+        self._schedule(tick, ("call", fn))
 
     @property
     def idle(self) -> bool:
@@ -362,13 +359,13 @@ class Simulator:
             self.run(until=min(max(self._ticks[0], self.now + 1), deadline))
         return True
 
-    def inject(self, at: str, d: Ipv4Datagram) -> int:
+    def inject(self, at: str, d: Ipv4Datagram) -> None:
         """Originate a datagram at a node; counted against its totals."""
         if at not in self.nodes:
             raise NoSuchNodeError(f"no-such-node: {at}")
         self.counters[at].packets_sent += 1
         self.record(at, "send", "", d)
-        return self._schedule(self.now, ("emit", at, d))
+        self._schedule(self.now, ("emit", at, d))
 
     def run(self, until: int | None = None) -> None:
         """Process events up to `until` inclusive (None = quiescence), in
@@ -387,7 +384,7 @@ class Simulator:
                     del buckets[tick]
                 kind = item[0]
                 if kind == "emit":
-                    self._traverse(item[1], item[2])
+                    self.forward_from(item[1], item[2])
                 elif kind == "arrive":
                     self._arrive(item[1], item[2])
                 else:
@@ -403,11 +400,31 @@ class Simulator:
         """Node-originated packet: counted, traced as a send, then routed."""
         self.counters[node].packets_sent += 1
         self.record(node, "send", "", d)
-        self._traverse(node, d)
+        self.forward_from(node, d)
 
     def forward_from(self, node: str, d: Ipv4Datagram) -> None:
-        """Transit packet re-emitted by a handler (e.g. after NAT rewrite)."""
-        self._traverse(node, d)
+        """Route a datagram out of `node`: the next step of a send, and of a
+        transit packet a handler re-emits (e.g. after NAT rewrite)."""
+        route = self.forwarding[node].get(d.dst)
+        if route is None:
+            self.record(node, "drop", "no-route", d)
+            return
+        link = route[1]
+        if link.filter is not None:
+            cls = link.filter.matches(d)
+            if cls is not None:
+                self.record(node, "drop", f"filtered-{cls.value}", d)
+                return
+        if d.total_length > link.mtu:
+            if d.df:
+                self.record(node, "drop", "needs-fragmentation", d)
+                self._emit_frag_needed(node, d, link.mtu)
+                return
+            self.record(node, "fragment", "", d)
+            for piece in wire.fragment(d, link.mtu):
+                self._link_send(node, route, piece)
+            return
+        self._link_send(node, route, d)
 
     @contextlib.contextmanager
     def watching(self, watcher: Watcher):
@@ -431,28 +448,6 @@ class Simulator:
 
     # -- internals ---------------------------------------------------------------
 
-    def _traverse(self, node: str, d: Ipv4Datagram) -> None:
-        hop = self.routes.get(node, {}).get(d.dst)
-        if hop is None:
-            self.record(node, "drop", "no-route", d)
-            return
-        link = self.links[(node, hop)]
-        if link.filter is not None:
-            cls = link.filter.matches(d)
-            if cls is not None:
-                self.record(node, "drop", f"filtered-{cls.value}", d)
-                return
-        if d.total_length > link.mtu:
-            if d.df:
-                self.record(node, "drop", "needs-fragmentation", d)
-                self._emit_frag_needed(node, d, link.mtu)
-                return
-            self.record(node, "fragment", "", d)
-            for piece in wire.fragment(d, link.mtu):
-                self._link_send(node, hop, link, piece)
-            return
-        self._link_send(node, hop, link, d)
-
     def _emit_frag_needed(self, node: str, dropped: Ipv4Datagram, mtu: int) -> None:
         notice = Ipv4Datagram(
             src=self.nodes[node].address,
@@ -462,15 +457,11 @@ class Simulator:
         )
         self.send_from(node, notice)
 
-    def _link_send(self, node: str, hop: str, link: LinkSpec, d: Ipv4Datagram) -> None:
-        if link.loss > 0.0:
-            rng = self._loss_rng.get((node, hop))
-            if rng is None:
-                rng = derive_rng(self.seed, "loss", node, hop)
-                self._loss_rng[(node, hop)] = rng
-            if rng.random() < link.loss:
-                self.record(node, "drop", "loss", d)
-                return
+    def _link_send(self, node: str, route: Route, d: Ipv4Datagram) -> None:
+        hop, link, rng = route
+        if rng is not None and rng.random() < link.loss:
+            self.record(node, "drop", "loss", d)
+            return
         self._schedule(self.now + link.delay, ("arrive", hop, d))
 
     def _arrive(self, node_id: str, d: Ipv4Datagram) -> None:
@@ -486,6 +477,6 @@ class Simulator:
             return
         if node.transit:
             self.record(node_id, "forward", "", d)
-            self._traverse(node_id, d)
+            self.forward_from(node_id, d)
             return
         self.record(node_id, "drop", "no-route", d)

@@ -220,7 +220,7 @@ def _classify(obs: Observation, cfg: ProbeConfig, path_mtu: int | None) -> Verdi
     return Verdict(VerdictKind.NAT_DEVICE, VerdictReason.FRAG_SIZE_MISMATCH, obs)
 
 
-def restore_path_mtu(sim: Simulator, target_addr: str, vantage_addr: str) -> int:
+def restore_path_mtu(sim: Simulator, vantage_addr: str) -> int:
     """Explicit restore event undoing the probe's side effect: every cache
     shrunk for the vantage (client, host, or a synchronizing NAT) returns
     to the default.  No-op when nothing was probed; returns the number of

@@ -230,7 +230,6 @@ class Scenario:
     tick_duration: float
     nodes: list[NodeSpec]
     links: list[LinkSpec]
-    nat_node: str | None
     nat_policy: NatPolicy | None
     server: ServerSpec | None
     clients: list[str]
@@ -384,7 +383,6 @@ def load_scenario(doc: dict) -> Scenario:
         tick_duration=tick_duration,
         nodes=nodes,
         links=links,
-        nat_node=nat_node,
         nat_policy=nat_policy,
         server=server,
         clients=clients,

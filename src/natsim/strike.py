@@ -37,6 +37,8 @@ from .wire import (
 WINDOWS_EPHEMERAL = (49152, 65535)
 # forged packets one plan may send: 8 rounds of two full 65,536-port sweeps
 MAX_FORGED_PACKETS = 1 << 20
+# the data bytes of each victim's send after the attack, which completes the teardown
+PROBE_PAYLOAD = 16
 # the outcome columns of the attack and assessment CSVs, in order
 OUTCOME_CSV_COLUMNS = "success,diagnosis,rst,pushack,octets,ticks,bandwidth,torn,blocked"
 
@@ -202,7 +204,6 @@ class StrikeContext:
     new_conn_clients: list[Host] = field(default_factory=list)
     nat: NatBox | None = None
     tick_duration: float = 0.001
-    probe_payload: int = 16
 
 
 def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> AttackReport:
@@ -254,7 +255,7 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         # the victims' own next transmissions complete the teardown chain
         for host, key in victims + attempts:
             if host.state(key) == TcpState.ESTABLISHED:
-                host.send_data(sim, key, ctx.probe_payload)
+                host.send_data(sim, key, PROBE_PAYLOAD)
         sim.run(until=sim.now + plan.settle_ticks)
 
     if report.duration_ticks > 0 and ctx.tick_duration > 0:

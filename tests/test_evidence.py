@@ -136,6 +136,7 @@ def test_unkept_run_counts_like_a_kept_one(doc):
 def test_keep_traces_nests_and_restores():
     scn = sc.load_scenario(IDENTIFY_DOCS[2])
     with keep_traces():
-        with keep_traces(False):
+        with keep_traces():
             assert sc.build(scn).sim.trace.records is not None
+        assert sc.build(scn).sim.trace.records is not None
     assert sc.build(scn).sim.trace.records is None

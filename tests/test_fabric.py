@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -18,6 +19,7 @@ from natsim.fabric import (
     NoSuchNodeError,
     Simulator,
     TraceRecord,
+    derive_rng,
     render_lines,
 )
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
@@ -117,7 +119,6 @@ class HeapQueue:
     def schedule_call(self, tick, fn):
         self._seq += 1
         heapq.heappush(self._heap, (tick, self._seq, fn))
-        return self._seq
 
     @property
     def idle(self):
@@ -142,14 +143,16 @@ class HeapQueue:
 
 def play(queue, first, spawn, stops):
     """Run a program of calls on `queue`: the calls scheduled at the ticks
-    in `first`, then every call numbered n (its schedule_call result)
-    schedules one more call at now + d for each d in spawn[n - 1], into
-    the past, at now or into the future.  Returns what each call saw
+    in `first`, then every call numbered n (the nth scheduled) schedules
+    one more call at now + d for each d in spawn[n - 1], into the past, at
+    now or into the future.  Returns what each call saw
     (number, now, idle), and now and idle after each run."""
     seen = []
+    numbers = itertools.count(1)
 
     def schedule(tick):
-        n = queue.schedule_call(tick, lambda q: body(q, n))
+        n = next(numbers)
+        queue.schedule_call(tick, lambda q: body(q, n))
         return n
 
     def body(q, n):
@@ -170,10 +173,11 @@ def wait_for_calls(queue, first, spawn, waits):
     runs until k calls have run in all, with its deadline span ticks on.
     Returns the calls' (number, now) in order and each wait's result and now."""
     seen, ran = [], []
+    numbers = itertools.count(1)
 
     def schedule(tick):
-        n = queue.schedule_call(tick, lambda q: body(q, n))
-        return n
+        n = next(numbers)
+        queue.schedule_call(tick, lambda q: body(q, n))
 
     def body(q, n):
         ran.append(n)
@@ -423,7 +427,116 @@ class TestRenderLines:
         assert "".join(render_lines(records())) == self.reference(records())
 
 
+class ParentWalkRoutes:
+    """The routing that per-node forwarding tables replaced, kept as their
+    reference: add_link appends a neighbour on its first link, and each
+    source's BFS records every node's parent, then walks back from each
+    destination to its first hop."""
+
+    def __init__(self, addresses, links):
+        self.addresses = addresses  # node -> address
+        self.links, neighbors = {}, {node: [] for node in addresses}
+        for frm, to, mtu in links:
+            self.links[(frm, to)] = mtu
+            if to not in neighbors[frm]:
+                neighbors[frm].append(to)
+        self.routes = {}
+        for origin in addresses:
+            parent = {origin: origin}
+            queue = [origin]
+            while queue:
+                cur = queue.pop(0)
+                for nb in neighbors[cur]:
+                    if nb not in parent:
+                        parent[nb] = cur
+                        queue.append(nb)
+            nxt = {}
+            for dest in parent:
+                if dest == origin:
+                    continue
+                hop = dest
+                while parent[hop] != origin:
+                    hop = parent[hop]
+                nxt[addresses[dest]] = hop
+            self.routes[origin] = nxt
+
+    def path_min_mtu(self, node, dst_addr):
+        best, seen = None, set()
+        while self.addresses[node] != dst_addr:
+            if node in seen:
+                return None
+            seen.add(node)
+            hop = self.routes[node].get(dst_addr)
+            if hop is None:
+                return None
+            mtu = self.links[(node, hop)]
+            best = mtu if best is None else min(best, mtu)
+            node = hop
+        return best
+
+    def fate(self, node, dst_addr):
+        """(node, action, reason) of each record a datagram makes from
+        `node` toward dst_addr when every node forwards transit packets."""
+        hop = self.routes[node].get(dst_addr)
+        if hop is None:
+            return [(node, "drop", "no-route")]
+        path = [hop]
+        while self.addresses[path[-1]] != dst_addr:
+            path.append(self.routes[path[-1]][dst_addr])
+        return [(n, "forward", "") for n in path[:-1]] + [(path[-1], "deliver", "")]
+
+
+MTUS = st.sampled_from([576, 600, 1280, 1492, 1500])
+
+
 class TestRouting:
+    @given(
+        n=st.integers(1, 8),
+        links=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), MTUS), max_size=20),
+        again=st.lists(MTUS, max_size=10),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_forwarding_tables_route_as_the_parent_walk_did(self, n, links, again, data):
+        # the first links are added once more with new MTUs, and every
+        # add_link call comes in shuffled order
+        calls = links + [(a, b, mtu) for (a, b, _), mtu in zip(links, again)]
+        calls = [(f"n{a % n}", f"n{b % n}", mtu) for a, b, mtu in data.draw(st.permutations(calls))]
+        addresses = {f"n{i}": f"10.1.0.{i + 1}" for i in range(n)}
+        ref = ParentWalkRoutes(addresses, calls)
+        sim = Simulator(keep_trace=False)
+        for node, address in addresses.items():
+            sim.add_node(node, address, transit=True)
+        for frm, to, mtu in calls:
+            sim.add_link(LinkSpec(frm, to, mtu=mtu))
+        sim.finalize_routes()
+        for origin in addresses:
+            assert {dst: route[0] for dst, route in sim.forwarding[origin].items()} == ref.routes[origin]
+            for dst in [*addresses.values(), "10.9.9.9"]:
+                assert sim.path_min_mtu(origin, dst) == ref.path_min_mtu(origin, dst)
+                fate = []
+                with sim.watching(lambda _tick, node, action, reason, _d: fate.append((node, action, reason))):
+                    sim.forward_from(origin, rst(dst=dst))
+                    sim.run()
+                assert fate == ref.fate(origin, dst)
+
+    def test_destinations_sharing_a_lossy_link_share_its_stream(self):
+        sim = Simulator(seed=3)
+        for i in range(3):
+            sim.add_node(f"n{i}", f"10.1.0.{i + 1}", transit=True)
+        sim.add_link(LinkSpec("n0", "n1", loss=0.5))
+        sim.add_link(LinkSpec("n1", "n2"))
+        sim.finalize_routes()
+        sent = [rst(length=i, dst=("10.1.0.2", "10.1.0.3")[i % 2]) for i in range(60)]
+        for d in sent:
+            sim.inject("n0", d)
+        sim.run()
+        stream = derive_rng(3, "loss", "n0", "n1")
+        expected = [d for d in sent if stream.random() < 0.5]
+        dropped = [r.dgram for r in sim.trace if r.action == "drop"]
+        assert all(r.reason == "loss" and r.node == "n0" for r in sim.trace if r.action == "drop")
+        assert 0 < len(dropped) < len(sent) and dropped == expected
+
     def test_path_min_mtu(self):
         sim = chain(4)
         sim.set_link_mtu("n1", "n2", 700)

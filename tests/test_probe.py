@@ -123,7 +123,7 @@ class TestRestore:
         v = run_identification(handles.sim, handles.vantage_host, scn.target_addr,
                                scn.probe.config)
         assert v.evidence.post_probe_tcp_size <= 600
-        cleared = restore_path_mtu(handles.sim, scn.target_addr, handles.vantage_host.address)
+        cleared = restore_path_mtu(handles.sim, handles.vantage_host.address)
         assert cleared == 1
         tick = handles.sim.now
         handles.sim.run(until=tick + 60)  # periodic session sends continue
@@ -135,7 +135,7 @@ class TestRestore:
         scn = sc.load_scenario(sc.nat_scenario_doc("p-noop"))
         handles = sc.build(scn)
         sc.establish(handles)
-        assert restore_path_mtu(handles.sim, scn.target_addr, "8.8.8.8") == 0
+        assert restore_path_mtu(handles.sim, "8.8.8.8") == 0
 
     def test_reprobe_matches_first_probe(self):
         doc = sc.nat_scenario_doc("p-again", router_vantage_mtu=1492)
