@@ -39,6 +39,11 @@ from .wire import (
     seq_in_range,
 )
 
+# Enum members read per packet: through the class, each read costs several times a global
+_TCP = Protocol.TCP
+_RST = TcpFlag.RST
+_ACK = TcpFlag.ACK
+
 REASSEMBLY_TIMEOUT_TICKS = 30
 DEFAULT_EPHEMERAL_RANGE = (32768, 61000)  # linux-like; windows-like is 49152-65535
 DEFAULT_RCV_WND = 65535
@@ -165,7 +170,7 @@ class IpNode:
         if flags & RST_BIT:
             return  # never reset in response to a reset
         if flags & ACK_BIT:
-            reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=TcpFlag.RST)
+            reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=_RST)
         else:
             reply = TcpSegment(
                 seg.dst_port,
@@ -182,7 +187,7 @@ class IpNode:
             Ipv4Datagram(
                 src=self.address,
                 dst=dst,
-                protocol=Protocol.TCP,
+                protocol=_TCP,
                 payload=seg,
                 identification=self._next_ident(),
                 df=True,
@@ -290,7 +295,7 @@ class Host(IpNode):
     def _on_frag_needed(self, sim: Simulator, d: Ipv4Datagram, msg: FragNeeded) -> None:
         # the outer source is never validated: any router may emit these
         quote = wire.parse_embedded(msg.embedded)
-        if quote is None or quote.src != self.address or quote.protocol is not Protocol.TCP:
+        if quote is None or quote.src != self.address or quote.protocol is not _TCP:
             sim.record(self.node_id, "drop", "icmp-validation-failed", d)
             return
         sock = self.sockets.get((quote.src_port, quote.dst, quote.dst_port))
@@ -331,7 +336,7 @@ class Host(IpNode):
                 sock.rcv_nxt = seq_add(seg.seq, 1)
                 sock.snd_una = seg.ack
                 sock.state = TcpState.ESTABLISHED
-                self._send(sim, sock, TcpFlag.ACK)
+                self._send(sim, sock, _ACK)
             return
 
         if sock.state != TcpState.ESTABLISHED:
@@ -343,7 +348,7 @@ class Host(IpNode):
             if seg.payload_length > 0:
                 sock.rcv_nxt = seq_add(sock.rcv_nxt, seg.payload_length)
                 if not self.vantage:
-                    self._send(sim, sock, TcpFlag.ACK)
+                    self._send(sim, sock, _ACK)
             return
 
         if flags & PSH_BIT and flags & ACK_BIT:
@@ -352,7 +357,7 @@ class Host(IpNode):
             if self.profile.emits_dup_ack_on_stray_push_ack:
                 self.dup_acks_sent += 1
                 self.dup_ack_log.append((sim.now, key, sock.rcv_nxt))
-                self._send(sim, sock, TcpFlag.ACK)
+                self._send(sim, sock, _ACK)
 
     # -- helpers ------------------------------------------------------------------
 

@@ -7,10 +7,11 @@ Fragmentation Needed carrying the link MTU; DF-clear datagrams are split
 per RFC 791 and forwarded in offset order.
 
 Routing is static: `finalize_routes` gives each node one forwarding table,
-`dst address -> (next hop, LinkSpec, loss stream or None)`, so a hop is one
-lookup.  The tables hold the links' own LinkSpec objects (`set_link_mtu`
-changes the MTU every route sees), and each lossy link has one loss stream,
-keyed on (seed, from, to), whatever destinations route over it.
+`dst address -> (next hop, LinkSpec, loss stream or None, next hop's Node)`,
+so a hop is one lookup, and each Node shares its Counters with
+`Simulator.counters`.  The tables hold the links' own LinkSpec objects
+(`set_link_mtu` changes the MTU every route sees), and each lossy link has
+one loss stream, keyed on (seed, from, to), whatever routes over it.
 
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
@@ -29,12 +30,15 @@ import hashlib
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol as TypingProtocol
 
 from . import wire
-from .wire import RST_BIT, Ipv4Datagram, FragNeeded, Protocol
+from .wire import IP_HEADER_LEN, RST_BIT, FragNeeded, Ipv4Datagram, Protocol, TcpSegment
+
+_TCP_HEADERS = IP_HEADER_LEN + wire.TCP_HEADER_LEN  # of a whole TCP datagram
+_ECHO = (wire.EchoRequest, wire.EchoReply)
 
 
 class FabricError(Exception):
@@ -66,22 +70,23 @@ class DropClass(Enum):
 class MiddleboxFilter:
     drop_classes: frozenset[DropClass]
 
+    def __post_init__(self):
+        # the four class tests, decided once: the class each payload kind is
+        # dropped as, or None
+        for name, cls in (("_all", DropClass.ALL), ("_frag_needed", DropClass.ICMP_ERROR),
+                          ("_echo", DropClass.ICMP_ECHO), ("_tcp_rst", DropClass.TCP_RST_INBOUND)):
+            object.__setattr__(self, name, cls if cls in self.drop_classes else None)
+
     def matches(self, d: Ipv4Datagram) -> DropClass | None:
-        if DropClass.ALL in self.drop_classes:
-            return DropClass.ALL
+        if self._all is not None:
+            return self._all
         p = d.payload
-        if DropClass.ICMP_ERROR in self.drop_classes and isinstance(p, FragNeeded):
-            return DropClass.ICMP_ERROR
-        if DropClass.ICMP_ECHO in self.drop_classes and isinstance(
-            p, (wire.EchoRequest, wire.EchoReply)
-        ):
-            return DropClass.ICMP_ECHO
-        if (
-            DropClass.TCP_RST_INBOUND in self.drop_classes
-            and isinstance(p, wire.TcpSegment)
-            and int(p.flags) & RST_BIT
-        ):
-            return DropClass.TCP_RST_INBOUND
+        if isinstance(p, TcpSegment):
+            return self._tcp_rst if int(p.flags) & RST_BIT else None
+        if isinstance(p, FragNeeded):
+            return self._frag_needed
+        if isinstance(p, _ECHO):
+            return self._echo
         return None
 
 
@@ -101,12 +106,15 @@ class LinkSpec:
             raise ValueError(f"loss: {self.loss} is outside [0, 1]")
 
 
-# a forwarding table entry: (next hop, the link to it, its loss stream or None)
-Route = tuple[str, LinkSpec, random.Random | None]
-
-
 class PacketHandler(TypingProtocol):
     def on_datagram(self, sim: "Simulator", node: str, d: Ipv4Datagram) -> None: ...
+
+
+@dataclass(slots=True)
+class Counters:
+    packets_sent: int = 0
+    packets_delivered: int = 0
+    packets_dropped: int = 0
 
 
 @dataclass
@@ -116,13 +124,12 @@ class Node:
     handler: PacketHandler | None = None
     transit: bool = False  # router: forwards packets not addressed to it
     intercept: bool = False  # NAT: handler sees every arriving packet
+    counters: Counters = field(default_factory=Counters)  # also Simulator.counters[node_id]
 
 
-@dataclass(slots=True)
-class Counters:
-    packets_sent: int = 0
-    packets_delivered: int = 0
-    packets_dropped: int = 0
+# a forwarding table entry: (next hop, the link to it, its loss stream or
+# None, the next hop's Node)
+Route = tuple[str, LinkSpec, random.Random | None, Node]
 
 
 _FLAG_ORDER = "FSRPA"  # the letters of TcpFlag's bits, lowest first
@@ -281,7 +288,7 @@ class Simulator:
         node = Node(node_id, address, handler, transit, intercept)
         self.nodes[node_id] = node
         self.addr_to_node[address] = node_id
-        self.counters[node_id] = Counters()
+        self.counters[node_id] = node.counters
         self.forwarding[node_id] = {}
         return node
 
@@ -306,7 +313,7 @@ class Simulator:
         out: dict[str, list[tuple[str, Route]]] = {node: [] for node in self.nodes}
         for (frm, to), link in self.links.items():
             rng = derive_rng(self.seed, "loss", frm, to) if link.loss > 0.0 else None
-            out[frm].append((to, (to, link, rng)))
+            out[frm].append((to, (to, link, rng, self.nodes[to])))
         for origin in self.nodes:
             table = self.forwarding[origin] = {}
             reached = {origin}
@@ -328,7 +335,7 @@ class Simulator:
             route = self.forwarding[node].get(dst_addr)
             if route is None:
                 return None
-            node, link, _ = route
+            node, link, _, _ = route
             best = link.mtu if best is None else min(best, link.mtu)
         return best
 
@@ -361,9 +368,10 @@ class Simulator:
 
     def inject(self, at: str, d: Ipv4Datagram) -> None:
         """Originate a datagram at a node; counted against its totals."""
-        if at not in self.nodes:
+        node = self.nodes.get(at)
+        if node is None:
             raise NoSuchNodeError(f"no-such-node: {at}")
-        self.counters[at].packets_sent += 1
+        node.counters.packets_sent += 1
         self.record(at, "send", "", d)
         self._schedule(self.now, ("emit", at, d))
 
@@ -415,7 +423,14 @@ class Simulator:
             if cls is not None:
                 self.record(node, "drop", f"filtered-{cls.value}", d)
                 return
-        if d.total_length > link.mtu:
+        # d.total_length, inline: this runs once a hop, and the property
+        # calls would cost more than the sum
+        p = d.payload
+        if isinstance(p, TcpSegment):
+            size = _TCP_HEADERS + p.payload_length
+        else:
+            size = IP_HEADER_LEN + (len(p) if isinstance(p, bytes) else p.wire_payload_length)
+        if size > link.mtu:
             if d.df:
                 self.record(node, "drop", "needs-fragmentation", d)
                 self._emit_frag_needed(node, d, link.mtu)
@@ -458,19 +473,19 @@ class Simulator:
         self.send_from(node, notice)
 
     def _link_send(self, node: str, route: Route, d: Ipv4Datagram) -> None:
-        hop, link, rng = route
+        _, link, rng, hop = route
         if rng is not None and rng.random() < link.loss:
             self.record(node, "drop", "loss", d)
             return
         self._schedule(self.now + link.delay, ("arrive", hop, d))
 
-    def _arrive(self, node_id: str, d: Ipv4Datagram) -> None:
-        node = self.nodes[node_id]
+    def _arrive(self, node: Node, d: Ipv4Datagram) -> None:
+        node_id = node.node_id
         local = d.dst == node.address
         # an intercepting handler (the NAT) sees transit packets too
         if local or (node.intercept and node.handler is not None):
             if local:
-                self.counters[node_id].packets_delivered += 1
+                node.counters.packets_delivered += 1
             self.record(node_id, "deliver" if local else "forward", "", d)
             if node.handler is not None:
                 node.handler.on_datagram(self, node_id, d)

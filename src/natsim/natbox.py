@@ -78,6 +78,14 @@ class NatPolicy:
         return "/".join(bits)
 
 
+# Enum members read per packet: through the class, each read costs several times a global
+_TCP = Protocol.TCP
+_VULNERABLE_REMOVE = RstHandling.VULNERABLE_REMOVE
+_FORWARD_ONLY = RstHandling.FORWARD_ONLY
+_STRICT_VALIDATE = RstHandling.STRICT_VALIDATE
+_SILENT_DROP = UnmappedInbound.SILENT_DROP
+
+
 class MappingState:
     SYN_SENT = "SYN_SENT"
     ESTABLISHED = "ESTABLISHED"
@@ -145,7 +153,7 @@ class NatBox(IpNode):
     # -- outbound -----------------------------------------------------------------
 
     def _outbound(self, sim: Simulator, d: Ipv4Datagram) -> None:
-        if d.protocol is not Protocol.TCP or not isinstance(d.payload, TcpSegment):
+        if d.protocol is not _TCP or not isinstance(d.payload, TcpSegment):
             sim.record(self.node_id, "drop", "unsupported-outbound", d)
             return
         seg = d.payload
@@ -171,7 +179,7 @@ class NatBox(IpNode):
             mapping.state = MappingState.ESTABLISHED
         if flags & FIN_BIT:
             mapping.state = MappingState.FIN_WAIT
-        if self.policy.rst_handling is RstHandling.STRICT_VALIDATE and flags & ACK_BIT:
+        if self.policy.rst_handling is _STRICT_VALIDATE and flags & ACK_BIT:
             mapping.inbound_seq_window = (seg.ack, seq_add(seg.ack, DEFAULT_RCV_WND))
         self._translate(sim, d, seg, (self.address, mapping.external_port), (d.dst, seg.dst_port))
 
@@ -194,7 +202,7 @@ class NatBox(IpNode):
         mapping = self.by_external.get((seg.dst_port, (d.src, seg.src_port)))
         flags = int(seg.flags)
         if mapping is None:
-            silent = self.policy.unmapped_inbound is UnmappedInbound.SILENT_DROP
+            silent = self.policy.unmapped_inbound is _SILENT_DROP
             if flags & RST_BIT or silent:
                 sim.record(self.node_id, "drop", "no-mapping", d)
             else:
@@ -215,9 +223,9 @@ class NatBox(IpNode):
         """Apply the RST-handling policy; returns True when the segment
         should still be forwarded to the internal client."""
         policy = self.policy.rst_handling
-        if policy is RstHandling.FORWARD_ONLY:
+        if policy is _FORWARD_ONLY:
             return True
-        if policy is RstHandling.VULNERABLE_REMOVE:
+        if policy is _VULNERABLE_REMOVE:
             if self.policy.require_ack_on_rst and not int(seg.flags) & ACK_BIT:
                 return True
             self._remove(mapping)

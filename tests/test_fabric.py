@@ -23,7 +23,7 @@ from natsim.fabric import (
     render_lines,
 )
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
-from natsim.wire import EchoReply, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
+from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
 
 def chain(n=3, seed=1, **link_kw):
@@ -290,6 +290,23 @@ class TestForwarding:
         assert [d.total_length for d in arrived] == [1492, 28]
         assert [d.fragment_offset for d in arrived] == [0, 184]
 
+    @pytest.mark.parametrize("d", [
+        rst(length=100, dst="10.1.0.2"),
+        Ipv4Datagram(src="10.1.0.1", dst="10.1.0.2", protocol=Protocol.ICMP,
+                     payload=EchoRequest(1, 1, 200), df=True),
+        big_echo(dst="10.1.0.2", size=300),
+        Ipv4Datagram(src="10.1.0.1", dst="10.1.0.2", protocol=Protocol.ICMP,
+                     payload=bytes(96), identification=5, more_fragments=True),
+    ], ids=["tcp", "echo-request", "echo-reply", "raw-fragment"])
+    def test_mtu_test_reads_the_total_length(self, d):
+        for mtu, whole in ((d.total_length, True), (d.total_length - 1, False)):
+            sim = chain(2)
+            sim.set_link_mtu("n0", "n1", mtu)
+            sim.inject("n0", d)
+            sim.run()
+            arrived = [r.dgram for r in sim.trace if r.action == "deliver"]
+            assert (arrived == [d]) is whole, mtu
+
     def test_fitting_passes_unchanged(self):
         sim = chain(3)
         sim.set_link_mtu("n1", "n2", 576)
@@ -316,6 +333,49 @@ class TestForwarding:
         sim.run()
         drops = [r for r in sim.trace if r.action == "drop"]
         assert drops and drops[0].reason == "filtered-tcp-rst-inbound"
+
+
+def old_matches(drop_classes, d):
+    """MiddleboxFilter.matches as it tested its classes on every call: the
+    reference for the tests decided once at construction."""
+    p = d.payload
+    if DropClass.ALL in drop_classes:
+        return DropClass.ALL
+    if DropClass.ICMP_ERROR in drop_classes and isinstance(p, FragNeeded):
+        return DropClass.ICMP_ERROR
+    if DropClass.ICMP_ECHO in drop_classes and isinstance(p, (EchoRequest, EchoReply)):
+        return DropClass.ICMP_ECHO
+    if (
+        DropClass.TCP_RST_INBOUND in drop_classes
+        and isinstance(p, TcpSegment)
+        and int(p.flags) & TcpFlag.RST
+    ):
+        return DropClass.TCP_RST_INBOUND
+    return None
+
+
+FILTERED_PAYLOADS = {
+    "tcp-rst": rst(),
+    "tcp-no-rst": Ipv4Datagram(src="10.1.0.1", dst="10.1.0.3", protocol=Protocol.TCP,
+                               payload=TcpSegment(80, 4444, seq=0, flags=TcpFlag.PSH | TcpFlag.ACK)),
+    "echo-request": Ipv4Datagram(src="10.1.0.1", dst="10.1.0.3", protocol=Protocol.ICMP,
+                                 payload=EchoRequest(1, 1, 40)),
+    "echo-reply": big_echo(size=100),
+    "frag-needed": Ipv4Datagram(src="10.1.0.1", dst="10.1.0.3", protocol=Protocol.ICMP,
+                                payload=FragNeeded(576, bytes(28))),
+    "raw-fragment": Ipv4Datagram(src="10.1.0.1", dst="10.1.0.3", protocol=Protocol.ICMP,
+                                 payload=bytes(64), identification=9, more_fragments=True),
+}
+
+
+class TestMiddleboxFilter:
+    @pytest.mark.parametrize("kind", sorted(FILTERED_PAYLOADS))
+    def test_every_class_subset_matches_as_the_per_call_tests_did(self, kind):
+        d = FILTERED_PAYLOADS[kind]
+        for n in range(len(DropClass) + 1):
+            for subset in itertools.combinations(DropClass, n):
+                classes = frozenset(subset)
+                assert MiddleboxFilter(classes).matches(d) is old_matches(classes, d), classes
 
 
 class TestConservation:

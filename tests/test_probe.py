@@ -2,7 +2,7 @@
 
 import pytest
 
-from natsim import assess, wire
+from natsim import assess, probe, wire
 from natsim import scenario as sc
 from natsim.fabric import keep_traces
 from natsim.probe import (
@@ -13,7 +13,7 @@ from natsim.probe import (
     craft_frag_needed,
     restore_path_mtu,
 )
-from natsim.wire import EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
+from natsim.wire import EchoReply, EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
 
 def observed_segment():
@@ -143,6 +143,67 @@ class TestRestore:
         b, _ = identify(doc)
         assert (a.kind, a.reason, a.evidence.echo_reply_fragments) == (
             b.kind, b.reason, b.evidence.echo_reply_fragments)
+
+
+class ReadCountingLog(list):
+    """An arrival log that records the index of every entry read from it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.reads: list[int] = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+NEXT_ARRIVAL = probe._next_arrival  # the wait itself, before any test wraps it
+
+
+class TestArrivalWaits:
+    FORGED_REPLIES = 10_000
+
+    def identify_after_forged_replies(self, forged, monkeypatch):
+        """Identify on a fresh `v` instance after `forged` echo replies,
+        spoofing the target, were injected toward the vantage; returns the
+        verdict, the log and each wait's (after_tick, indexes read)."""
+        scn = sc.load_scenario(sc.nat_scenario_doc("v"))
+        handles = sc.build(scn)
+        sc.establish(handles)
+        vantage = handles.vantage_host
+        log = vantage.arrivals = ReadCountingLog(vantage.arrivals)
+        for i in range(forged):
+            handles.sim.inject(handles.attacker_node, Ipv4Datagram(
+                src=scn.target_addr, dst=vantage.address, protocol=Protocol.ICMP,
+                payload=EchoReply(ident=i % 0x10000, seq_no=1)))
+        waits = []
+
+        def recording(sim, vantage, target, after_tick, *rest):
+            start = len(log.reads)
+            try:
+                return NEXT_ARRIVAL(sim, vantage, target, after_tick, *rest)
+            finally:
+                waits.append((after_tick, log.reads[start:]))
+
+        monkeypatch.setattr(probe, "_next_arrival", recording)
+        verdict = probe.run_identification(handles.sim, vantage, scn.target_addr, scn.probe.config)
+        return verdict, log, waits
+
+    def test_waits_skip_what_was_logged_before_them(self, monkeypatch):
+        clean, _, _ = self.identify_after_forged_replies(0, monkeypatch)
+        verdict, log, waits = self.identify_after_forged_replies(self.FORGED_REPLIES, monkeypatch)
+        assert (verdict.kind, verdict.reason, verdict.evidence) == (
+            clean.kind, clean.reason, clean.evidence)
+        assert len(log) > self.FORGED_REPLIES and len(waits) == 3
+        ticks = [tick for tick, _ in log]
+        forged = [tick for tick, d in log if isinstance(d.payload, EchoReply)][: self.FORGED_REPLIES]
+        # the later waits start after every forged reply was logged
+        assert all(after_tick >= max(forged) for after_tick, _ in waits[1:])
+        for after_tick, reads in waits:
+            # of the entries logged by its start, a wait reads only what a
+            # bisection of the log probes
+            early = [i for i in reads if ticks[i] <= after_tick]
+            assert len(early) <= len(log).bit_length(), (after_tick, len(early))
 
 
 class TestVerdictInvariant:
