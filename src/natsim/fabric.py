@@ -38,7 +38,6 @@ from . import wire
 from .wire import IP_HEADER_LEN, RST_BIT, FragNeeded, Ipv4Datagram, Protocol, TcpSegment
 
 _TCP_HEADERS = IP_HEADER_LEN + wire.TCP_HEADER_LEN  # of a whole TCP datagram
-_ECHO = (wire.EchoRequest, wire.EchoReply)
 
 
 class FabricError(Exception):
@@ -85,7 +84,7 @@ class MiddleboxFilter:
             return self._tcp_rst if int(p.flags) & RST_BIT else None
         if isinstance(p, FragNeeded):
             return self._frag_needed
-        if isinstance(p, _ECHO):
+        if isinstance(p, wire.Echo):
             return self._echo
         return None
 

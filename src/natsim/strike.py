@@ -248,8 +248,9 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
                 for batch in (rsts, pushes):
                     for pkt in batch:
                         sim.inject(ctx.attacker_node, pkt)
-                        report.octets_sent += pkt.total_length
                     if batch:
+                        # every packet of one crafted sweep has the same length
+                        report.octets_sent += len(batch) * batch[0].total_length
                         last_inject = sim.now
                     sim.run(until=sim.now + 1)
 

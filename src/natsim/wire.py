@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
+from ipaddress import IPv4Address
 from typing import ClassVar
 
 IP_HEADER_LEN = 20
@@ -162,25 +163,29 @@ _set_payload_length = TcpSegment.payload_length.__set__
 
 
 @dataclass(frozen=True, slots=True)
-class EchoRequest:
+class Echo:
+    """An ICMP echo; its subclass fixes the type (8 request, 0 reply), and
+    a request and a reply with equal fields compare unequal."""
+
     ident: int
     seq_no: int
     padding_length: int = 0
+
+    icmp_type: ClassVar[int]
 
     @property
     def wire_payload_length(self) -> int:
         return ICMP_HEADER_LEN + self.padding_length
 
 
-@dataclass(frozen=True, slots=True)
-class EchoReply:
-    ident: int
-    seq_no: int
-    padding_length: int = 0
+class EchoRequest(Echo):
+    __slots__ = ()
+    icmp_type = 8
 
-    @property
-    def wire_payload_length(self) -> int:
-        return ICMP_HEADER_LEN + self.padding_length
+
+class EchoReply(Echo):
+    __slots__ = ()
+    icmp_type = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,8 +203,8 @@ class FragNeeded:
             raise ValueError("embedded quote must be exactly 28 octets")
 
 
-IcmpMessage = EchoRequest | EchoReply | FragNeeded
-Payload = TcpSegment | EchoRequest | EchoReply | FragNeeded | bytes
+IcmpMessage = Echo | FragNeeded
+Payload = TcpSegment | Echo | FragNeeded | bytes
 # for the datagram checks: reading an Enum member costs several times a global
 _TCP = Protocol.TCP
 _ICMP = Protocol.ICMP
@@ -295,7 +300,8 @@ def fragment(d: Ipv4Datagram, mtu: int) -> list[Ipv4Datagram]:
         return [d]
     if d.df:
         raise NeedsFragmentationError(mtu)
-    raw = encode(d)[IP_HEADER_LEN:]
+    raw = encode_payload(d)
+    _check_total(len(raw))
     cap = frag_cap(mtu)
     frags = []
     pos = 0
@@ -319,8 +325,9 @@ def reassemble(frags: list[Ipv4Datagram]) -> Ipv4Datagram:
     """Reconstruct the original datagram from a complete fragment group.
 
     reassemble(fragment(d, m)) == d for every valid m.  Raises
-    MixedGroupError when identifications differ and IncompleteGroupError
-    on gaps, overlaps, or a missing final fragment.
+    MixedGroupError when identifications differ, IncompleteGroupError
+    on gaps, overlaps, or a missing final fragment, and
+    MalformedPacketError when the whole does not fit or does not decode.
     """
     if not frags:
         raise IncompleteGroupError("empty fragment group")
@@ -339,66 +346,33 @@ def reassemble(frags: list[Ipv4Datagram]) -> Ipv4Datagram:
     for f in ordered:
         if f.fragment_offset * 8 != pos:
             raise IncompleteGroupError(f"incomplete-group: hole or overlap at offset {pos}")
-        raw = f.payload if isinstance(f.payload, bytes) else encode(f)[IP_HEADER_LEN:]
+        raw = encode_payload(f)
         parts.append(raw)
         pos += len(raw)
     combined = b"".join(parts)
-    header = _pack_header(
-        frags[0].src,
-        frags[0].dst,
-        frags[0].protocol,
-        IP_HEADER_LEN + len(combined),
-        frags[0].identification,
-        df=False,
-        mf=False,
-        offset=0,
-    )
-    return decode(header + combined)
+    _check_total(len(combined))
+    # the first fragment carries MF, so it is not DF; the group shares its
+    # addresses, protocol and identification
+    first = ordered[0]
+    return replace(first, payload=_decode_body(first.protocol, combined), more_fragments=False,
+                   fragment_offset=0)
 
 
 # --- codec -----------------------------------------------------------------
+
+_ECHO_TYPES = {cls.icmp_type: cls for cls in (EchoRequest, EchoReply)}
 
 _IP_STRUCT = struct.Struct(">BBHHHBBH4s4s")
 _TCP_STRUCT = struct.Struct(">HHIIBBHHH")
 
 
-def _ip_to_bytes(addr: str) -> bytes:
-    parts = addr.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad IPv4 address {addr!r}")
-    try:
-        octets = bytes(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad IPv4 address {addr!r}") from None
-    if len(octets) != 4:
-        raise ValueError(f"bad IPv4 address {addr!r}")
-    return octets
-
-
-def _bytes_to_ip(b: bytes) -> str:
-    return ".".join(str(x) for x in b)
-
-
-def _pack_header(src, dst, protocol, total_length, identification, *, df, mf, offset) -> bytes:
-    if total_length > 0xFFFF:
+def _check_total(body_length: int) -> int:
+    """The total length of a datagram with this many octets after its
+    header; MalformedPacketError when it does not fit the 16-bit field."""
+    total = IP_HEADER_LEN + body_length
+    if total > 0xFFFF:
         raise MalformedPacketError("total length exceeds 16 bits")
-    flags_off = offset & 0x1FFF
-    if df:
-        flags_off |= 0x4000
-    if mf:
-        flags_off |= 0x2000
-    return _IP_STRUCT.pack(
-        0x45,
-        0,
-        total_length,
-        identification,
-        flags_off,
-        64,
-        protocol.value,
-        0,
-        _ip_to_bytes(src),
-        _ip_to_bytes(dst),
-    )
+    return total
 
 
 def encode_payload(d: Ipv4Datagram) -> bytes:
@@ -418,10 +392,9 @@ def encode_payload(d: Ipv4Datagram) -> bytes:
             0,
         )
         return head + b"\x00" * p.payload_length
-    if isinstance(p, EchoRequest):
-        return struct.pack(">BBHHH", 8, 0, 0, p.ident, p.seq_no) + b"\x00" * p.padding_length
-    if isinstance(p, EchoReply):
-        return struct.pack(">BBHHH", 0, 0, 0, p.ident, p.seq_no) + b"\x00" * p.padding_length
+    if isinstance(p, Echo):
+        head = struct.pack(">BBHHH", p.icmp_type, 0, 0, p.ident, p.seq_no)
+        return head + b"\x00" * p.padding_length
     if isinstance(p, FragNeeded):
         # next-hop MTU sits in the low 16 bits of the second header word
         return struct.pack(">BBHHH", 3, 4, 0, 0, p.next_hop_mtu) + p.embedded
@@ -429,16 +402,25 @@ def encode_payload(d: Ipv4Datagram) -> bytes:
 
 
 def encode(d: Ipv4Datagram) -> bytes:
+    """The datagram's octets; addresses take the grammar of
+    ipaddress.IPv4Address, as the scenario loader's do."""
     body = encode_payload(d)
-    header = _pack_header(
-        d.src,
-        d.dst,
-        d.protocol,
-        IP_HEADER_LEN + len(body),
+    flags_off = d.fragment_offset & 0x1FFF
+    if d.df:
+        flags_off |= 0x4000
+    if d.more_fragments:
+        flags_off |= 0x2000
+    header = _IP_STRUCT.pack(
+        0x45,
+        0,
+        _check_total(len(body)),
         d.identification,
-        df=d.df,
-        mf=d.more_fragments,
-        offset=d.fragment_offset,
+        flags_off,
+        64,
+        d.protocol.value,
+        0,
+        IPv4Address(d.src).packed,
+        IPv4Address(d.dst).packed,
     )
     return header + body
 
@@ -463,23 +445,20 @@ def decode(buf: bytes) -> Ipv4Datagram:
     if df and (mf or offset):
         raise MalformedPacketError("malformed-packet: DF datagram cannot be a fragment")
     body = buf[IP_HEADER_LEN:]
-    payload: Payload
-    if mf or offset:
-        payload = body
-    elif protocol is Protocol.TCP:
-        payload = _decode_tcp(body)
-    else:
-        payload = _decode_icmp(body)
     return Ipv4Datagram(
-        src=_bytes_to_ip(src),
-        dst=_bytes_to_ip(dst),
+        src=str(IPv4Address(src)),
+        dst=str(IPv4Address(dst)),
         protocol=protocol,
-        payload=payload,
+        payload=body if mf or offset else _decode_body(protocol, body),
         identification=ident,
         df=df,
         more_fragments=mf,
         fragment_offset=offset,
     )
+
+
+def _decode_body(protocol: Protocol, body: bytes) -> TcpSegment | IcmpMessage:
+    return _decode_tcp(body) if protocol is _TCP else _decode_icmp(body)
 
 
 def _decode_tcp(body: bytes) -> TcpSegment:
@@ -503,10 +482,8 @@ def _decode_icmp(body: bytes) -> IcmpMessage:
         raise MalformedPacketError("malformed-packet: truncated ICMP header")
     typ, code, _ck, w1, w2 = struct.unpack(">BBHHH", body[:ICMP_HEADER_LEN])
     rest = body[ICMP_HEADER_LEN:]
-    if typ == 8 and code == 0:
-        return EchoRequest(ident=w1, seq_no=w2, padding_length=len(rest))
-    if typ == 0 and code == 0:
-        return EchoReply(ident=w1, seq_no=w2, padding_length=len(rest))
+    if code == 0 and typ in _ECHO_TYPES:
+        return _ECHO_TYPES[typ](ident=w1, seq_no=w2, padding_length=len(rest))
     if typ == 3 and code == 4:
         if w1 != 0:
             raise MalformedPacketError("malformed-packet: nonzero unused field in ICMP error")
@@ -552,8 +529,8 @@ def parse_embedded(quote: bytes) -> EmbeddedQuote | None:
         return None
     sp, dp, seq = struct.unpack(">HHI", quote[IP_HEADER_LEN:])
     return EmbeddedQuote(
-        src=_bytes_to_ip(src),
-        dst=_bytes_to_ip(dst),
+        src=str(IPv4Address(src)),
+        dst=str(IPv4Address(dst)),
         protocol=protocol,
         src_port=sp,
         dst_port=dp,
@@ -568,7 +545,7 @@ def rewrite_embedded_source(quote: bytes, src: str, src_port: int) -> bytes:
         raise ValueError("embedded quote must be 28 octets")
     return (
         quote[:12]
-        + _ip_to_bytes(src)
+        + IPv4Address(src).packed
         + quote[16:IP_HEADER_LEN]
         + struct.pack(">H", src_port)
         + quote[22:]

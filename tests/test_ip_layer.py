@@ -1,6 +1,7 @@
 """The IP layer Host and NatBox share: fragment reassembly, expiry and the
 echo responder, run on both node types."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -114,3 +115,19 @@ def test_group_reassembles_or_expires(make, data):
         assert replies == []
         assert bool(drops(sim, node, "reassembly-timeout")) == bool(arrivals)
     assert node._frag_buffers == {}
+
+
+@NODES
+def test_group_over_16_bits_is_a_recorded_drop(make):
+    """A complete group whose payload exceeds 65,515 octets cannot form a
+    datagram: it ends in one drop and frees its group."""
+    sim, node = make()
+    request = echo_request(sim, node, padding=0xFFFF - 28)
+    *head, last = wire.fragment(request, 1500)
+    group = head + [dataclasses.replace(last, payload=last.payload + b"\x00")]
+    for piece in group:
+        node.on_datagram(sim, node.node_id, piece)
+    sim.run()
+    assert [r.dgram for r in drops(sim, node, "malformed-reassembly")] == [group[0]]
+    assert node._frag_buffers == {}
+    assert not echo_replies(sim, node)

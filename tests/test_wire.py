@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from natsim import wire
+from natsim.scenario import NodeSpec
 from natsim.wire import (
     EchoReply,
     EchoRequest,
@@ -259,6 +260,86 @@ class TestCodec:
             wire.decode(buf)
         except wire.MalformedPacketError:
             pass
+
+
+def largest_echo(padding_extra=0):
+    """The fragments, at MTU 1500, of an echo request 65,535 octets long,
+    the last one carrying `padding_extra` more octets."""
+    d = Ipv4Datagram("1.1.1.1", "2.2.2.2", Protocol.ICMP, EchoRequest(3, 1, 0xFFFF - 28),
+                     identification=5)
+    *head, last = wire.fragment(d, 1500)
+    return d, head + [dataclasses.replace(last, payload=last.payload + bytes(padding_extra))]
+
+
+class TestTotalLength:
+    """The 16-bit total-length field bounds what fragment splits and what
+    reassemble puts back together."""
+
+    def test_fragment_over_16_bits_raises(self):
+        d = tcp_datagram(payload=0xFFFF - 40 + 1)
+        assert d.total_length == 0x10000
+        with pytest.raises(wire.MalformedPacketError, match="total length exceeds 16 bits"):
+            wire.fragment(d, 1500)
+
+    def test_reassemble_at_the_limit(self):
+        d, frags = largest_echo()
+        assert d.total_length == 0xFFFF
+        assert wire.reassemble(frags) == d
+
+    def test_reassemble_over_16_bits_raises(self):
+        _, frags = largest_echo(padding_extra=1)
+        assert sum(len(f.payload) for f in frags) == 0xFFFF - 20 + 1
+        with pytest.raises(wire.MalformedPacketError, match="total length exceeds 16 bits"):
+            wire.reassemble(frags)
+
+
+# the loader's verdict on each address; the five after the first are
+# spellings whose parts int() reads but ipaddress.IPv4Address rejects
+ADDRESSES = [
+    ("1.2.3.4", True), ("1.2.3.04", False), (" 1.2.3.4", False), ("+1.2.3.4", False),
+    ("1_0.0.0.1", False), ("\u0661.2.3.4", False), ("0.0.0.0", True), ("255.255.255.255", True),
+    ("10.0.0.1", True), ("1.2.3", False), ("1.2.3.4.5", False), ("256.0.0.1", False),
+    ("1.2.3.-4", False), ("a.b.c.d", False), ("", False),
+]
+
+
+@pytest.mark.parametrize("address, valid", ADDRESSES)
+def test_codec_takes_the_loader_address_grammar(address, valid):
+    """encode, quote_of and rewrite_embedded_source raise ValueError exactly
+    for the addresses a scenario's NodeSpec rejects."""
+    try:
+        NodeSpec("n", "client", address)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+    quote = wire.quote_of(tcp_datagram())
+    calls = [
+        lambda: wire.decode(wire.encode(tcp_datagram(src=address))).src,
+        lambda: wire.decode(wire.encode(tcp_datagram(dst=address))).dst,
+        lambda: wire.parse_embedded(wire.quote_of(tcp_datagram(src=address))).src,
+        lambda: wire.parse_embedded(wire.rewrite_embedded_source(quote, address, 5555)).src,
+    ]
+    for call in calls:
+        if valid:
+            assert call() == address
+        else:
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_echo_request_and_reply_stay_distinct():
+    """The two echo classes share one base but never stand for each other:
+    equal fields compare unequal, and the codec and reassembly keep each
+    class."""
+    request, reply = EchoRequest(5, 1, 1472), EchoReply(5, 1, 1472)
+    assert request != reply
+    assert not isinstance(request, EchoReply) and not isinstance(reply, EchoRequest)
+    for payload in (request, reply):
+        d = Ipv4Datagram("1.1.1.1", "2.2.2.2", Protocol.ICMP, payload, identification=4)
+        for back in (wire.decode(wire.encode(d)), wire.reassemble(wire.fragment(d, 600))):
+            assert type(back.payload) is type(payload)
+            assert back == d
 
 
 class TestEmbedded:
