@@ -1,8 +1,9 @@
 """Simulated host TCP/IP stack, and the IP layer it shares with the NAT.
 
-IpNode is that shared layer: a per-destination path-MTU cache, the IP
-identification counter, fragment reassembly with expiry, an echo
-responder that fragments at the node's own path-MTU cache, and the
+IpNode is that shared layer: the one payload dispatch for a datagram
+addressed to the node (RFC 1122 section 3.2.1), a per-destination path-MTU
+cache, the IP identification counter, fragment reassembly with expiry, an
+echo responder that fragments at the node's own path-MTU cache, and the
 closed-socket reset reflection of RFC 793.  Host adds a minimal TCP
 connection table and the duplicate-ACK reaction of RFC 5681.  OS quirks
 are expressed via StackProfile: an openbsd-like profile stays silent on
@@ -108,8 +109,8 @@ def lowest_free_port(used: set[int], lo: int, hi: int, start: int | None = None)
 
 
 class IpNode:
-    """The IP layer under Host and NatBox.  Subclasses dispatch in
-    on_datagram; a reassembled datagram is dispatched there again."""
+    """The IP layer under Host and NatBox.  on_datagram dispatches to the
+    subclass's _on_tcp, _on_frag_needed and _on_echo_reply."""
 
     def __init__(self, node_id: str, address: str):
         self.node_id = node_id
@@ -119,7 +120,19 @@ class IpNode:
         self._frag_buffers: dict[tuple, list[Ipv4Datagram]] = {}
 
     def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
-        raise NotImplementedError
+        """Dispatch a datagram addressed to this node by its payload; a
+        reassembled datagram comes back here through self.on_datagram."""
+        p = d.payload
+        if isinstance(p, bytes):
+            self._on_fragment(sim, d)
+        elif isinstance(p, TcpSegment):
+            self._on_tcp(sim, d, p)
+        elif isinstance(p, EchoRequest):
+            self._echo(sim, d, p)
+        elif isinstance(p, FragNeeded):
+            self._on_frag_needed(sim, d, p)
+        else:
+            self._on_echo_reply(sim, d)
 
     def _on_fragment(self, sim: Simulator, d: Ipv4Datagram) -> None:
         key = d.group_key()
@@ -218,6 +231,7 @@ class Socket:
     rcv_nxt: int = 0
     # ground truth for assessors: (tick, rst seq, rcv_nxt at acceptance, src addr)
     reset_record: tuple[int, int, int, str] | None = None
+    last_dup_ack: int | None = None  # ack value of the last duplicate ACK sent
 
     @property
     def key(self) -> ConnKey:
@@ -246,7 +260,6 @@ class Host(IpNode):
         self.sockets: dict[ConnKey, Socket] = {}
         self.listeners: set[int] = set()
         self.dup_acks_sent = 0
-        self.dup_ack_log: list[tuple[int, ConnKey, int]] = []  # (tick, key, ack value)
         self.arrivals: list[tuple[int, Ipv4Datagram]] = []
         self._rng = derive_rng(seed, "host", node_id)
         self._used_ports: set[int] = set()
@@ -275,21 +288,6 @@ class Host(IpNode):
             sock.snd_nxt = seq_add(sock.snd_nxt, chunk)
             remaining -= chunk
 
-    # -- fabric handler ----------------------------------------------------------
-
-    def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
-        p = d.payload
-        if self.vantage and isinstance(p, (TcpSegment, EchoReply)):
-            self.arrivals.append((sim.now, d))
-        if isinstance(p, bytes):
-            self._on_fragment(sim, d)
-        elif isinstance(p, TcpSegment):
-            self._on_tcp(sim, d, p)
-        elif isinstance(p, EchoRequest):
-            self._echo(sim, d, p)
-        elif isinstance(p, FragNeeded):
-            self._on_frag_needed(sim, d, p)
-
     # -- ICMP ---------------------------------------------------------------------
 
     def _on_frag_needed(self, sim: Simulator, d: Ipv4Datagram, msg: FragNeeded) -> None:
@@ -308,11 +306,16 @@ class Host(IpNode):
             return
         self.pmtu.shrink(quote.dst, msg.next_hop_mtu)
 
+    def _on_echo_reply(self, sim: Simulator, d: Ipv4Datagram) -> None:
+        if self.vantage:
+            self.arrivals.append((sim.now, d))
+
     # -- TCP -------------------------------------------------------------------------
 
     def _on_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
-        key = (seg.dst_port, d.src, seg.src_port)
-        sock = self.sockets.get(key)
+        if self.vantage:
+            self.arrivals.append((sim.now, d))
+        sock = self.sockets.get((seg.dst_port, d.src, seg.src_port))
         flags = int(seg.flags)
 
         if sock is None or sock.state == TcpState.CLOSED:
@@ -356,7 +359,7 @@ class Host(IpNode):
             # whose ack field necessarily exposes rcv_nxt
             if self.profile.emits_dup_ack_on_stray_push_ack:
                 self.dup_acks_sent += 1
-                self.dup_ack_log.append((sim.now, key, sock.rcv_nxt))
+                sock.last_dup_ack = sock.rcv_nxt
                 self._send(sim, sock, _ACK)
 
     # -- helpers ------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A NatBox rewrites outbound client traffic to its public address, keeps a
 session-mapping table keyed both by internal tuple and by external port,
 translates inbound packets and ICMP errors back, and answers pings to the
-public address itself.  The policy axes decide whether the device is
-vulnerable: how it reacts to inbound RSTs, what it does with unmapped
-inbound segments, how external ports are allocated, and whether its own
-path-MTU cache follows translated Fragmentation Needed messages.
+public address itself.  Traffic addressed to the device takes the IpNode
+dispatch it shares with Host: _on_tcp and _on_frag_needed translate, and
+an echo reply is a no-mapping drop.  The policy axes decide whether the
+device is vulnerable: how it reacts to inbound RSTs, what it does with
+unmapped inbound segments, how external ports are allocated, and whether
+its own path-MTU cache follows translated Fragmentation Needed messages.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .wire import (
     FIN_BIT,
     RST_BIT,
     SYN_BIT,
-    EchoRequest,
     FragNeeded,
     Ipv4Datagram,
     Protocol,
@@ -99,17 +100,9 @@ class NatMapping:
     external_port: int
     remote: tuple[str, int]
     state: str
-    last_tick: int
     # acceptable server->client sequence window, tracked under strict
     # validation only
     inbound_seq_window: tuple[int, int] | None = None
-
-    def dump_line(self) -> str:
-        lo, hi = self.inbound_seq_window or ("-", "-")
-        return (
-            f"{self.internal[0]}:{self.internal[1]} ext:{self.external_port} "
-            f"{self.remote[0]}:{self.remote[1]} {self.state} {lo} {hi} {self.last_tick}"
-        )
 
 
 class NatTableError(Exception):
@@ -144,7 +137,7 @@ class NatBox(IpNode):
 
     def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
         if d.dst == self.address:
-            self._inbound(sim, d)
+            IpNode.on_datagram(self, sim, node, d)
         elif d.src in self.internal_addrs:
             self._outbound(sim, d)
         else:
@@ -171,10 +164,8 @@ class NatBox(IpNode):
                 external_port=port,
                 remote=(d.dst, seg.dst_port),
                 state=state,
-                last_tick=sim.now,
             )
             self._insert(mapping)
-        mapping.last_tick = sim.now
         if mapping.state == MappingState.SYN_SENT and flags & ACK_BIT:
             mapping.state = MappingState.ESTABLISHED
         if flags & FIN_BIT:
@@ -185,20 +176,7 @@ class NatBox(IpNode):
 
     # -- inbound ------------------------------------------------------------------
 
-    def _inbound(self, sim: Simulator, d: Ipv4Datagram) -> None:
-        p = d.payload
-        if isinstance(p, bytes):
-            self._on_fragment(sim, d)
-        elif isinstance(p, TcpSegment):
-            self._inbound_tcp(sim, d, p)
-        elif isinstance(p, FragNeeded):
-            self._translate_icmp_error(sim, d, p)
-        elif isinstance(p, EchoRequest):
-            self._echo(sim, d, p)
-        else:
-            sim.record(self.node_id, "drop", "no-mapping", d)
-
-    def _inbound_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
+    def _on_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         mapping = self.by_external.get((seg.dst_port, (d.src, seg.src_port)))
         flags = int(seg.flags)
         if mapping is None:
@@ -211,10 +189,8 @@ class NatBox(IpNode):
         if flags & RST_BIT:
             if not self._on_inbound_rst(sim, d, seg, mapping):
                 return
-        else:
-            mapping.last_tick = sim.now
-            if flags & FIN_BIT:
-                mapping.state = MappingState.FIN_WAIT
+        elif flags & FIN_BIT:
+            mapping.state = MappingState.FIN_WAIT
         self._translate(sim, d, seg, (d.src, seg.src_port), mapping.internal)
 
     def _on_inbound_rst(
@@ -262,7 +238,7 @@ class NatBox(IpNode):
 
     # -- ICMP ------------------------------------------------------------------------
 
-    def _translate_icmp_error(self, sim: Simulator, d: Ipv4Datagram, msg: FragNeeded) -> None:
+    def _on_frag_needed(self, sim: Simulator, d: Ipv4Datagram, msg: FragNeeded) -> None:
         quote = wire.parse_embedded(msg.embedded)
         if quote is None or quote.src != self.address:
             sim.record(self.node_id, "drop", "icmp-no-mapping", d)
@@ -288,6 +264,9 @@ class NatBox(IpNode):
                 identification=d.identification,
             ),
         )
+
+    def _on_echo_reply(self, sim: Simulator, d: Ipv4Datagram) -> None:
+        sim.record(self.node_id, "drop", "no-mapping", d)
 
     # -- table maintenance ---------------------------------------------------------
 
@@ -325,15 +304,3 @@ class NatBox(IpNode):
                 self._next_sequential = port + 1
             return port
         return pick_port(self._rng, self.MIN_PORT, 0xFFFF, self._used_ports)
-
-    # -- external interface -----------------------------------------------------------
-
-    def dump_mappings(self) -> str:
-        lines = [m.dump_line() for m in sorted(self.by_internal.values(), key=lambda m: m.external_port)]
-        return "\n".join(lines)
-
-    def mapping_snapshot(self) -> tuple:
-        return tuple(
-            (m.internal, m.external_port, m.remote, m.state)
-            for m in sorted(self.by_internal.values(), key=lambda m: m.external_port)
-        )

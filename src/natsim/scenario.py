@@ -165,8 +165,6 @@ class ServerSpec:
 
 
 def _check_connected(nodes, links) -> None:
-    if not nodes:
-        return
     adjacency: dict[str, set[str]] = {n.id: set() for n in nodes}
     for link in links:
         adjacency[link.frm].add(link.to)

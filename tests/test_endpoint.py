@@ -263,7 +263,26 @@ class TestResetBehavior:
                if r.node == "b" and r.action == "send"
                and isinstance(r.dgram.payload, TcpSegment)][-1]
         assert dup.ack == ssock.rcv_nxt
-        assert b.dup_ack_log[-1][2] == ssock.rcv_nxt
+        assert ssock.last_dup_ack == ssock.rcv_nxt
+
+    def test_stray_push_ack_flood_leaves_bounded_state(self):
+        """Every stray PUSH/ACK is answered, but the host keeps only the
+        last duplicate ACK: 10,000 of them grow none of its containers."""
+        sim, a, b, key, ssock = self.established()
+        sizes = lambda: sum(len(v) for v in vars(b).values() if isinstance(v, (list, dict, set)))
+
+        def stray(n):
+            seg = TcpSegment(ssock.remote[1], ssock.local_port, seq=(ssock.rcv_nxt + 5000 + n) % 2**32,
+                             ack=999, flags=TcpFlag.PSH | TcpFlag.ACK, payload_length=1)
+            b.on_datagram(sim, "b", self.tcp_to(b, seg, src="1.1.1.1"))
+
+        stray(0)
+        after_one = sizes()
+        for n in range(1, 10_000):
+            stray(n)
+        assert b.dup_acks_sent == 10_000
+        assert ssock.last_dup_ack == ssock.rcv_nxt
+        assert sizes() == after_one
 
     def test_openbsd_profile_stays_silent(self):
         sim, a, b, key, ssock = self.established(profile=OPENBSD_LIKE)

@@ -25,9 +25,9 @@ PER_PACKET = (
     IpNode._emit_tcp,
     IpNode._reflect_reset,
     NatBox.on_datagram,
-    NatBox._inbound,
+    IpNode.on_datagram,
     NatBox._outbound,
-    NatBox._inbound_tcp,
+    NatBox._on_tcp,
     NatBox._on_inbound_rst,
     Host.on_datagram,
     Host._on_tcp,

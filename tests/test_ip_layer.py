@@ -25,6 +25,12 @@ def nat_node():
     return sim, nat
 
 
+def vantage_node():
+    sim, a = host_node()
+    a.vantage = True
+    return sim, a
+
+
 NODES = pytest.mark.parametrize("make", [host_node, nat_node], ids=["host", "nat"])
 
 
@@ -131,3 +137,24 @@ def test_group_over_16_bits_is_a_recorded_drop(make):
     assert [r.dgram for r in drops(sim, node, "malformed-reassembly")] == [group[0]]
     assert node._frag_buffers == {}
     assert not echo_replies(sim, node)
+
+
+@pytest.mark.parametrize("fragmented", [False, True], ids=["whole", "fragmented"])
+@pytest.mark.parametrize("make, records, logged", [
+    (nat_node, [("drop", "no-mapping")], 0),
+    (host_node, [], 0),
+    (vantage_node, [], 1),
+], ids=["nat", "host", "vantage"])
+def test_echo_reply_dispatch(make, records, logged, fragmented):
+    """An echo reply to the NAT is one no-mapping drop; a Host records
+    nothing for it, and a vantage logs the reply once, reassembled."""
+    sim, node = make()
+    reply = Ipv4Datagram(src=PEER, dst=sim.nodes[node.node_id].address, protocol=Protocol.ICMP,
+                         payload=EchoReply(11, 1, 1472), identification=9)
+    start = len(sim.trace)
+    for piece in wire.fragment(reply, 600) if fragmented else [reply]:
+        node.on_datagram(sim, node.node_id, piece)
+    sim.run()
+    assert [(r.action, r.reason, r.dgram) for r in list(sim.trace)[start:]] == [
+        (action, reason, reply) for action, reason in records]
+    assert [d for _, d in getattr(node, "arrivals", [])] == [reply] * logged

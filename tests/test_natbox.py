@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from natsim import wire
+from natsim.endpoint import DEFAULT_RCV_WND
 from natsim.natbox import (
     NatPolicy,
     PmtudSync,
@@ -17,6 +18,7 @@ from natsim.wire import (
     Protocol,
     TcpFlag,
     TcpSegment,
+    seq_add,
 )
 
 from helpers import connect, nat_triangle
@@ -29,6 +31,11 @@ def inbound(nat, seg, src="7.7.7.7"):
 def the_mapping(nat):
     assert len(nat.by_internal) == 1
     return next(iter(nat.by_internal.values()))
+
+
+def mapping_rows(nat):
+    """(internal, external port, remote, state) of every mapping, sorted."""
+    return sorted((m.internal, m.external_port, m.remote, m.state) for m in nat.by_internal.values())
 
 
 class TestOutbound:
@@ -144,10 +151,10 @@ class TestInboundRst:
         policy = NatPolicy(rst_handling=RstHandling.FORWARD_ONLY)
         sim, client, nat, server = nat_triangle(policy)
         connect(sim, client)
-        before = nat.mapping_snapshot()
+        before = mapping_rows(nat)
         for seq in (0, 1, 99999, 2**31):
             nat.on_datagram(sim, "nat", self.forged(nat, seq=seq))
-        assert nat.mapping_snapshot() == before
+        assert mapping_rows(nat) == before
         assert nat.mappings_removed_by_rst == 0
 
     def test_strict_drops_out_of_window(self):
@@ -178,10 +185,10 @@ class TestInboundRst:
         policy = NatPolicy(rst_handling=RstHandling.FORWARD_ONLY)
         sim, client, nat, server = nat_triangle(policy)
         connect(sim, client)
-        before = nat.mapping_snapshot()
+        before = mapping_rows(nat)
         for seq in seqs:
             nat.on_datagram(sim, "nat", self.forged(nat, seq=seq))
-        assert nat.mapping_snapshot() == before
+        assert mapping_rows(nat) == before
 
 
 class TestIcmpTranslation:
@@ -282,13 +289,14 @@ class TestTable:
         assert m.external_port == old_port + 1  # sequential moved on
 
     def test_dump_format(self):
+        """An established mapping holds its tuples, is indexed by external
+        port, and tracks no sequence window outside strict validation."""
         sim, client, nat, server = nat_triangle()
         key = connect(sim, client)
-        line = nat.dump_mappings()
         m = the_mapping(nat)
-        assert line == (
-            f"10.0.0.2:{key[0]} ext:{m.external_port} 7.7.7.7:80 ESTABLISHED - - {m.last_tick}"
-        )
+        assert (m.internal, m.remote, m.state) == (("10.0.0.2", key[0]), ("7.7.7.7", 80), "ESTABLISHED")
+        assert nat.by_external == {(m.external_port, m.remote): m}
+        assert m.inbound_seq_window is None
 
     def test_dump_shows_strict_window(self):
         policy = NatPolicy(rst_handling=RstHandling.STRICT_VALIDATE)
@@ -296,9 +304,9 @@ class TestTable:
         key = connect(sim, client)
         client.send_data(sim, key, 10)
         sim.run()
-        m = the_mapping(nat)
-        lo, hi = m.inbound_seq_window
-        assert f" {lo} {hi} " in nat.dump_mappings()
+        lo, hi = the_mapping(nat).inbound_seq_window
+        # opened at the client's last acknowledgement, one receive window wide
+        assert (lo, hi) == (client.socket(key).rcv_nxt, seq_add(lo, DEFAULT_RCV_WND))
 
     def test_leaky_cache_unmoved_by_any_probe_sequence(self):
         sim, client, nat, server = nat_triangle()
