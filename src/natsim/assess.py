@@ -78,14 +78,14 @@ def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, 
     """Build a fresh instance, establish the workload, and run the probe."""
     handles = _build_and_establish(scn, seed, "probe")
     before_echo = None
-    pre_echo = scn.probe.pre_echo_mtu
+    pre_echo = scn.pre_echo_mtu
     if pre_echo is not None:
         before_echo = lambda sim: sim.set_link_mtu(*pre_echo.link, pre_echo.mtu)
     verdict = probe_mod.run_identification(
         handles.sim,
         handles.vantage_host,
         scn.target_addr,
-        scn.probe.config,
+        scn.probe,
         before_echo=before_echo,
     )
     # undo the planted path MTU, mirroring a polite prober

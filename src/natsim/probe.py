@@ -29,6 +29,9 @@ from .wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol
 # spoofed source for the crafted ICMP error; any on-path router could
 # legitimately have sent it, so targets cannot validate the outer source
 ROUTER_LIKE_SRC = "203.0.113.99"
+# the longest wait for an echo reply: one that never comes costs the whole
+# wait, with the vantage session sending all the while
+MAX_TIMEOUT_TICKS = 100_000
 
 
 class ProbeError(Exception):
@@ -51,6 +54,8 @@ class ProbeConfig:
         wire.check_range("baseline_size", self.baseline_size, wire.MIN_MTU, 0x10000)
         wire.check_range("forged_mtu", self.forged_mtu, wire.MIN_MTU, self.baseline_size)
         wire.check_range("timeout_ticks", self.timeout_ticks, 1)
+        if self.timeout_ticks > MAX_TIMEOUT_TICKS:
+            raise ValueError(f"timeout_ticks: {self.timeout_ticks} is above the maximum {MAX_TIMEOUT_TICKS}")
 
 
 class VerdictKind(Enum):

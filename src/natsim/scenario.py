@@ -2,14 +2,14 @@
 probe/attack plan, loaded from JSON-compatible dicts into validated
 Scenario objects, then built into a live simulator.
 
-Schema top-level keys: DOCUMENT_KEYS.  A block takes exactly the fields
-of its run object (NodeSpec, LinkSpec, NatPolicy, ServerSpec,
+The document's top level and each of its blocks take exactly the fields
+of a run object (Scenario, NodeSpec, LinkSpec, NatPolicy, ServerSpec,
 WorkloadSpec, ProbeConfig, PreEchoSpec, AttackPlan, Expectation) that
 the loader does not set itself, typed by their annotations, plus the
-keys the loader reads by hand; any other key is a ScenarioError.  A
-field with no default is required.  The run objects hold the defaults
-and check their own values.  The loader checks the references between
-blocks and the rules that span blocks.
+blocks and keys the loader reads by hand; any other key is a
+ScenarioError.  A field with no default is required.  The run objects
+hold the defaults and check their own values.  The loader checks the
+references between blocks and the rules that span blocks.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ from .wire import MIN_MTU, check_port_range, check_range
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
 HOST_KINDS = ("client", "server", "vantage")  # the kinds that `build` gives a Host
-# the top-level keys of a document, which the loader reads by hand
-DOCUMENT_KEYS = (
-    "name", "seed", "tick_duration", "nodes", "links", "nat", "server", "clients",
-    "ephemeral_range", "workload", "probe", "attack", "force_attack", "expect",
-)
 PROFILES = {"linux-like": LINUX_LIKE, "openbsd-like": OPENBSD_LIKE}
 SESSION_PAYLOAD = 1460  # guarantees one full-sized baseline segment
 DOC_CLIENTS = 4  # the clients of a canonical NAT document
@@ -105,22 +100,18 @@ def _known(doc: dict, where: str, keys) -> None:
             raise ScenarioError(f"{where}.{key}: unknown field (valid: {', '.join(keys)})")
 
 
-def _build(cls, doc: dict, where: str, extras: tuple[str, ...] = (), **given):
+def _build(cls, doc: dict, where: str, extras: tuple[str, ...] = (), /, **given):
     """A `cls` from `given` and every other field of it, read from `doc`;
-    `doc` may also hold the `extras` its caller reads."""
+    `doc` may also hold the `extras` its caller reads.  The ValueError of
+    a run object's check, whose message starts with the field, is raised
+    as a ScenarioError under `where`."""
     types = _field_types(cls)
     _known(doc, where, extras + tuple(k for k in types if k not in given))
     for key, (typ, default) in types.items():
         if key not in given and (default is MISSING or doc.get(key) is not None):
             given[key] = _require(doc, key, typ, where)
-    return _checked(where, cls, **given)
-
-
-def _checked(where: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with the ValueError of a range check, whose
-    message starts with the field, raised as a ScenarioError under `where`."""
     try:
-        return fn(*args, **kwargs)
+        return cls(**given)
     except ValueError as e:
         raise ScenarioError(f"{where}.{e}") from None
 
@@ -209,39 +200,39 @@ class PreEchoSpec:
 
 
 @dataclass(frozen=True)
-class ProbeSpec:
-    config: ProbeConfig
-    pre_echo_mtu: PreEchoSpec | None = None
-
-
-@dataclass(frozen=True)
 class Expectation:
     verdict: str | None = None
     attack_success: bool | None = None
     diagnosis: str | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
     name: str
-    seed: int
-    tick_duration: float
+    seed: int = 1
+    tick_duration: float = 0.001
     nodes: list[NodeSpec]
     links: list[LinkSpec]
     nat_policy: NatPolicy | None
     server: ServerSpec | None
     clients: list[str]
-    ephemeral_range: tuple[int, int]
+    ephemeral_range: tuple[int, int] = DEFAULT_EPHEMERAL_RANGE
     workload: WorkloadSpec
-    probe: ProbeSpec | None
+    probe: ProbeConfig | None
+    pre_echo_mtu: PreEchoSpec | None
     # seeded with the document's seed; `build` reseeds it for each run
     attack: AttackPlan | None
-    force_attack: bool
+    force_attack: bool = False
     expect: Expectation | None
     doc: dict
     # the public address the probe and the attack aim at: the NAT's, or
     # the first client's when there is no NAT
     target_addr: str
+
+    def __post_init__(self):
+        if not self.tick_duration > 0:
+            raise ValueError(f"tick_duration: {self.tick_duration} is not positive")
+        check_port_range("ephemeral_range", self.ephemeral_range)
 
     def policy_summary(self) -> str:
         policy = self.nat_policy.summary() if self.nat_policy else "no-nat"
@@ -253,13 +244,6 @@ def load_scenario(doc: dict) -> Scenario:
     """Validate a scenario document and build its run objects."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected an object")
-    _known(doc, "scenario", DOCUMENT_KEYS)
-    name = _require(doc, "name", str, "scenario")
-    seed = _require(doc, "seed", int, "scenario", 1)
-    tick_duration = _require(doc, "tick_duration", float, "scenario", 0.001)
-    if not tick_duration > 0:
-        raise ScenarioError(f"scenario.tick_duration: {tick_duration} is not positive")
-
     nodes = []
     addresses: dict[str, str] = {}
     for i, nd in enumerate(_require(doc, "nodes", list, "scenario")):
@@ -321,78 +305,61 @@ def load_scenario(doc: dict) -> Scenario:
         raise ScenarioError("clients: at least one client node required")
     target_addr = addresses[nat_node or clients[0]]
 
-    ephemeral = _require(doc, "ephemeral_range", tuple, "scenario", DEFAULT_EPHEMERAL_RANGE)
-    _checked("scenario", check_port_range, "ephemeral_range", ephemeral)
-
     workload = _build(WorkloadSpec, _require(doc, "workload", dict, "scenario", {}), "workload")
 
-    probe_spec = None
+    probe = pre_echo = None
     probe_doc = _require(doc, "probe", dict, "scenario", None)
     if probe_doc is not None:
-        config = _build(ProbeConfig, probe_doc, "probe", ("pre_echo_mtu",))
-        if config.vantage not in host_nodes:
-            raise ScenarioError(f"probe.vantage: {config.vantage!r} is not a host node")
+        probe = _build(ProbeConfig, probe_doc, "probe", ("pre_echo_mtu",))
+        if probe.vantage not in host_nodes:
+            raise ScenarioError(f"probe.vantage: {probe.vantage!r} is not a host node")
         # the vantage host observes the session a client opens to it
-        if server is not None and config.vantage == server.node:
-            raise ScenarioError(f"probe.vantage: {config.vantage!r} is also server.node")
-        if config.vantage in clients:
-            raise ScenarioError(f"probe.vantage: {config.vantage!r} is also one of clients")
-        pre_echo = None
+        if server is not None and probe.vantage == server.node:
+            raise ScenarioError(f"probe.vantage: {probe.vantage!r} is also server.node")
+        if probe.vantage in clients:
+            raise ScenarioError(f"probe.vantage: {probe.vantage!r} is also one of clients")
         pe_doc = _require(probe_doc, "pre_echo_mtu", dict, "probe", None)
         if pe_doc is not None:
             pre_echo = _build(PreEchoSpec, pe_doc, "probe.pre_echo_mtu")
             if pre_echo.link not in [[l.frm, l.to] for l in links]:
                 raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming a link")
-        probe_spec = ProbeSpec(config=config, pre_echo_mtu=pre_echo)
 
-    plan = None
+    exp_doc = _require(doc, "expect", dict, "scenario", None)
+    expect = None if exp_doc is None else _build(Expectation, exp_doc, "expect")
+
+    scn = _build(
+        Scenario, doc, "scenario",
+        ("nodes", "links", "nat", "server", "clients", "workload", "probe", "attack", "expect"),
+        nodes=nodes, links=links, nat_policy=nat_policy, server=server, clients=clients,
+        workload=workload, probe=probe, pre_echo_mtu=pre_echo, attack=None, expect=expect,
+        doc=doc, target_addr=target_addr,
+    )
     attack_doc = _require(doc, "attack", dict, "scenario", None)
     if attack_doc is not None:
         if server is None:
             raise ScenarioError("attack: an attack block requires a server block")
-        plan = _build(
+        scn.attack = _build(
             AttackPlan, attack_doc, "attack", nat_public_ip=target_addr,
-            victim_server=(addresses[server.node], server.port), seed=seed,
+            victim_server=(addresses[server.node], server.port), seed=scn.seed,
         )
 
     # the victims, then the vantage session on the first client, then the
     # attack's new connections, each take a port for good
-    ports = ephemeral[1] - ephemeral[0] + 1
-    vantage = int(probe_spec is not None)
+    ports = scn.ephemeral_range[1] - scn.ephemeral_range[0] + 1
+    vantage = int(probe is not None)
     if _busiest_client(clients, workload.connections, first=vantage) > ports:
         raise ScenarioError(
             f"workload.connections: {workload.connections} connections need more than "
             f"the {ports} ephemeral ports of a client in {clients}"
         )
-    attempts = plan.new_connection_attempts if plan is not None else 0
+    attempts = scn.attack.new_connection_attempts if scn.attack is not None else 0
     if _busiest_client(clients, workload.connections, attempts, first=vantage) > ports:
         raise ScenarioError(
             f"attack.new_connection_attempts: {attempts} attempts after "
             f"{workload.connections} connections need more than the {ports} "
             f"ephemeral ports of a client in {clients}"
         )
-
-    exp_doc = _require(doc, "expect", dict, "scenario", None)
-    expect = None if exp_doc is None else _build(Expectation, exp_doc, "expect")
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        tick_duration=tick_duration,
-        nodes=nodes,
-        links=links,
-        nat_policy=nat_policy,
-        server=server,
-        clients=clients,
-        ephemeral_range=ephemeral,
-        workload=workload,
-        probe=probe_spec,
-        attack=plan,
-        force_attack=_require(doc, "force_attack", bool, "scenario", False),
-        expect=expect,
-        doc=doc,
-        target_addr=target_addr,
-    )
+    return scn
 
 
 @dataclass
@@ -419,7 +386,7 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
     nat: NatBox | None = None
     attacker_node = None
     internal_addrs = {n.address for n in scenario.nodes if n.id in scenario.clients}
-    vantage_id = scenario.probe.config.vantage if scenario.probe else None
+    vantage_id = scenario.probe.vantage if scenario.probe else None
     server = scenario.server
 
     for spec in scenario.nodes:
@@ -510,7 +477,7 @@ def establish(handles: Handles) -> None:
         key = client.open_connection(sim, (vantage_addr, 80))
         if not sim.run_until(lambda: client.state(key) == TcpState.ESTABLISHED, sim.now + 40):
             raise EstablishError(f"{scn.name}: vantage session failed to establish")
-        horizon = sim.now + 4 * scn.probe.config.timeout_ticks
+        horizon = sim.now + 4 * scn.probe.timeout_ticks
 
         def periodic(s: Simulator):
             if client.state(key) == TcpState.ESTABLISHED:

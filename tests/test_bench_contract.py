@@ -50,3 +50,19 @@ def test_trace_file_is_complete_when_write_returns(tmp_path):
     assert tracer.trace_bytes == path.stat().st_size
     assert path.read_text().startswith("#natsim-trace ")
     assert assess.replay(str(path)).identical
+
+
+def test_no_instance_attribute_shadows_a_wrapped_method():
+    """The tracer replaces a method on its class, so a Simulator, Host or
+    NatBox that bound its own attribute of that name would bypass the
+    span and its layer would count nothing."""
+    spans = load_spans()
+    scn = sc.load_scenario(sc.nat_scenario_doc(
+        "bench-contract", ephemeral_range=(40000, 40063), port_range=(40000, 40063)))
+    for run in (assess.identify_scenario, assess.attack_scenario):
+        _, handles = run(scn)
+        objects = [handles.sim, handles.nat, *handles.hosts.values()]
+        for name, owner, attr in spans.WRAPPED:
+            for obj in objects:
+                if isinstance(owner, type) and isinstance(obj, owner):
+                    assert attr not in vars(obj), (name, obj)

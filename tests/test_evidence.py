@@ -62,7 +62,7 @@ def attack_windows(monkeypatch):
 def test_echo_reply_evidence_matches_trace_rescan():
     for doc in IDENTIFY_DOCS:
         scn = sc.load_scenario(doc)
-        vantage = scn.probe.config.vantage
+        vantage = scn.probe.vantage
         for seed in SEEDS:
             with keep_traces():
                 verdict, handles = assess.identify_scenario(scn, seed=seed)

@@ -80,14 +80,23 @@ class TestDefaults:
         assert scn.attack.rounds == 1
         assert scn.attack.set_ack_flag_on_rst is True
 
+    @pytest.mark.parametrize("seed", [1, 41])  # the shipped seed is also the default
+    def test_plan_is_seeded_with_the_run_seed(self, seed):
+        doc = wifi_doc()
+        doc["seed"] = seed
+        scn = load_scenario(doc)
+        assert scn.attack.seed == doc["seed"]
+        assert sc.build(scn, seed=7).plan.seed == 7
+        assert sc.build(scn).plan.seed == scn.seed
+
     def test_probe_defaults(self):
         doc = minimal_doc()
         doc["nodes"].append({"id": "v", "kind": "vantage", "address": "8.8.8.8"})
         doc["links"] += [{"from": "n", "to": "v"}, {"from": "v", "to": "n"}]
         doc["probe"] = {"vantage": "v"}
         scn = load_scenario(doc)
-        assert scn.probe.config.forged_mtu == 600
-        assert scn.probe.config.baseline_size == 1500
+        assert scn.probe.forged_mtu == 600
+        assert scn.probe.baseline_size == 1500
 
 
 class TestValidation:
@@ -234,6 +243,19 @@ class TestValidation:
         # the vantage host must be neither the victims' server nor a client
         (("server", "node"), "vantage", "probe.vantage: 'vantage' is also server.node"),
         (("probe", "vantage"), "client1", "probe.vantage: 'client1' is also one of clients"),
+        # the top-level keys, read from the fields of Scenario
+        (("name",), 5, "scenario.name: expected str, got int"),
+        (("seed",), "1", "scenario.seed: expected int, got str"),
+        (("seed",), True, "scenario.seed: expected int, got bool"),
+        (("force_attack",), 1, "scenario.force_attack: expected bool, got int"),
+        (("ephemeral_range",), [50000, 40000],
+         "scenario.ephemeral_range: range [50000, 40000] empty or out of bounds"),
+        (("ephemeral_range",), [1], "scenario.ephemeral_range: expected [lo, hi]"),
+        (("tick_duration",), -0.5, "scenario.tick_duration: -0.5 is not positive"),
+        (("tick_duration",), "fast", "scenario.tick_duration: expected float, got str"),
+        (("expect",), [], "scenario.expect: expected dict, got list"),
+        (("attack",), 7, "scenario.attack: expected dict, got int"),
+        (("probe", "timeout_ticks"), 100001, "probe.timeout_ticks: 100001 is above the maximum 100000"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -241,6 +263,16 @@ class TestValidation:
         with pytest.raises(ScenarioError) as e:
             load_scenario(doc)
         assert field in str(e.value)
+
+    @pytest.mark.parametrize("doc", [[], "x"])
+    def test_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ScenarioError, match="^scenario: expected an object"):
+            load_scenario(doc)
+
+    def test_probe_may_wait_the_longest_timeout(self):
+        doc = wifi_doc()
+        doc["probe"]["timeout_ticks"] = 100000
+        assert load_scenario(doc).probe.timeout_ticks == 100000
 
     def test_connections_may_use_every_ephemeral_port(self):
         doc = wifi_doc()
@@ -298,6 +330,7 @@ class TestValidation:
          "configuration error: probe.pre_echo_mtu.link"),
         (("probe", "timeout_ticks"), -1, "configuration error: probe.timeout_ticks"),
         (("probe", "vantage"), "nat", "configuration error: probe.vantage"),
+        (("probe", "timeout_ticks"), 100001, "configuration error: probe.timeout_ticks: 100001 is above"),
     ])
     def test_identify_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()
