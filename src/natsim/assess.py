@@ -25,7 +25,7 @@ from . import strike as strike_mod
 from .fabric import Simulator, keep_traces, render_lines
 from .probe import Verdict
 from .scenario import Handles, Scenario, ScenarioError
-from .strike import OUTCOME_CSV_COLUMNS, AttackReport, StrikeContext
+from .strike import OUTCOME_CSV_COLUMNS, AttackReport
 
 ASSESS_CSV_HEADER = "scenario,policy,verdict," + OUTCOME_CSV_COLUMNS
 PROBE_CSV_HEADER = "target,kind,reason,baseline,postProbe,fragSizes"
@@ -77,17 +77,7 @@ def _build_and_establish(scn: Scenario, seed: int | None, block: str) -> Handles
 def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, Handles]:
     """Build a fresh instance, establish the workload, and run the probe."""
     handles = _build_and_establish(scn, seed, "probe")
-    before_echo = None
-    pre_echo = scn.pre_echo_mtu
-    if pre_echo is not None:
-        before_echo = lambda sim: sim.set_link_mtu(*pre_echo.link, pre_echo.mtu)
-    verdict = probe_mod.run_identification(
-        handles.sim,
-        handles.vantage_host,
-        scn.target_addr,
-        scn.probe,
-        before_echo=before_echo,
-    )
+    verdict = probe_mod.run_identification(handles)
     # undo the planted path MTU, mirroring a polite prober
     probe_mod.restore_path_mtu(handles.sim, handles.vantage_host.address)
     return verdict, handles
@@ -98,16 +88,7 @@ def attack_scenario(scn: Scenario, seed: int | None = None) -> tuple[AttackRepor
     handles = _build_and_establish(scn, seed, "attack")
     if handles.attacker_node is None:
         raise ScenarioError("attack: scenario has no attacker node")
-    ctx = StrikeContext(
-        attacker_node=handles.attacker_node,
-        server_host=handles.server_host,
-        victims=handles.victims,
-        new_conn_clients=[handles.hosts[c] for c in scn.clients],
-        nat=handles.nat,
-        tick_duration=scn.tick_duration,
-    )
-    report = strike_mod.run_dos_attack(handles.sim, handles.plan, ctx)
-    return report, handles
+    return strike_mod.run_dos_attack(handles), handles
 
 
 def check_expectations(

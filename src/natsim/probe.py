@@ -9,8 +9,10 @@ NAT device answers from its own untouched path-MTU cache, so its reply
 stays large, while a directly addressed host pre-fragments at the
 planted value.
 
-Engine functions are stateless over a simulator handle; run one probe
-per simulator instance at a time.
+`run_identification` takes a built scenario's `Handles` and reads its
+roles from them: the vantage host, the target address, the probe
+config and the `pre_echo_mtu` re-dial between the stages.  Run one
+probe per simulator instance at a time.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from . import wire
 from .endpoint import Host
 from .fabric import Simulator, derive_rng
 from .wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol
+
+if TYPE_CHECKING:  # `scenario` imports this module
+    from .scenario import Handles
 
 # spoofed source for the crafted ICMP error; any on-path router could
 # legitimately have sent it, so targets cannot validate the outer source
@@ -117,19 +122,11 @@ def craft_frag_needed(observed: Ipv4Datagram, forged_mtu: int) -> FragNeeded:
     return FragNeeded(next_hop_mtu=forged_mtu, embedded=wire.quote_of(observed))
 
 
-def run_identification(
-    sim: Simulator,
-    vantage: Host,
-    target_addr: str,
-    cfg: ProbeConfig,
-    *,
-    before_echo: Callable[[Simulator], None] | None = None,
-) -> Verdict:
-    """Run both stages and classify; every outcome is a Verdict.
-
-    `before_echo` runs between the stages, letting scenarios adjust link
-    MTUs the way a testbed operator would between experiments.
-    """
+def run_identification(handles: Handles) -> Verdict:
+    """Run both stages from the vantage host against the target and
+    classify; every outcome is a Verdict."""
+    sim, vantage, scn = handles.sim, handles.vantage_host, handles.scenario
+    target_addr, cfg = scn.target_addr, scn.probe
     obs = Observation()
 
     first = _next_arrival(sim, vantage, target_addr, -1, sim.now + cfg.timeout_ticks, _carries_data)
@@ -162,8 +159,9 @@ def run_identification(
     if obs.post_probe_tcp_size is None or obs.post_probe_tcp_size > cfg.forged_mtu:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK, obs)
 
-    if before_echo is not None:
-        before_echo(sim)
+    if scn.pre_echo_mtu is not None:
+        # re-dial a link, as a testbed operator would between experiments
+        sim.set_link_mtu(*scn.pre_echo_mtu.link, scn.pre_echo_mtu.mtu)
 
     # stage 2: full-sized echo, classify the reply shape; ambiguity
     # depends on the reply path, where the router fragments

@@ -276,6 +276,8 @@ def load_scenario(doc: dict) -> Scenario:
     host_nodes = {n.id for n in nodes if n.kind in HOST_KINDS}
     if len(nat_kind_nodes) > 1:
         raise ScenarioError("nodes: at most one NAT node per scenario")
+    if sum(n.kind == "attacker" for n in nodes) > 1:
+        raise ScenarioError("nodes: at most one attacker node per scenario")
     _check_connected(nodes, links)
 
     nat_node = None
@@ -303,6 +305,8 @@ def load_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"clients: {c!r} is not a host node")
     if not clients:
         raise ScenarioError("clients: at least one client node required")
+    if server is not None and server.node in clients:
+        raise ScenarioError(f"server.node: {server.node!r} is also one of clients")
     target_addr = addresses[nat_node or clients[0]]
 
     workload = _build(WorkloadSpec, _require(doc, "workload", dict, "scenario", {}), "workload")
@@ -364,7 +368,8 @@ def load_scenario(doc: dict) -> Scenario:
 
 @dataclass
 class Handles:
-    """Everything the orchestrators need after a scenario is built."""
+    """A built scenario's simulator and the roles `build` gave its nodes;
+    the probe and the attack read everything they need from it."""
 
     scenario: Scenario
     sim: Simulator
@@ -386,8 +391,10 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
     nat: NatBox | None = None
     attacker_node = None
     internal_addrs = {n.address for n in scenario.nodes if n.id in scenario.clients}
+    # a host's role follows the block that names it, never its node's kind
     vantage_id = scenario.probe.vantage if scenario.probe else None
     server = scenario.server
+    profiles = {server.node: PROFILES[server.profile]} if server else {}
 
     for spec in scenario.nodes:
         if spec.kind == "router":
@@ -405,16 +412,13 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
             )
             sim.add_node(spec.id, spec.address, handler=nat, intercept=True)
         else:
-            profile = LINUX_LIKE
-            if server and spec.kind == "server" and spec.id == server.node:
-                profile = PROFILES[server.profile]
             host = Host(
                 spec.id,
                 spec.address,
                 seed=seed,
-                profile=profile,
+                profile=profiles.get(spec.id, LINUX_LIKE),
                 ephemeral_range=scenario.ephemeral_range,
-                vantage=spec.kind == "vantage" or spec.id == vantage_id,
+                vantage=spec.id == vantage_id,
             )
             hosts[spec.id] = host
             sim.add_node(spec.id, spec.address, handler=host)

@@ -9,17 +9,21 @@ duplicate ACKs bounce off the NAT as reflected RSTs carrying the exact
 sequence numbers that tear the server sockets; the clients die on their
 next send.  Packet crafting is a pure function of the plan, so the
 attacker never reads victim connection state.
+
+`run_dos_attack` takes a built scenario's `Handles`: the sweeps read only
+its plan and attacker node; outcome detection reads the server, the
+victims, the clients that attempt new connections and the NAT.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, ConnKey, Host, TcpState
-from .fabric import Simulator, derive_rng
-from .natbox import NatBox
+from .fabric import derive_rng
 from .wire import (
     PSH_ACK,
     PSH_BIT,
@@ -33,6 +37,9 @@ from .wire import (
     check_port_range,
     check_range,
 )
+
+if TYPE_CHECKING:  # `scenario` imports this module
+    from .scenario import Handles
 
 # Enum members read per packet: through the class, each read costs several times a global
 _TCP = Protocol.TCP
@@ -197,23 +204,11 @@ def _sweep_batches(plan: AttackPlan):
         yield craft_rst_sweep(plan, rst_ports[cut]), craft_push_ack_sweep(plan, push_ports[cut], rng)
 
 
-@dataclass
-class StrikeContext:
-    """Assessor-side handles for outcome detection; none of this is
-    visible to the packet-crafting side."""
-
-    attacker_node: str
-    server_host: Host
-    victims: list[tuple[Host, ConnKey]]
-    new_conn_clients: list[Host] = field(default_factory=list)
-    nat: NatBox | None = None
-    tick_duration: float = 0.001
-
-
-def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> AttackReport:
+def run_dos_attack(handles: Handles) -> AttackReport:
     """Drive the interleaved sweeps, then trigger each victim's next send
     and collect the outcome."""
-    victims = [(h, k) for h, k in ctx.victims if h.state(k) == TcpState.ESTABLISHED]
+    sim, plan, server, nat = handles.sim, handles.plan, handles.server_host, handles.nat
+    victims = [(h, k) for h, k in handles.victims if h.state(k) == TcpState.ESTABLISHED]
     if not victims:
         raise NothingToAttackError("nothing-to-attack")
 
@@ -223,31 +218,32 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         # every round sends the same packets: holding them costs less than
         # crafting them again; a one-round attack crafts each batch as it goes
         batches = list(batches)
-    removed_before = ctx.nat.mappings_removed_by_rst if ctx.nat else 0
+    removed_before = nat.mappings_removed_by_rst if nat else 0
     # only sockets that predate the attack count toward server resets;
     # half-open ghosts from blocked attempts are scored as blocked instead
     standing = {
-        k for k, s in ctx.server_host.sockets.items()
+        k for k, s in server.sockets.items()
         if s.state == TcpState.ESTABLISHED and s.reset_record is None
     }
-    dup_acks_before = ctx.server_host.dup_acks_sent
+    dup_acks_before = server.dup_acks_sent
     window_start = sim.now
     evidence: set[str] = set()
+    clients = [handles.hosts[c] for c in handles.scenario.clients]
 
     attempts: list[tuple[Host, ConnKey]] = []
     last_inject = sim.now
-    with sim.watching(_evidence_watcher(plan, ctx, evidence)):
+    with sim.watching(_evidence_watcher(handles, evidence)):
         for rnd in range(plan.rounds):
-            if rnd == 0 and ctx.new_conn_clients:
+            if rnd == 0:
                 for i in range(plan.new_connection_attempts):
-                    client = ctx.new_conn_clients[i % len(ctx.new_conn_clients)]
+                    client = clients[i % len(clients)]
                     attempts.append((client, client.open_connection(sim, plan.victim_server)))
             for rsts, pushes in batches:
                 report.rst_packets_sent += len(rsts)
                 report.push_ack_packets_sent += len(pushes)
                 for batch in (rsts, pushes):
                     for pkt in batch:
-                        sim.inject(ctx.attacker_node, pkt)
+                        sim.inject(handles.attacker_node, pkt)
                     if batch:
                         # every packet of one crafted sweep has the same length
                         report.octets_sent += len(batch) * batch[0].total_length
@@ -263,14 +259,9 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
                 host.send_data(sim, key, PROBE_PAYLOAD)
         sim.run(until=sim.now + plan.settle_ticks)
 
-    if report.duration_ticks > 0 and ctx.tick_duration > 0:
-        report.implied_bandwidth = report.octets_sent / (report.duration_ticks * ctx.tick_duration)
-    report.mappings_removed = (ctx.nat.mappings_removed_by_rst - removed_before) if ctx.nat else 0
-    report.server_sockets_reset = sum(
-        1
-        for k in standing
-        if ctx.server_host.sockets[k].reset_record is not None
-    )
+    report.implied_bandwidth = report.octets_sent / (report.duration_ticks * handles.scenario.tick_duration)
+    report.mappings_removed = (nat.mappings_removed_by_rst - removed_before) if nat else 0
+    report.server_sockets_reset = sum(1 for k in standing if server.sockets[k].reset_record is not None)
     report.client_connections_torn = sum(
         1 for h, k in victims if h.state(k) == TcpState.CLOSED
     )
@@ -282,14 +273,14 @@ def run_dos_attack(sim: Simulator, plan: AttackPlan, ctx: StrikeContext) -> Atta
         report.new_connections_blocked == len(attempts)
     )
     if not report.success:
-        report.failure_diagnosis = _diagnose(ctx, report, evidence, dup_acks_before)
+        report.failure_diagnosis = _diagnose(report, evidence, server.dup_acks_sent > dup_acks_before)
     return report
 
 
 # -- outcome analysis ------------------------------------------------------------
 
 
-def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
+def _evidence_watcher(handles: Handles, seen: set[str]):
     """A trace watcher that adds to `seen` what the attack window shows:
     "loss" for any packet dropped by link loss; "rst-lost", "rst-filtered",
     "rst-at-nat" (delivered to or forwarded by the NAT) and "rst-at-client"
@@ -298,12 +289,13 @@ def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
     NAT's address delivered at the server.  Each record is placed by its
     action and node first: only the first record of each kind needs the
     flag test."""
+    plan = handles.plan
     server_addr, server_port = plan.victim_server
     forged_seq = plan.forged_seq
     nat_addr = plan.nat_public_ip
-    nat_node = ctx.nat.node_id if ctx.nat else None
-    server_node = ctx.server_host.node_id
-    client_nodes = {h.node_id for h, _ in ctx.victims}
+    nat_node = handles.nat.node_id if handles.nat else None
+    server_node = handles.server_host.node_id
+    client_nodes = {h.node_id for h, _ in handles.victims}
 
     def watch(tick, node, action, reason, d):
         if action == "drop":
@@ -343,9 +335,7 @@ def _evidence_watcher(plan: AttackPlan, ctx: StrikeContext, seen: set[str]):
     return watch
 
 
-def _diagnose(
-    ctx: StrikeContext, report: AttackReport, seen: set[str], dup_acks_before: int
-) -> FailureDiagnosis:
+def _diagnose(report: AttackReport, seen: set[str], dup_acked: bool) -> FailureDiagnosis:
     if report.mappings_removed == 0 and "rst-at-client" in seen:
         return FailureDiagnosis.FORWARDED_RST_NO_REMOVAL
     if "rst-at-nat" not in seen:
@@ -354,7 +344,7 @@ def _diagnose(
         if "rst-lost" in seen:
             return FailureDiagnosis.PACKET_LOSS
         return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
-    if "push-at-server" in seen and ctx.server_host.dup_acks_sent == dup_acks_before:
+    if "push-at-server" in seen and not dup_acked:
         return FailureDiagnosis.NO_DUP_ACK_FROM_SERVER
     if "loss" in seen:
         return FailureDiagnosis.PACKET_LOSS

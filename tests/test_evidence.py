@@ -9,7 +9,7 @@ import pytest
 from natsim import assess, strike
 from natsim import scenario as sc
 from natsim.fabric import TraceNotKeptError, keep_traces
-from natsim.strike import FailureDiagnosis, StrikeContext
+from natsim.strike import FailureDiagnosis
 from natsim.wire import EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
 import evidence_oracle as oracle
@@ -47,13 +47,13 @@ ATTACK_DOCS = [
 
 @pytest.fixture
 def attack_windows(monkeypatch):
-    """Every attack run's (sim, plan, ctx, window start, dup ACKs before)."""
+    """Every attack run's (handles, window start, dup ACKs before)."""
     windows = []
     run = strike.run_dos_attack
 
-    def recording(sim, plan, ctx):
-        windows.append((sim, plan, ctx, sim.now, ctx.server_host.dup_acks_sent))
-        return run(sim, plan, ctx)
+    def recording(handles):
+        windows.append((handles, handles.sim.now, handles.server_host.dup_acks_sent))
+        return run(handles)
 
     monkeypatch.setattr(strike, "run_dos_attack", recording)
     return windows
@@ -86,11 +86,11 @@ def test_failure_diagnosis_matches_trace_rescan(attack_windows):
         for seed in SEEDS:
             with keep_traces():
                 report, handles = assess.attack_scenario(scn, seed=seed)
-            sim, plan, ctx, start, dup_acks_before = attack_windows.pop()
-            assert sim is handles.sim and sim.watchers == []
+            attacked, start, dup_acks_before = attack_windows.pop()
+            assert attacked is handles and handles.sim.watchers == []
             if report.success:
                 continue
-            want = oracle.diagnose(sim, plan, ctx, report, start, dup_acks_before)
+            want = oracle.diagnose(handles.sim, handles.plan, handles, report, start, dup_acks_before)
             assert report.failure_diagnosis is want, (doc["name"], seed)
             diagnoses[want] += 1
     assert set(diagnoses) == set(FailureDiagnosis), diagnoses
@@ -101,9 +101,9 @@ def test_only_a_forged_rst_counts():
     counts only when it carries RST."""
     handles = sc.build(sc.load_scenario(ATTACK_DOCS[0]))
     client = handles.hosts["client1"]
-    ctx = StrikeContext(handles.attacker_node, handles.server_host, [(client, None)], nat=handles.nat)
+    handles.victims.append((client, None))
     seen = set()
-    watch = strike._evidence_watcher(handles.plan, ctx, seen)
+    watch = strike._evidence_watcher(handles, seen)
     server_addr, server_port = handles.plan.victim_server
     for flags in (TcpFlag.ACK, TcpFlag.PSH | TcpFlag.ACK, TcpFlag.RST | TcpFlag.ACK):
         seg = TcpSegment(server_port, 40000, seq=handles.plan.forged_seq, flags=flags)

@@ -15,9 +15,9 @@ from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 @contextlib.contextmanager
 def around_attack(wrap):
     """Run every `run_dos_attack` made inside the block through
-    `wrap(attack, sim, plan, ctx)`."""
+    `wrap(attack, handles)`."""
     real = strike.run_dos_attack
-    strike.run_dos_attack = lambda sim, plan, ctx: wrap(real, sim, plan, ctx)
+    strike.run_dos_attack = lambda handles: wrap(real, handles)
     try:
         yield
     finally:
@@ -33,9 +33,9 @@ def attack_sends(doc):
         if node == "attacker" and action == "send":
             sends.append((tick, d))
 
-    def watched(attack, sim, plan, ctx):
-        with sim.watching(watch):
-            return attack(sim, plan, ctx)
+    def watched(attack, handles):
+        with handles.sim.watching(watch):
+            return attack(handles)
 
     with around_attack(watched):
         report, handles = assess.attack_scenario(sc.load_scenario(doc))
@@ -102,10 +102,10 @@ def test_attack_holds_far_less_than_its_sweeps():
 
     peaks = []
 
-    def measured(attack, sim, plan, ctx):
+    def measured(attack, handles):
         tracemalloc.start()
         try:
-            return attack(sim, plan, ctx)
+            return attack(handles)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()

@@ -120,8 +120,7 @@ class TestRestore:
         sc.establish(handles)
         from natsim.probe import run_identification
 
-        v = run_identification(handles.sim, handles.vantage_host, scn.target_addr,
-                               scn.probe)
+        v = run_identification(handles)
         assert v.evidence.post_probe_tcp_size <= 600
         cleared = restore_path_mtu(handles.sim, handles.vantage_host.address)
         assert cleared == 1
@@ -186,7 +185,7 @@ class TestArrivalWaits:
                 waits.append((after_tick, log.reads[start:]))
 
         monkeypatch.setattr(probe, "_next_arrival", recording)
-        verdict = probe.run_identification(handles.sim, vantage, scn.target_addr, scn.probe)
+        verdict = probe.run_identification(handles)
         return verdict, log, waits
 
     def test_waits_skip_what_was_logged_before_them(self, monkeypatch):

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from natsim import assess
+from natsim import assess, strike
 from natsim import scenario as sc
 from natsim.cli import main
 from natsim.natbox import PmtudSync, PortAllocation, RstHandling, UnmappedInbound
@@ -256,6 +256,10 @@ class TestValidation:
         (("expect",), [], "scenario.expect: expected dict, got list"),
         (("attack",), 7, "scenario.attack: expected dict, got int"),
         (("probe", "timeout_ticks"), 100001, "probe.timeout_ticks: 100001 is above the maximum 100000"),
+        # the victims' server is not one of their clients
+        (("server", "node"), "client1", "server.node: 'client1' is also one of clients"),
+        # a second attacker node, like a second NAT, is refused
+        (("nodes", 5, "kind"), "attacker", "nodes: at most one attacker node per scenario"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -352,6 +356,27 @@ class TestExpectations:
         path = tmp_path / "wifi.json"
         path.write_text(json.dumps(doc))
         assert main([command, str(path), "--quiet"]) == rc
+
+
+@pytest.mark.parametrize("kind", ["server", "client", "vantage"])
+def test_roles_follow_the_blocks_that_name_them(kind):
+    """The server's stack profile follows `server.node` and the vantage
+    behaviour `probe.vantage`, whatever kind the server's node is."""
+    doc = sc.nat_scenario_doc("roles", server_profile="openbsd-like", port_allocation="preserving",
+                              ephemeral_range=(40000, 40063), port_range=(40000, 40063),
+                              interleave_batch=16)
+    next(n for n in doc["nodes"] if n["id"] == "server")["kind"] = kind
+    doc["clients"] = [f"client{i + 1}" for i in range(sc.DOC_CLIENTS)]
+    scn = load_scenario(doc)
+    handles = sc.build(scn)
+    sc.establish(handles)
+    for host, key in handles.victims:
+        sock = host.socket(key)
+        assert sock.snd_una == sock.snd_nxt, "the server ACKs its victims' data"
+    report = strike.run_dos_attack(handles)
+    assert (report.success, report.failure_diagnosis.value) == (False, "no-dup-ack-from-server")
+    assert [n for n, h in handles.hosts.items() if h.vantage] == [scn.probe.vantage]
+    assert [n for n, h in handles.hosts.items() if h.arrivals] == [scn.probe.vantage]
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")

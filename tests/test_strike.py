@@ -175,12 +175,9 @@ class TestOutcomes:
         scn = sc.load_scenario(doc)
         handles = sc.build(scn)
         sc.establish(handles)
-        from natsim.strike import StrikeContext
-
-        ctx = StrikeContext(attacker_node="attacker", server_host=handles.server_host,
-                            victims=[], nat=handles.nat)
+        assert handles.victims == []
         with pytest.raises(NothingToAttackError):
-            run_dos_attack(handles.sim, handles.plan, ctx)
+            run_dos_attack(handles)
 
     def test_duration_and_bandwidth(self):
         report, _ = attack(small_doc())
@@ -208,15 +205,6 @@ class TestStrictSafetyProperty:
         for m in handles.nat.by_internal.values():
             lo, hi = m.inbound_seq_window
             assume(not (lo <= forged_seq <= hi or (hi < lo and (forged_seq >= lo or forged_seq <= hi))))
-        from natsim.strike import StrikeContext
-
-        ctx = StrikeContext(
-            attacker_node=handles.attacker_node,
-            server_host=handles.server_host,
-            victims=handles.victims,
-            new_conn_clients=[handles.hosts[c] for c in scn.clients],
-            nat=handles.nat,
-        )
-        report = run_dos_attack(handles.sim, handles.plan, ctx)
+        report = run_dos_attack(handles)
         assert report.mappings_removed == 0
         assert report.client_connections_torn == 0
