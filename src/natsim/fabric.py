@@ -13,6 +13,11 @@ so a hop is one lookup, and each Node shares its Counters with
 (`set_link_mtu` changes the MTU every route sees), and each lossy link has
 one loss stream, keyed on (seed, from, to), whatever routes over it.
 
+The event queue holds one event per injected batch, and one per group of
+datagrams that cross a link to the same next hop at the same tick; each
+datagram of either runs in the order, and sees the clock and queue, that
+one event per datagram would give it.
+
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
 Every trace record is counted and shown to the registered watchers; the
@@ -38,6 +43,7 @@ from . import wire
 from .wire import IP_HEADER_LEN, RST_BIT, FragNeeded, Ipv4Datagram, Protocol, TcpSegment
 
 _TCP_HEADERS = IP_HEADER_LEN + wire.TCP_HEADER_LEN  # of a whole TCP datagram
+_ICMP = Protocol.ICMP  # the per-hop path reads no Enum member through its class
 
 
 class FabricError(Exception):
@@ -365,19 +371,27 @@ class Simulator:
             self.run(until=min(max(self._ticks[0], self.now + 1), deadline))
         return True
 
-    def inject(self, at: str, d: Ipv4Datagram) -> None:
-        """Originate a datagram at a node; counted against its totals."""
+    def inject(self, at: str, *batch: Ipv4Datagram) -> None:
+        """Originate datagrams at a node, counted against its totals: each is
+        recorded as a send now, and the batch is one event that routes them
+        in order, as one event per datagram would."""
         node = self.nodes.get(at)
         if node is None:
             raise NoSuchNodeError(f"no-such-node: {at}")
-        node.counters.packets_sent += 1
-        self.record(at, "send", "", d)
-        self._schedule(self.now, ("emit", at, d))
+        if not batch:
+            return
+        node.counters.packets_sent += len(batch)
+        for d in batch:
+            self.record(at, "send", "", d)
+        self._schedule(self.now, ("emit", at, batch))
 
     def run(self, until: int | None = None) -> None:
         """Process events up to `until` inclusive (None = quiescence), in
         (tick, scheduling order) order: a bucket is left as soon as an
-        event schedules a call at an earlier tick."""
+        event schedules a call at an earlier tick.  An injected batch is one
+        event, and so is a group of arrivals; a group runs datagram by
+        datagram, each in the order and with the clock and queue that an
+        event of its own would have."""
         ticks, buckets = self._ticks, self._buckets
         while ticks and (until is None or ticks[0] <= until):
             tick = ticks[0]
@@ -385,15 +399,32 @@ class Simulator:
             self.now = max(self.now, tick)
             while True:
                 item = bucket.popleft()
+                kind = item[0]
+                if kind == "group":
+                    # each datagram but the last, none of them the tick's last
+                    # event; a call into the past puts the rest back in front
+                    node, rest = item[1], iter(item[2])
+                    d = next(rest)
+                    for after in rest:
+                        self._arrive(node, d)
+                        d = after
+                        if ticks[0] != tick:
+                            bucket.appendleft(("group", node, [d, *rest]))
+                            break
+                    else:  # the last runs below, as a lone arrival
+                        kind, item = "arrive", ("arrive", node, d)
+                    if kind == "group":
+                        break
                 last = not bucket
                 if last:  # the tick leaves the queue before its last event runs
                     heapq.heappop(ticks)
                     del buckets[tick]
-                kind = item[0]
-                if kind == "emit":
-                    self.forward_from(item[1], item[2])
-                elif kind == "arrive":
+                if kind == "arrive":
                     self._arrive(item[1], item[2])
+                elif kind == "emit":
+                    at = item[1]
+                    for d in item[2]:
+                        self.forward_from(at, d)
                 else:
                     item[1](self)
                 if last or ticks[0] != tick:
@@ -416,7 +447,7 @@ class Simulator:
         if route is None:
             self.record(node, "drop", "no-route", d)
             return
-        link = route[1]
+        _, link, rng, hop = route
         if link.filter is not None:
             cls = link.filter.matches(d)
             if cls is not None:
@@ -432,13 +463,35 @@ class Simulator:
         if size > link.mtu:
             if d.df:
                 self.record(node, "drop", "needs-fragmentation", d)
-                self._emit_frag_needed(node, d, link.mtu)
+                self.send_from(node, Ipv4Datagram(
+                    src=self.nodes[node].address, dst=d.src, protocol=_ICMP,
+                    payload=FragNeeded(next_hop_mtu=link.mtu, embedded=wire.quote_of(d))))
                 return
             self.record(node, "fragment", "", d)
+            # each piece fits, and its raw payload passes any filter d passed
             for piece in wire.fragment(d, link.mtu):
-                self._link_send(node, route, piece)
+                self.forward_from(node, piece)
             return
-        self._link_send(node, route, d)
+        # onto the link: the loss draw, then the arrival, which joins the
+        # group at the tail of its tick when that group is bound for the
+        # same hop (only an arrival holds a Node)
+        if rng is not None and rng.random() < link.loss:
+            self.record(node, "drop", "loss", d)
+            return
+        tick = self.now + link.delay
+        bucket = self._buckets.get(tick)
+        if bucket is None:  # _schedule's work, inline: the call costs a hop ~5%
+            bucket = self._buckets[tick] = deque()
+            heapq.heappush(self._ticks, tick)
+            bucket.append(("arrive", hop, d))
+            return
+        tail = bucket[-1]
+        if tail[1] is not hop:
+            bucket.append(("arrive", hop, d))
+        elif tail[0] == "group":
+            tail[2].append(d)
+        else:
+            bucket[-1] = ("group", hop, [tail[2], d])
 
     @contextlib.contextmanager
     def watching(self, watcher: Watcher):
@@ -461,22 +514,6 @@ class Simulator:
             self.counters[node].packets_dropped += 1
 
     # -- internals ---------------------------------------------------------------
-
-    def _emit_frag_needed(self, node: str, dropped: Ipv4Datagram, mtu: int) -> None:
-        notice = Ipv4Datagram(
-            src=self.nodes[node].address,
-            dst=dropped.src,
-            protocol=Protocol.ICMP,
-            payload=FragNeeded(next_hop_mtu=mtu, embedded=wire.quote_of(dropped)),
-        )
-        self.send_from(node, notice)
-
-    def _link_send(self, node: str, route: Route, d: Ipv4Datagram) -> None:
-        _, link, rng, hop = route
-        if rng is not None and rng.random() < link.loss:
-            self.record(node, "drop", "loss", d)
-            return
-        self._schedule(self.now + link.delay, ("arrive", hop, d))
 
     def _arrive(self, node: Node, d: Ipv4Datagram) -> None:
         node_id = node.node_id

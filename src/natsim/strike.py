@@ -242,8 +242,7 @@ def run_dos_attack(handles: Handles) -> AttackReport:
                 report.rst_packets_sent += len(rsts)
                 report.push_ack_packets_sent += len(pushes)
                 for batch in (rsts, pushes):
-                    for pkt in batch:
-                        sim.inject(handles.attacker_node, pkt)
+                    sim.inject(handles.attacker_node, *batch)
                     if batch:
                         # every packet of one crafted sweep has the same length
                         report.octets_sent += len(batch) * batch[0].total_length

@@ -83,6 +83,98 @@ class TestInject:
         assert run_once() == run_once()
 
 
+def mixed_link_chain(seed):
+    """Four nodes in a line whose first link, n0 -> n1, has MTU 600, loses a
+    quarter of what it carries and filters inbound RSTs."""
+    sim = Simulator(seed=seed)
+    for i in range(4):
+        sim.add_node(f"n{i}", f"10.1.0.{i + 1}", transit=True)
+    first = dict(mtu=600, loss=0.25, filter=MiddleboxFilter(frozenset({DropClass.TCP_RST_INBOUND})))
+    for i in range(3):
+        sim.add_link(LinkSpec(f"n{i}", f"n{i + 1}", **(first if i == 0 else {})))
+        sim.add_link(LinkSpec(f"n{i + 1}", f"n{i}", delay=2))
+    sim.finalize_routes()
+    return sim
+
+
+def batch_member(kind, i):
+    """A datagram injected at n0 whose first hop meets one of the first
+    link's cases; `i` varies its size."""
+    if kind == "df-too-big":  # n0 answers, mid-batch, toward n2 (the spoofed source)
+        return Ipv4Datagram(src="10.1.0.3", dst="10.1.0.4", protocol=Protocol.ICMP,
+                            payload=EchoRequest(1, i, 700 + i), df=True)
+    if kind == "fragmenting":
+        return big_echo(dst="10.1.0.4", size=700 + i)
+    if kind == "lossy":
+        return Ipv4Datagram(src="10.1.0.1", dst="10.1.0.4", protocol=Protocol.TCP,
+                            payload=TcpSegment(80, 4444, seq=i, flags=TcpFlag.PSH | TcpFlag.ACK))
+    if kind == "filtered":
+        return rst(length=i, dst="10.1.0.4")
+    return rst(length=i, dst="99.99.99.99")  # no-route
+
+
+BATCH_KINDS = ("df-too-big", "fragmenting", "lossy", "filtered", "no-route")
+
+
+def run_batches(sim, batches, batched):
+    """Inject each (gap, datagrams) batch at n0, `gap` ticks after the last,
+    as one call or one call per datagram; the state after every step."""
+    seen = []
+    for gap, batch in batches:
+        sim.run(until=sim.now + gap)
+        if batched:
+            sim.inject("n0", *batch)
+        else:
+            for d in batch:
+                sim.inject("n0", d)
+        seen.append((sim.now, sim.idle, len(sim.trace)))
+    sim.run()
+    counters = {node: (c.packets_sent, c.packets_delivered, c.packets_dropped) for node, c in sim.counters.items()}
+    return seen, list(sim.trace.rows()), counters, sim.now, sim.idle
+
+
+class TestBatchedInject:
+    @given(
+        seed=st.integers(0, 3),
+        batches=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(st.tuples(st.sampled_from(BATCH_KINDS), st.integers(0, 60)), max_size=8)),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_batch_runs_as_one_inject_per_datagram(self, seed, batches):
+        batches = [(gap, [batch_member(kind, i) for kind, i in members]) for gap, members in batches]
+        expected = run_batches(mixed_link_chain(seed), batches, batched=False)
+        assert run_batches(mixed_link_chain(seed), batches, batched=True) == expected
+
+    def test_every_kind_meets_its_case(self):
+        sim = mixed_link_chain(seed=1)
+        sim.inject("n0", *[batch_member(kind, 0) for kind in BATCH_KINDS])
+        sim.run()
+        at_n0 = {(action, reason) for _, node, action, reason, _ in sim.trace.rows() if node == "n0"}
+        assert {("drop", "needs-fragmentation"), ("fragment", ""), ("drop", "filtered-tcp-rst-inbound"),
+                ("drop", "no-route")} <= at_n0
+        assert any(action == "deliver" and isinstance(d.payload, FragNeeded) and node == "n2"
+                   for _, node, action, _, d in sim.trace.rows())
+
+    def test_an_empty_batch_records_and_queues_nothing(self):
+        sim = chain()
+        sim.inject("n0")
+        assert len(sim.trace) == 0 and sim.idle and sim.counters["n0"].packets_sent == 0
+        with pytest.raises(NoSuchNodeError):
+            sim.inject("ghost")
+
+    def test_a_batch_and_its_crossing_are_one_event_each(self):
+        sim = chain(2, delay=3)
+        sim.inject("n0", *[rst(length=i, dst="10.1.0.2") for i in range(5)])
+        assert sim.counters["n0"].packets_sent == 5 and len(sim.trace) == 5
+        assert [len(bucket) for bucket in sim._buckets.values()] == [1]
+        sim.run(until=0)
+        assert list(sim._buckets) == [3] and len(sim._buckets[3]) == 1
+        sim.run()
+        assert [r.tick for r in sim.trace if r.action == "deliver"] == [3] * 5
+
+
 class TestRun:
     def test_empty_queue(self):
         sim = chain()
@@ -193,6 +285,76 @@ def wait_for_calls(queue, first, spawn, waits):
     return seen
 
 
+def numbered(n):
+    """A datagram from node a (10.1.0.1) to node h (10.1.0.2) that carries
+    `n` as its identification."""
+    return Ipv4Datagram(src="10.1.0.1", dst="10.1.0.2", protocol=Protocol.ICMP,
+                        payload=EchoRequest(1, n, 8), identification=n)
+
+
+class Recorder:
+    """A node handler that passes each arriving datagram's identification
+    to `on_arrival`."""
+
+    def __init__(self, on_arrival):
+        self.on_arrival = on_arrival
+
+    def on_datagram(self, sim, node, d):
+        self.on_arrival(sim, d.identification)
+
+
+def recording_link(sim, on_arrival, delay):
+    """Nodes a and h of `numbered`, and a link a -> h of `delay` ticks; h
+    passes each arrival's number to `on_arrival`."""
+    sim.add_node("a", "10.1.0.1")
+    sim.add_node("h", "10.1.0.2", Recorder(on_arrival))
+    sim.add_link(LinkSpec("a", "h", delay=delay))
+    sim.finalize_routes()
+
+
+def play_batches(queue, first, spawn, sizes, stops, delay):
+    """`play`'s program, where the call or datagram numbered n also injects
+    sizes[n - 1] datagrams, numbered as they are injected, at node a; each
+    runs its part of the program on arriving at node h, `delay` ticks on.
+    On a Simulator the datagrams cross a real link, batched; on a HeapQueue
+    each injection is a call at now and each arrival a call of its own."""
+    seen = []
+    numbers = itertools.count(1)
+
+    def schedule(tick):
+        n = next(numbers)
+        queue.schedule_call(tick, lambda q: body(q, n))
+        return n
+
+    def body(q, n):
+        seen.append((n, q.now, q.idle))
+        for delta in spawn[n - 1] if n <= len(spawn) else ():
+            seen.append(("scheduled", schedule(q.now + delta)))
+        batch = [next(numbers) for _ in range(sizes[n - 1] if n <= len(sizes) else 0)]
+        if batch:
+            seen.append(("injected", batch))
+            inject(q, batch)
+
+    if isinstance(queue, Simulator):
+        recording_link(queue, body, delay)
+
+        def inject(sim, batch):
+            sim.inject("a", *map(numbered, batch))
+    else:
+        def inject(heap, batch):
+            def emit(q):
+                for n in batch:
+                    q.schedule_call(q.now + delay, lambda q, n=n: body(q, n))
+            heap.schedule_call(heap.now, emit)
+
+    for tick in first:
+        seen.append(("scheduled", schedule(tick)))
+    for until in stops + [None]:
+        queue.run(until=until)
+        seen.append(("ran", until, queue.now, queue.idle))
+    return seen
+
+
 class TestEventOrder:
     @given(
         first=st.lists(st.integers(0, 40), min_size=1, max_size=8),
@@ -221,6 +383,35 @@ class TestEventOrder:
         sim.schedule_call(5, lambda s: order.append("b"))
         sim.run()
         assert order == ["a", "past", "b"] and sim.now == 5 and sim.idle
+
+    @given(
+        first=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+        spawn=st.lists(st.lists(st.integers(-6, 6), max_size=3), max_size=30),
+        sizes=st.lists(st.integers(0, 4), max_size=30),
+        stops=st.lists(st.integers(0, 30), max_size=4),
+        delay=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_arrivals_run_in_reference_heap_order(self, first, spawn, sizes, stops, delay):
+        expected = play_batches(HeapQueue(), first, spawn, sizes, stops, delay)
+        assert play_batches(Simulator(keep_trace=False), first, spawn, sizes, stops, delay) == expected
+
+    def test_call_into_the_past_from_mid_group_leaves_the_rest_in_front(self):
+        sim = Simulator()
+        order = []
+
+        def on_arrival(s, n):
+            order.append((n, s.now, s.idle))
+            if n == 2:
+                s.schedule_call(0, lambda s: order.append(("past", s.now, s.idle)))
+
+        recording_link(sim, on_arrival, delay=5)
+        sim.inject("a", *map(numbered, (1, 2, 3)))
+        # queued after the emit has run: behind the group at tick 5
+        sim.schedule_call(0, lambda s: s.schedule_call(5, lambda s: order.append(("b", s.now, s.idle))))
+        sim.run()
+        assert order == [(1, 5, False), (2, 5, False), ("past", 5, False), (3, 5, False), ("b", 5, True)]
+        assert sim.now == 5 and sim.idle
 
 
 def attack_cut_short():

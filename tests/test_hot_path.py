@@ -31,9 +31,10 @@ PER_PACKET = (
     NatBox._on_inbound_rst,
     Host.on_datagram,
     Host._on_tcp,
+    Simulator.inject,
+    Simulator.run,
     Simulator.forward_from,
     Simulator._arrive,
-    Simulator._link_send,
     MiddleboxFilter.matches,
 )
 
