@@ -13,10 +13,11 @@ so a hop is one lookup, and each Node shares its Counters with
 (`set_link_mtu` changes the MTU every route sees), and each lossy link has
 one loss stream, keyed on (seed, from, to), whatever routes over it.
 
-The event queue holds one event per injected batch, and one per group of
-datagrams that cross a link to the same next hop at the same tick; each
-datagram of either runs in the order, and sees the clock and queue, that
-one event per datagram would give it.
+Time only moves forward: a call before `now` is an error, and each tick's
+events run in one FIFO pass.  The queue holds one event per injected batch,
+and one per group of datagrams that cross a link to the same next hop at
+the same tick; each datagram of either runs in the order that one event per
+datagram would give it.
 
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
@@ -306,8 +307,7 @@ class Simulator:
         link = self.links.get((frm, to))
         if link is None:
             raise NoSuchNodeError(f"no-such-node: link {frm}->{to}")
-        if mtu < wire.MIN_MTU:
-            raise ValueError(f"mtu {mtu} below {wire.MIN_MTU}")
+        wire.check_range("mtu", mtu, wire.MIN_MTU)
         link.mtu = mtu
 
     def finalize_routes(self) -> None:
@@ -354,6 +354,9 @@ class Simulator:
         bucket.append(item)
 
     def schedule_call(self, tick: int, fn: Callable[["Simulator"], None]) -> None:
+        """Queue fn(sim) behind the events at `tick`; a tick before now is a ValueError."""
+        if tick < self.now:
+            raise ValueError(f"tick {tick} is before now ({self.now})")
         self._schedule(tick, ("call", fn))
 
     @property
@@ -387,48 +390,29 @@ class Simulator:
 
     def run(self, until: int | None = None) -> None:
         """Process events up to `until` inclusive (None = quiescence), in
-        (tick, scheduling order) order: a bucket is left as soon as an
-        event schedules a call at an earlier tick.  An injected batch is one
-        event, and so is a group of arrivals; a group runs datagram by
-        datagram, each in the order and with the clock and queue that an
-        event of its own would have."""
+        (tick, scheduling order) order.  Each tick's bucket runs to empty in
+        one FIFO pass, so an event it queues at now runs in the same pass,
+        and then the tick leaves the queue.  An injected batch is one event,
+        and so is a group of arrivals, delivered datagram by datagram."""
         ticks, buckets = self._ticks, self._buckets
         while ticks and (until is None or ticks[0] <= until):
-            tick = ticks[0]
+            tick = self.now = ticks[0]
             bucket = buckets[tick]
-            self.now = max(self.now, tick)
-            while True:
+            while bucket:
                 item = bucket.popleft()
                 kind = item[0]
                 if kind == "group":
-                    # each datagram but the last, none of them the tick's last
-                    # event; a call into the past puts the rest back in front
-                    node, rest = item[1], iter(item[2])
-                    d = next(rest)
-                    for after in rest:
+                    node = item[1]
+                    for d in item[2]:
                         self._arrive(node, d)
-                        d = after
-                        if ticks[0] != tick:
-                            bucket.appendleft(("group", node, [d, *rest]))
-                            break
-                    else:  # the last runs below, as a lone arrival
-                        kind, item = "arrive", ("arrive", node, d)
-                    if kind == "group":
-                        break
-                last = not bucket
-                if last:  # the tick leaves the queue before its last event runs
-                    heapq.heappop(ticks)
-                    del buckets[tick]
-                if kind == "arrive":
-                    self._arrive(item[1], item[2])
                 elif kind == "emit":
                     at = item[1]
                     for d in item[2]:
                         self.forward_from(at, d)
                 else:
                     item[1](self)
-                if last or ticks[0] != tick:
-                    break
+            heapq.heappop(ticks)
+            del buckets[tick]
         if until is not None:
             self.now = max(self.now, until)
 
@@ -474,24 +458,19 @@ class Simulator:
             return
         # onto the link: the loss draw, then the arrival, which joins the
         # group at the tail of its tick when that group is bound for the
-        # same hop (only an arrival holds a Node)
+        # same hop (only a group holds a Node)
         if rng is not None and rng.random() < link.loss:
             self.record(node, "drop", "loss", d)
             return
         tick = self.now + link.delay
         bucket = self._buckets.get(tick)
         if bucket is None:  # _schedule's work, inline: the call costs a hop ~5%
-            bucket = self._buckets[tick] = deque()
+            self._buckets[tick] = deque((("group", hop, [d]),))
             heapq.heappush(self._ticks, tick)
-            bucket.append(("arrive", hop, d))
-            return
-        tail = bucket[-1]
-        if tail[1] is not hop:
-            bucket.append(("arrive", hop, d))
-        elif tail[0] == "group":
-            tail[2].append(d)
+        elif bucket[-1][1] is hop:
+            bucket[-1][2].append(d)
         else:
-            bucket[-1] = ("group", hop, [tail[2], d])
+            bucket.append(("group", hop, [d]))
 
     @contextlib.contextmanager
     def watching(self, watcher: Watcher):

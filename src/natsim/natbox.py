@@ -21,9 +21,7 @@ from .endpoint import DEFAULT_RCV_WND, IpNode, lowest_free_port, pick_port
 from .fabric import Simulator, derive_rng
 from .wire import (
     ACK_BIT,
-    FIN_BIT,
     RST_BIT,
-    SYN_BIT,
     FragNeeded,
     Ipv4Datagram,
     Protocol,
@@ -87,19 +85,11 @@ _STRICT_VALIDATE = RstHandling.STRICT_VALIDATE
 _SILENT_DROP = UnmappedInbound.SILENT_DROP
 
 
-class MappingState:
-    SYN_SENT = "SYN_SENT"
-    ESTABLISHED = "ESTABLISHED"
-    FIN_WAIT = "FIN_WAIT"
-    CLOSED = "CLOSED"
-
-
 @dataclass
 class NatMapping:
     internal: tuple[str, int]
     external_port: int
     remote: tuple[str, int]
-    state: str
     # acceptable server->client sequence window, tracked under strict
     # validation only
     inbound_seq_window: tuple[int, int] | None = None
@@ -150,7 +140,6 @@ class NatBox(IpNode):
             sim.record(self.node_id, "drop", "unsupported-outbound", d)
             return
         seg = d.payload
-        flags = int(seg.flags)
         key = ((d.src, seg.src_port), (d.dst, seg.dst_port))
         mapping = self.by_internal.get(key)
         if mapping is None:
@@ -158,19 +147,13 @@ class NatBox(IpNode):
             if port is None:
                 sim.record(self.node_id, "drop", "nat-ports-exhausted", d)
                 return
-            state = MappingState.SYN_SENT if flags & SYN_BIT else MappingState.ESTABLISHED
             mapping = NatMapping(
                 internal=(d.src, seg.src_port),
                 external_port=port,
                 remote=(d.dst, seg.dst_port),
-                state=state,
             )
             self._insert(mapping)
-        if mapping.state == MappingState.SYN_SENT and flags & ACK_BIT:
-            mapping.state = MappingState.ESTABLISHED
-        if flags & FIN_BIT:
-            mapping.state = MappingState.FIN_WAIT
-        if self.policy.rst_handling is _STRICT_VALIDATE and flags & ACK_BIT:
+        if self.policy.rst_handling is _STRICT_VALIDATE and int(seg.flags) & ACK_BIT:
             mapping.inbound_seq_window = (seg.ack, seq_add(seg.ack, DEFAULT_RCV_WND))
         self._translate(sim, d, seg, (self.address, mapping.external_port), (d.dst, seg.dst_port))
 
@@ -186,11 +169,8 @@ class NatBox(IpNode):
             else:
                 self._reflect_reset(sim, d, seg)
             return
-        if flags & RST_BIT:
-            if not self._on_inbound_rst(sim, d, seg, mapping):
-                return
-        elif flags & FIN_BIT:
-            mapping.state = MappingState.FIN_WAIT
+        if flags & RST_BIT and not self._on_inbound_rst(sim, d, seg, mapping):
+            return
         self._translate(sim, d, seg, (d.src, seg.src_port), mapping.internal)
 
     def _on_inbound_rst(
@@ -281,7 +261,6 @@ class NatBox(IpNode):
         self._check_table()
 
     def _remove(self, mapping: NatMapping) -> None:
-        mapping.state = MappingState.CLOSED
         del self.by_internal[(mapping.internal, mapping.remote)]
         del self.by_external[(mapping.external_port, mapping.remote)]
         self._used_ports.discard(mapping.external_port)

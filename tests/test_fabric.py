@@ -209,6 +209,8 @@ class HeapQueue:
         self._seq = 0
 
     def schedule_call(self, tick, fn):
+        if tick < self.now:
+            raise ValueError(f"tick {tick} is before now ({self.now})")
         self._seq += 1
         heapq.heappush(self._heap, (tick, self._seq, fn))
 
@@ -218,8 +220,7 @@ class HeapQueue:
 
     def run(self, until=None):
         while self._heap and (until is None or self._heap[0][0] <= until):
-            tick, _, fn = heapq.heappop(self._heap)
-            self.now = max(self.now, tick)
+            self.now, _, fn = heapq.heappop(self._heap)
             fn(self)
         if until is not None:
             self.now = max(self.now, until)
@@ -233,22 +234,31 @@ class HeapQueue:
         return True
 
 
+def schedule_numbered(queue, numbers, tick, body):
+    """Schedule body(q, n) at `tick` under the next number n; returns n, or
+    the rejected tick when it is before now."""
+    n = next(numbers)
+    try:
+        queue.schedule_call(tick, lambda q: body(q, n))
+    except ValueError:
+        return ("rejected", tick)
+    return n
+
+
 def play(queue, first, spawn, stops):
     """Run a program of calls on `queue`: the calls scheduled at the ticks
     in `first`, then every call numbered n (the nth scheduled) schedules
-    one more call at now + d for each d in spawn[n - 1], into the past, at
-    now or into the future.  Returns what each call saw
-    (number, now, idle), and now and idle after each run."""
+    one more call at now + d for each d in spawn[n - 1], before now (which
+    is rejected), at now or later.  Returns what each call saw
+    (number, now), and now and idle after each run."""
     seen = []
     numbers = itertools.count(1)
 
     def schedule(tick):
-        n = next(numbers)
-        queue.schedule_call(tick, lambda q: body(q, n))
-        return n
+        return schedule_numbered(queue, numbers, tick, body)
 
     def body(q, n):
-        seen.append((n, q.now, q.idle))
+        seen.append((n, q.now))
         for delta in spawn[n - 1] if n <= len(spawn) else ():
             seen.append(("scheduled", schedule(q.now + delta)))
 
@@ -263,19 +273,19 @@ def play(queue, first, spawn, stops):
 def wait_for_calls(queue, first, spawn, waits):
     """`play`'s program of calls, driven by run_until: each wait (k, span)
     runs until k calls have run in all, with its deadline span ticks on.
-    Returns the calls' (number, now) in order and each wait's result and now."""
+    Returns the calls' (number, now) in order, what each call scheduled
+    and each wait's result and now."""
     seen, ran = [], []
     numbers = itertools.count(1)
 
     def schedule(tick):
-        n = next(numbers)
-        queue.schedule_call(tick, lambda q: body(q, n))
+        return schedule_numbered(queue, numbers, tick, body)
 
     def body(q, n):
         ran.append(n)
         seen.append((n, q.now))
         for delta in spawn[n - 1] if n <= len(spawn) else ():
-            schedule(q.now + delta)
+            seen.append(("scheduled", schedule(q.now + delta)))
 
     for tick in first:
         schedule(tick)
@@ -322,12 +332,10 @@ def play_batches(queue, first, spawn, sizes, stops, delay):
     numbers = itertools.count(1)
 
     def schedule(tick):
-        n = next(numbers)
-        queue.schedule_call(tick, lambda q: body(q, n))
-        return n
+        return schedule_numbered(queue, numbers, tick, body)
 
     def body(q, n):
-        seen.append((n, q.now, q.idle))
+        seen.append((n, q.now))
         for delta in spawn[n - 1] if n <= len(spawn) else ():
             seen.append(("scheduled", schedule(q.now + delta)))
         batch = [next(numbers) for _ in range(sizes[n - 1] if n <= len(sizes) else 0)]
@@ -376,14 +384,6 @@ class TestEventOrder:
         expected = play(HeapQueue(), first, spawn, stops)
         assert play(Simulator(keep_trace=False), first, spawn, stops) == expected
 
-    def test_call_into_the_past_leaves_the_bucket_it_interrupts(self):
-        sim = Simulator()
-        order = []
-        sim.schedule_call(5, lambda s: order.append("a") or s.schedule_call(2, lambda s: order.append("past")))
-        sim.schedule_call(5, lambda s: order.append("b"))
-        sim.run()
-        assert order == ["a", "past", "b"] and sim.now == 5 and sim.idle
-
     @given(
         first=st.lists(st.integers(0, 12), min_size=1, max_size=6),
         spawn=st.lists(st.lists(st.integers(-6, 6), max_size=3), max_size=30),
@@ -396,22 +396,31 @@ class TestEventOrder:
         expected = play_batches(HeapQueue(), first, spawn, sizes, stops, delay)
         assert play_batches(Simulator(keep_trace=False), first, spawn, sizes, stops, delay) == expected
 
-    def test_call_into_the_past_from_mid_group_leaves_the_rest_in_front(self):
+    def test_a_call_before_now_is_rejected_and_queues_nothing(self):
         sim = Simulator()
         order = []
 
+        def before_now(s):
+            queued = (list(s._ticks), {t: list(b) for t, b in s._buckets.items()})
+            with pytest.raises(ValueError, match=rf"tick {s.now - 1} is before now \({s.now}\)"):
+                s.schedule_call(s.now - 1, lambda s: order.append("past"))
+            assert (s._ticks, {t: list(b) for t, b in s._buckets.items()}) == queued
+
         def on_arrival(s, n):
             order.append((n, s.now, s.idle))
-            if n == 2:
-                s.schedule_call(0, lambda s: order.append(("past", s.now, s.idle)))
+            if n == 2:  # from inside a group, with datagram 3 still to come
+                before_now(s)
+                s.schedule_call(s.now, lambda s: order.append(("at now", s.now, s.idle)))
 
         recording_link(sim, on_arrival, delay=5)
-        sim.inject("a", *map(numbered, (1, 2, 3)))
-        # queued after the emit has run: behind the group at tick 5
-        sim.schedule_call(0, lambda s: s.schedule_call(5, lambda s: order.append(("b", s.now, s.idle))))
+        sim.run(until=3)
+        sim.schedule_call(5, lambda s: order.append(("b", s.now, s.idle)))
+        before_now(sim)
+        sim.inject("a", *map(numbered, (1, 2, 3)))  # arrives at 8
         sim.run()
-        assert order == [(1, 5, False), (2, 5, False), ("past", 5, False), (3, 5, False), ("b", 5, True)]
-        assert sim.now == 5 and sim.idle
+        # a tick stays queued until its last event has run
+        assert order == [("b", 5, False), (1, 8, False), (2, 8, False), (3, 8, False), ("at now", 8, False)]
+        assert sim.now == 8 and sim.idle
 
 
 def attack_cut_short():
@@ -795,6 +804,12 @@ class TestRouting:
         assert sim.path_min_mtu("n0", "10.1.0.4") == 700
         assert sim.path_min_mtu("n3", "10.1.0.1") == 1500
         assert sim.path_min_mtu("n0", "8.8.8.8") is None
+
+    def test_set_link_mtu_below_the_minimum_is_rejected(self):
+        sim = chain(2)
+        with pytest.raises(ValueError, match=r"^mtu: 67 is below the minimum 68$"):
+            sim.set_link_mtu("n0", "n1", 67)
+        assert sim.links[("n0", "n1")].mtu == 1500
 
     def test_link_validation(self):
         with pytest.raises(ValueError):

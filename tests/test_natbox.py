@@ -34,8 +34,8 @@ def the_mapping(nat):
 
 
 def mapping_rows(nat):
-    """(internal, external port, remote, state) of every mapping, sorted."""
-    return sorted((m.internal, m.external_port, m.remote, m.state) for m in nat.by_internal.values())
+    """(internal, external port, remote) of every mapping, sorted."""
+    return sorted((m.internal, m.external_port, m.remote) for m in nat.by_internal.values())
 
 
 class TestOutbound:
@@ -44,8 +44,8 @@ class TestOutbound:
         client.open_connection(sim, ("7.7.7.7", 80))
         sim.run(until=sim.now + 1)
         m = the_mapping(nat)
-        assert m.state == "SYN_SENT"
         assert m.internal[0] == "10.0.0.2" and m.remote == ("7.7.7.7", 80)
+        assert nat.by_external == {(m.external_port, m.remote): m}
         sim.run(until=sim.now + 2)
         on_wire = [r.dgram for r in sim.trace if r.node == "server" and r.action == "deliver"]
         assert on_wire and on_wire[0].src == "6.6.6.6"
@@ -54,11 +54,10 @@ class TestOutbound:
     def test_handshake_completion_and_reuse(self):
         sim, client, nat, server = nat_triangle()
         key = connect(sim, client)
-        m = the_mapping(nat)
-        assert m.state == "ESTABLISHED"
+        m = the_mapping(nat)  # made by the SYN, kept through the handshake
         client.send_data(sim, key, 100)
         sim.run()
-        assert the_mapping(nat).external_port == m.external_port
+        assert the_mapping(nat) is m and nat.by_external == {(m.external_port, m.remote): m}
 
     def test_preserving_uses_internal_port(self):
         policy = NatPolicy(port_allocation=PortAllocation.PRESERVING)
@@ -281,12 +280,13 @@ class TestTable:
         old_port = the_mapping(nat).external_port
         nat.on_datagram(sim, "nat", inbound(
             nat, TcpSegment(80, old_port, seq=0, flags=TcpFlag.RST | TcpFlag.ACK)))
-        assert not nat.by_internal
+        assert not nat.by_internal and not nat.by_external
         client.send_data(sim, key, 10)
         sim.run(until=sim.now + 1)
-        m = the_mapping(nat)
-        assert m.state == "ESTABLISHED"  # data-created mapping, no SYN seen
+        m = the_mapping(nat)  # data-created mapping, no SYN seen
+        assert (m.internal, m.remote) == (("10.0.0.2", key[0]), ("7.7.7.7", 80))
         assert m.external_port == old_port + 1  # sequential moved on
+        assert nat.by_external == {(m.external_port, m.remote): m}
 
     def test_dump_format(self):
         """An established mapping holds its tuples, is indexed by external
@@ -294,7 +294,7 @@ class TestTable:
         sim, client, nat, server = nat_triangle()
         key = connect(sim, client)
         m = the_mapping(nat)
-        assert (m.internal, m.remote, m.state) == (("10.0.0.2", key[0]), ("7.7.7.7", 80), "ESTABLISHED")
+        assert (m.internal, m.remote) == (("10.0.0.2", key[0]), ("7.7.7.7", 80))
         assert nat.by_external == {(m.external_port, m.remote): m}
         assert m.inbound_seq_window is None
 
