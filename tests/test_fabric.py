@@ -363,6 +363,15 @@ def play_batches(queue, first, spawn, sizes, stops, delay):
     return seen
 
 
+def reject_call_before_now(sim, order):
+    """Check that a call one tick before now is refused with an error that
+    names both ticks, and that it queues nothing."""
+    queued = (list(sim._ticks), {t: list(b) for t, b in sim._buckets.items()})
+    with pytest.raises(ValueError, match=rf"tick {sim.now - 1} is before now \({sim.now}\)"):
+        sim.schedule_call(sim.now - 1, lambda s: order.append("past"))
+    assert (sim._ticks, {t: list(b) for t, b in sim._buckets.items()}) == queued
+
+
 class TestEventOrder:
     @given(
         first=st.lists(st.integers(0, 40), min_size=1, max_size=8),
@@ -396,32 +405,41 @@ class TestEventOrder:
         expected = play_batches(HeapQueue(), first, spawn, sizes, stops, delay)
         assert play_batches(Simulator(keep_trace=False), first, spawn, sizes, stops, delay) == expected
 
-    def test_a_call_before_now_is_rejected_and_queues_nothing(self):
+    def test_call_into_the_past_leaves_the_bucket_it_interrupts(self):
         sim = Simulator()
         order = []
 
-        def before_now(s):
-            queued = (list(s._ticks), {t: list(b) for t, b in s._buckets.items()})
-            with pytest.raises(ValueError, match=rf"tick {s.now - 1} is before now \({s.now}\)"):
-                s.schedule_call(s.now - 1, lambda s: order.append("past"))
-            assert (s._ticks, {t: list(b) for t, b in s._buckets.items()}) == queued
+        def a(s):
+            order.append(("a", s.now, s.idle))
+            reject_call_before_now(s, order)
+            s.schedule_call(s.now, lambda s: order.append(("at now", s.now, s.idle)))
+
+        sim.schedule_call(5, a)
+        sim.schedule_call(5, lambda s: order.append(("b", s.now, s.idle)))
+        reject_call_before_now(sim, order)
+        sim.run()
+        # a tick stays queued until its last event has run
+        assert order == [("a", 5, False), ("b", 5, False), ("at now", 5, False)]
+        assert sim.now == 5 and sim.idle
+
+    def test_call_into_the_past_from_mid_group_leaves_the_rest_in_front(self):
+        sim = Simulator()
+        order = []
 
         def on_arrival(s, n):
             order.append((n, s.now, s.idle))
-            if n == 2:  # from inside a group, with datagram 3 still to come
-                before_now(s)
+            if n == 2:  # with datagram 3 still to come
+                reject_call_before_now(s, order)
                 s.schedule_call(s.now, lambda s: order.append(("at now", s.now, s.idle)))
 
         recording_link(sim, on_arrival, delay=5)
         sim.run(until=3)
-        sim.schedule_call(5, lambda s: order.append(("b", s.now, s.idle)))
-        before_now(sim)
         sim.inject("a", *map(numbered, (1, 2, 3)))  # arrives at 8
+        # queued after the emit has run: behind the group at tick 8
+        sim.schedule_call(3, lambda s: s.schedule_call(8, lambda s: order.append(("b", s.now, s.idle))))
         sim.run()
-        # a tick stays queued until its last event has run
-        assert order == [("b", 5, False), (1, 8, False), (2, 8, False), (3, 8, False), ("at now", 8, False)]
+        assert order == [(1, 8, False), (2, 8, False), (3, 8, False), ("b", 8, False), ("at now", 8, False)]
         assert sim.now == 8 and sim.idle
-
 
 def attack_cut_short():
     """A scenario-built simulator whose attack stops, by run(until=...), one
