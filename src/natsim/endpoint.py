@@ -342,9 +342,6 @@ class Host(IpNode):
                 self._send(sim, sock, _ACK)
             return
 
-        if sock.state != TcpState.ESTABLISHED:
-            return
-
         if seg.seq == sock.rcv_nxt:
             if flags & ACK_BIT and seq_in_range(seg.ack, sock.snd_una, seq_add(sock.snd_nxt, 1)):
                 sock.snd_una = seg.ack

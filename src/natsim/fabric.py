@@ -245,11 +245,6 @@ class Trace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return map(_as_record, self.rows())
 
-    def __getitem__(self, i: int) -> TraceRecord:
-        records = self._kept()
-        start = range(0, len(records), 5)[i]  # raises IndexError as a list would
-        return _as_record(records[start : start + 5])
-
     def _kept(self) -> list:
         if self.records is None:
             raise TraceNotKeptError(

@@ -95,10 +95,6 @@ class NatMapping:
     inbound_seq_window: tuple[int, int] | None = None
 
 
-class NatTableError(Exception):
-    pass
-
-
 class NatBox(IpNode):
     """Session-mapping NAT attached to one simulator node."""
 
@@ -251,25 +247,15 @@ class NatBox(IpNode):
     # -- table maintenance ---------------------------------------------------------
 
     def _insert(self, mapping: NatMapping) -> None:
-        ikey = (mapping.internal, mapping.remote)
-        ekey = (mapping.external_port, mapping.remote)
-        if ikey in self.by_internal or ekey in self.by_external:
-            raise NatTableError(f"duplicate mapping {ikey}")
-        self.by_internal[ikey] = mapping
-        self.by_external[ekey] = mapping
+        self.by_internal[(mapping.internal, mapping.remote)] = mapping
+        self.by_external[(mapping.external_port, mapping.remote)] = mapping
         self._used_ports.add(mapping.external_port)
-        self._check_table()
 
     def _remove(self, mapping: NatMapping) -> None:
         del self.by_internal[(mapping.internal, mapping.remote)]
         del self.by_external[(mapping.external_port, mapping.remote)]
         self._used_ports.discard(mapping.external_port)
         self.mappings_removed_by_rst += 1
-        self._check_table()
-
-    def _check_table(self) -> None:
-        if len(self.by_internal) != len(self.by_external):
-            raise NatTableError("mapping indexes out of sync")
 
     def _allocate_port(self, internal_port: int) -> int | None:
         alloc = self.policy.port_allocation

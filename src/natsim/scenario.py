@@ -225,8 +225,8 @@ class Scenario:
     force_attack: bool = False
     expect: Expectation | None
     doc: dict
-    # the public address the probe and the attack aim at: the NAT's, or
-    # the first client's when there is no NAT
+    # the public address the probe and the attack aim at: the NAT's, or,
+    # for a probe of a document with no NAT, the first client's
     target_addr: str
 
     def __post_init__(self):
@@ -342,6 +342,8 @@ def load_scenario(doc: dict) -> Scenario:
     if attack_doc is not None:
         if server is None:
             raise ScenarioError("attack: an attack block requires a server block")
+        if nat_policy is None:
+            raise ScenarioError("attack: an attack block requires a nat block")
         scn.attack = _build(
             AttackPlan, attack_doc, "attack", nat_public_ip=target_addr,
             victim_server=(addresses[server.node], server.port), seed=scn.seed,

@@ -218,7 +218,7 @@ def run_dos_attack(handles: Handles) -> AttackReport:
         # every round sends the same packets: holding them costs less than
         # crafting them again; a one-round attack crafts each batch as it goes
         batches = list(batches)
-    removed_before = nat.mappings_removed_by_rst if nat else 0
+    removed_before = nat.mappings_removed_by_rst
     # only sockets that predate the attack count toward server resets;
     # half-open ghosts from blocked attempts are scored as blocked instead
     standing = {
@@ -259,7 +259,7 @@ def run_dos_attack(handles: Handles) -> AttackReport:
         sim.run(until=sim.now + plan.settle_ticks)
 
     report.implied_bandwidth = report.octets_sent / (report.duration_ticks * handles.scenario.tick_duration)
-    report.mappings_removed = (nat.mappings_removed_by_rst - removed_before) if nat else 0
+    report.mappings_removed = nat.mappings_removed_by_rst - removed_before
     report.server_sockets_reset = sum(1 for k in standing if server.sockets[k].reset_record is not None)
     report.client_connections_torn = sum(
         1 for h, k in victims if h.state(k) == TcpState.CLOSED
@@ -292,7 +292,7 @@ def _evidence_watcher(handles: Handles, seen: set[str]):
     server_addr, server_port = plan.victim_server
     forged_seq = plan.forged_seq
     nat_addr = plan.nat_public_ip
-    nat_node = handles.nat.node_id if handles.nat else None
+    nat_node = handles.nat.node_id
     server_node = handles.server_host.node_id
     client_nodes = {h.node_id for h, _ in handles.victims}
 

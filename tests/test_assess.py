@@ -4,6 +4,8 @@ import gc
 import json
 import os
 import re
+import runpy
+import sys
 import tracemalloc
 import weakref
 
@@ -67,10 +69,18 @@ class TestAssess:
         assert "error" in csv
 
     def test_expectation_mismatch_detected(self):
-        doc = fast_doc("wrong", expect={"attack_success": False})
-        rows, _, _, matched = assess.assess([sc.load_scenario(doc)])
+        doc = fast_doc("wrong", expect={"verdict": "separate-host", "attack_success": False})
+        rows, _, summary, matched = assess.assess([sc.load_scenario(doc)])
         assert not matched
-        assert rows[0].expected_mismatch
+        assert rows[0].expected_mismatch == ["verdict nat-device != separate-host", "success True != False"]
+        assert "[MISMATCH: verdict nat-device != separate-host; success True != False]" in summary
+
+    def test_a_scenario_with_nothing_to_run_is_a_no_op_row(self):
+        doc = sc.host_scenario_doc("idle")
+        del doc["probe"]
+        rows, _, summary, matched = assess.assess([sc.load_scenario(doc)])
+        assert matched and rows[0].verdict is None and rows[0].report is None
+        assert summary.splitlines()[0].endswith(" no-op")
 
     def test_packet_budget_identity_on_rows(self):
         rows, _, _, _ = assess.assess(small_set())
@@ -114,6 +124,7 @@ class TestReplay:
         result = assess.replay(str(path))
         assert not result.identical
         assert "line" in result.divergence
+        assert result.describe() == f"divergent: {result.divergence}"
 
     def test_altered_policy_diverges_at_rst_handling(self, tmp_path):
         path = self.write_trace(tmp_path, fast_doc("r4"))
@@ -378,6 +389,9 @@ class TestCli:
                      "can't decode byte 0xff", id="not-utf8"),
         pytest.param(lambda b: re.sub(rb"#scenario .*", b"#scenario " + DEEP_JSON, b),
                      "#scenario: invalid JSON: maximum recursion depth", id="scenario-nesting"),
+        pytest.param(lambda b: b.replace(b"#mode attack", b"#mode probe"),
+                     "unknown trace mode 'probe'", id="mode"),
+        pytest.param(lambda b: b"junk\n" + b, "malformed trace header", id="first-header"),
     ])
     def test_malformed_trace_exits_1_with_one_line(self, tmp_path, capsys, damage, message):
         trace = tmp_path / "c10.trace"
@@ -425,6 +439,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: ") and err.count("\n") == 1
         assert sections == []
+
+    def test_assess_without_paths_grades_the_default_suite(self, capsys, monkeypatch):
+        # a one-document suite stands in for the 20 of the default one
+        suite = [sc.load_scenario(fast_doc("d1", expect={"attack_success": True}))]
+        monkeypatch.setattr(sc, "default_suite", lambda: suite)
+        assert main(["assess"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("d1 ") and " VULNERABLE\n" in out
+        assert out.endswith(assess.FIELD_CONTEXT_NOTE + "\n")
+
+    def test_assess_directory_without_scenarios_exits_1(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no scenario here")
+        assert main(["assess", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "configuration error: no scenario files found\n"
+
+    @pytest.mark.filterwarnings("ignore:'natsim.cli' found in sys.modules:RuntimeWarning")
+    def test_module_runs_as_a_script(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["natsim", "replay", str(tmp_path / "missing.trace")])
+        with pytest.raises(SystemExit) as e:
+            runpy.run_module("natsim.cli", run_name="__main__")
+        assert e.value.code == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_assess_directory(self, tmp_path):
         self.scenario_file(tmp_path, fast_doc("c7", expect={"attack_success": True}))

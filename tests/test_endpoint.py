@@ -1,5 +1,7 @@
 """Host stack: PMTUD validation, echo sizing, TCP state machine, quirks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from natsim.endpoint import (
     PathMtuCache,
     PortsExhaustedError,
     TcpState,
+    pick_port,
 )
 from natsim.wire import (
     EchoReply,
@@ -60,6 +63,12 @@ class TestHandshake:
         host._used_ports = {50000, 50001}
         with pytest.raises(PortsExhaustedError):
             host._alloc_ephemeral()
+
+    def test_the_last_free_port_is_found_when_the_draws_miss(self):
+        # 64 seeded draws over 64,512 ports all land on used ones; the scan finds the last
+        used = set(range(1024, 0x10000)) - {4321}
+        assert pick_port(random.Random(1), 1024, 0xFFFF, used) == 4321
+        assert pick_port(random.Random(1), 1024, 0xFFFF, used | {4321}) is None
 
 
 class TestSendData:

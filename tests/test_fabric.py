@@ -14,6 +14,7 @@ from natsim import scenario as sc
 from natsim.fabric import (
     SUMMARY_CACHE_ENTRIES,
     DropClass,
+    FabricError,
     LinkSpec,
     MiddleboxFilter,
     NoSuchNodeError,
@@ -635,7 +636,7 @@ class TestTraceFormat:
         sim = chain(2)
         sim.inject("n0", rst(dst="10.1.0.2"))
         sim.run()
-        line = sim.trace[0].line()
+        line = next(iter(sim.trace)).line()
         assert "\tsend\t" in line and " R " in line
 
 
@@ -671,11 +672,8 @@ class TestKeptTrace:
         assert len(trace) == len(seen)
         assert list(trace) == seen
         assert all(type(rec) is TraceRecord for rec in trace)
-        assert trace[0] == seen[0] and trace[-1] == seen[-1]
-        assert trace[-len(seen)] == seen[0] and trace[0].dgram is seen[0][4]
-        for i in (len(seen), -len(seen) - 1):
-            with pytest.raises(IndexError):
-                trace[i]
+        first = next(iter(trace))
+        assert first == seen[0] and first.dgram is seen[0][4]
 
 
 class TestRenderLines:
@@ -828,6 +826,19 @@ class TestRouting:
         with pytest.raises(ValueError, match=r"^mtu: 67 is below the minimum 68$"):
             sim.set_link_mtu("n0", "n1", 67)
         assert sim.links[("n0", "n1")].mtu == 1500
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda sim: sim.add_node("n0", "10.9.9.9"), FabricError, "duplicate node n0"),
+        (lambda sim: sim.add_node("n9", "10.1.0.1"), FabricError, "duplicate address 10.1.0.1"),
+        (lambda sim: sim.add_link(LinkSpec("n0", "ghost")), NoSuchNodeError, "no-such-node: link n0->ghost"),
+        (lambda sim: sim.set_link_mtu("n0", "n2", 576), NoSuchNodeError, "no-such-node: link n0->n2"),
+    ], ids=["node", "address", "link", "link-mtu"])
+    def test_a_topology_error_changes_nothing(self, change, error, message):
+        sim = chain()
+        before = (dict(sim.nodes), dict(sim.addr_to_node), dict(sim.links))
+        with pytest.raises(error, match=f"^{message}$"):
+            change(sim)
+        assert (sim.nodes, sim.addr_to_node, sim.links) == before
 
     def test_link_validation(self):
         with pytest.raises(ValueError):

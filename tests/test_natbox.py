@@ -1,10 +1,13 @@
 """NAT device: translation, mapping lifecycle, policy axes, ICMP handling."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from natsim import wire
 from natsim.endpoint import DEFAULT_RCV_WND
+from natsim.fabric import Simulator
 from natsim.natbox import (
+    NatBox,
     NatPolicy,
     PmtudSync,
     PortAllocation,
@@ -321,3 +324,41 @@ class TestTable:
                  if r.node == "nat" and r.action == "send"
                  and r.dgram.protocol is Protocol.ICMP]
         assert sizes == [1500]
+
+
+CLIENTS = ("10.0.0.2", "10.0.0.3")
+REMOTES = (("7.7.7.7", 80), ("7.7.7.8", 80))
+# an outbound SYN (client, source port, remote), or an inbound RST/ACK from
+# a remote to the external port of the i-th mapping (or to an unmapped port)
+TABLE_STEPS = st.lists(
+    st.tuples(st.just("syn"), st.sampled_from(CLIENTS), st.integers(1020, 1030), st.sampled_from(REMOTES))
+    | st.tuples(st.just("rst"), st.integers(0, 7), st.booleans(), st.sampled_from(REMOTES)),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("allocation", list(PortAllocation))
+@given(steps=TABLE_STEPS, start=st.sampled_from([1024, 0xFFFE]))
+@settings(max_examples=20, deadline=None)
+def test_table_indexes_stay_in_step(allocation, steps, start):
+    """Under any SYN/RST sequence the two indexes hold the same mappings,
+    each under both of its keys, and the used ports are the mapped ones."""
+    sim = Simulator(keep_trace=False)
+    sim.add_node("nat", "6.6.6.6")
+    nat = NatBox("nat", "6.6.6.6", NatPolicy(port_allocation=allocation, sequential_start=start),
+                 set(CLIENTS))
+    for kind, a, b, remote in steps:
+        if kind == "syn":
+            d = Ipv4Datagram(src=a, dst=remote[0], protocol=Protocol.TCP,
+                             payload=TcpSegment(b, remote[1], seq=0, flags=TcpFlag.SYN))
+        else:
+            mapped = [m.external_port for m in nat.by_internal.values() if m.remote == remote]
+            port = mapped[a % len(mapped)] if b and mapped else 50000 + a
+            d = inbound(nat, TcpSegment(remote[1], port, seq=0, flags=TcpFlag.RST | TcpFlag.ACK),
+                        src=remote[0])
+        nat.on_datagram(sim, "nat", d)
+        assert len(nat.by_internal) == len(nat.by_external)
+        for m in nat.by_internal.values():
+            assert nat.by_internal[(m.internal, m.remote)] is m
+            assert nat.by_external[(m.external_port, m.remote)] is m
+        assert nat._used_ports == {m.external_port for m in nat.by_internal.values()}

@@ -99,6 +99,21 @@ class TestIdentification:
             assert v.kind is VerdictKind.UNKNOWN
             assert v.reason is VerdictReason.AMBIGUOUS_SIZES
 
+    def test_no_session_gives_no_baseline(self):
+        # built, never established: no data segment reaches the vantage
+        handles = sc.build(sc.load_scenario(sc.nat_scenario_doc("p-quiet")))
+        v = probe.run_identification(handles)
+        assert (v.kind, v.reason) == (VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK)
+        assert not v.evidence.baseline_tcp_size and v.evidence.post_probe_tcp_size is None
+
+    def test_no_segment_after_the_probe_within_the_timeout(self):
+        doc = sc.nat_scenario_doc("p-slow")
+        doc["probe"]["timeout_ticks"] = 50
+        doc["workload"]["send_period"] = 60
+        v, _ = identify(doc)
+        assert (v.kind, v.reason) == (VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK)
+        assert (v.evidence.baseline_tcp_size, v.evidence.post_probe_tcp_size) == (1500, None)
+
     def test_verdict_deterministic(self):
         doc = sc.nat_scenario_doc("p-det", router_vantage_mtu=1492)
         a, _ = identify(doc, seed=9)

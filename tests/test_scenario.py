@@ -260,6 +260,9 @@ class TestValidation:
         (("server", "node"), "client1", "server.node: 'client1' is also one of clients"),
         # a second attacker node, like a second NAT, is refused
         (("nodes", 5, "kind"), "attacker", "nodes: at most one attacker node per scenario"),
+        # no nodes, or no clients
+        (("nodes",), [], "scenario.nodes: at least one node required"),
+        (("clients",), [], "clients: at least one client node required"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
@@ -317,6 +320,9 @@ class TestValidation:
         (("attack", "rounds"), 100000, "configuration error: attack.rounds"),
         (("nat", "require_ack_flag_on_rst"), True,
          "configuration error: nat.require_ack_flag_on_rst: unknown field"),
+        # every packet toward the server is filtered, so no victim connects
+        (("links", 10, "filter"), ["all"],
+         "scenario error: vulnerable-wifi: victim connections failed to establish"),
     ])
     def test_attack_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()
@@ -335,6 +341,9 @@ class TestValidation:
         (("probe", "timeout_ticks"), -1, "configuration error: probe.timeout_ticks"),
         (("probe", "vantage"), "nat", "configuration error: probe.vantage"),
         (("probe", "timeout_ticks"), 100001, "configuration error: probe.timeout_ticks: 100001 is above"),
+        # every packet toward the vantage is filtered, so its session never opens
+        (("links", 12, "filter"), ["all"],
+         "scenario error: vulnerable-wifi: vantage session failed to establish"),
     ])
     def test_identify_cli_exits_1_with_one_line(self, tmp_path, capsys, path, value, message):
         doc = wifi_doc()
@@ -344,6 +353,21 @@ class TestValidation:
         assert main(["identify", str(bad), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["identify", "attack", "assess"])
+def test_an_attack_requires_a_nat(tmp_path, capsys, command):
+    """The attack tears down connections through a NAT: a document with an
+    attack block and no NAT fails at load, whatever the command."""
+    doc = wifi_doc()
+    doc["nat"] = None
+    next(n for n in doc["nodes"] if n["kind"] == "nat")["kind"] = "router"
+    path = tmp_path / "no-nat.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "configuration error: attack: an attack block requires a nat block\n"
+    del doc["attack"]
+    assert load_scenario(doc).nat_policy is None
 
 
 class TestExpectations:

@@ -188,7 +188,38 @@ def datagram_st(draw):
     )
 
 
+def damaged(d, start, end, octets):
+    """d's octets with [start, end) replaced by `octets`, total length fixed up."""
+    buf = bytearray(wire.encode(d))
+    buf[start:end] = octets
+    buf[2:4] = len(buf).to_bytes(2, "big")
+    return bytes(buf)
+
+
+FRAG_NEEDED = Ipv4Datagram("9.9.9.9", "6.6.6.6", Protocol.ICMP, FragNeeded(600, bytes(28)))
+
+
 class TestCodec:
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: wire.reassemble([]), wire.IncompleteGroupError, "empty fragment group",
+                     id="empty-group"),
+        pytest.param(lambda: wire.encode_payload(Ipv4Datagram("1.1.1.1", "2.2.2.2", Protocol.TCP, "data")),
+                     TypeError, "unsupported payload str", id="unknown-payload"),
+        pytest.param(lambda: wire.decode(damaged(tcp_datagram(payload=0), 32, 33, b"\x60")),
+                     wire.MalformedPacketError, "TCP options not supported", id="tcp-options"),
+        pytest.param(lambda: wire.decode(damaged(echo_datagram(padding=0), 24, 28, b"")),
+                     wire.MalformedPacketError, "truncated ICMP header", id="short-icmp"),
+        pytest.param(lambda: wire.decode(damaged(FRAG_NEEDED, 24, 25, b"\x01")),
+                     wire.MalformedPacketError, "nonzero unused field", id="unused-field"),
+        pytest.param(lambda: wire.decode(damaged(FRAG_NEEDED, 56, 56, b"\x00")),
+                     wire.MalformedPacketError, "quote must be 28 octets", id="quote-length"),
+        pytest.param(lambda: wire.rewrite_embedded_source(bytes(27), "1.1.1.1", 1),
+                     ValueError, "quote must be 28 octets", id="rewrite-length"),
+    ])
+    def test_malformed_input_is_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     @given(datagram_st())
     @settings(max_examples=250)
     def test_round_trip(self, d):
@@ -358,6 +389,9 @@ class TestEmbedded:
     def test_garbage_rejected(self):
         assert wire.parse_embedded(b"\x00" * 28) is None
         assert wire.parse_embedded(b"\x45" + b"\x00" * 20) is None
+        quote = bytearray(wire.quote_of(tcp_datagram()))
+        quote[9] = 99  # no protocol the model knows
+        assert wire.parse_embedded(bytes(quote)) is None
 
 
 class TestSeqArithmetic:
