@@ -20,6 +20,21 @@ def host_pair(seed=1, profile_b: StackProfile | None = None, mtu=1500):
     return sim, a, b
 
 
+def chain(n=3, seed=1, opaque=None, hop=None, **link_kw):
+    """n nodes in a line, n0 - n1 - ...; returns the sim.  Every node routes
+    but the `opaque` one.  Every link takes link_kw, or with `hop` i only
+    the link n<i> -> n<i+1>."""
+    sim = Simulator(seed=seed)
+    for i in range(n):
+        sim.add_node(f"n{i}", f"10.1.0.{i + 1}", transit=i != opaque)
+    for i in range(n - 1):
+        kw = link_kw if hop in (None, i) else {}
+        sim.add_link(LinkSpec(f"n{i}", f"n{i + 1}", **kw))
+        sim.add_link(LinkSpec(f"n{i + 1}", f"n{i}", **(link_kw if hop is None else {})))
+    sim.finalize_routes()
+    return sim
+
+
 def nat_triangle(policy: NatPolicy | None = None, seed=1):
     """client - nat - server, the smallest NAT-translation topology."""
     sim = Simulator(seed=seed)

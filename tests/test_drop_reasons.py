@@ -2,6 +2,7 @@
 row builds the smallest input that makes its drop, and the table is checked
 against the source's `record(..., "drop", ...)` sites and the README's list."""
 
+import ast
 import pathlib
 import re
 import struct
@@ -15,22 +16,9 @@ from natsim.fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator
 from natsim.natbox import NatPolicy, RstHandling
 from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
-from helpers import host_pair, nat_triangle
+from helpers import chain, host_pair, nat_triangle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def line(n=2, transit=True, **link_kw):
-    """n routers in a line, n0 - n1 - ...; with `transit` False, n1 routes
-    nothing.  The last link away from n0 takes link_kw."""
-    sim = Simulator(seed=1)
-    for i in range(n):
-        sim.add_node(f"n{i}", f"10.1.0.{i + 1}", transit=transit or i != 1)
-    for i in range(n - 1):
-        sim.add_link(LinkSpec(f"n{i}", f"n{i + 1}", **(link_kw if i == n - 2 else {})))
-        sim.add_link(LinkSpec(f"n{i + 1}", f"n{i}"))
-    sim.finalize_routes()
-    return sim
 
 
 def tcp(src, dst, flags=TcpFlag.SYN, sport=4444, dport=80, length=0, df=False):
@@ -90,19 +78,19 @@ class Row(NamedTuple):
 ROWS = [
     # fabric: routing, middlebox filters, link MTU and loss
     Row('fabric.py "no-route"', "n0", "no-route",
-        lambda: injected(line(), tcp("10.1.0.1", "99.99.99.99"))),
+        lambda: injected(chain(2), tcp("10.1.0.1", "99.99.99.99"))),
     *(Row('fabric.py f"filtered-{cls.value}"', "n0", f"filtered-{cls.value}",
-          lambda cls=cls, d=d: injected(line(filter=MiddleboxFilter(frozenset({cls}))), d))
+          lambda cls=cls, d=d: injected(chain(2, filter=MiddleboxFilter(frozenset({cls}))), d))
       for cls, d in ((DropClass.ICMP_ERROR, icmp("10.1.0.1", "10.1.0.2", FragNeeded(600, bytes(28)))),
                      (DropClass.ICMP_ECHO, icmp("10.1.0.1", "10.1.0.2", EchoRequest(1, 1, 0))),
                      (DropClass.TCP_RST_INBOUND, tcp("10.1.0.1", "10.1.0.2", TcpFlag.RST)),
                      (DropClass.ALL, tcp("10.1.0.1", "10.1.0.2")))),
     Row('fabric.py "needs-fragmentation"', "n1", "needs-fragmentation",
-        lambda: injected(line(3, mtu=576), tcp("10.1.0.1", "10.1.0.3", length=1000, df=True))),
-    Row('fabric.py "loss"', "n0", "loss", lambda: injected(line(loss=1.0), tcp("10.1.0.1", "10.1.0.2"))),
+        lambda: injected(chain(3, hop=1, mtu=576), tcp("10.1.0.1", "10.1.0.3", length=1000, df=True))),
+    Row('fabric.py "loss"', "n0", "loss", lambda: injected(chain(2, loss=1.0), tcp("10.1.0.1", "10.1.0.2"))),
     # a node that is neither the destination nor a router
     Row('fabric.py "no-route"', "n1", "no-route",
-        lambda: injected(line(3, transit=False), tcp("10.1.0.1", "10.1.0.3"))),
+        lambda: injected(chain(3, opaque=1), tcp("10.1.0.1", "10.1.0.3"))),
     # natbox: transit traffic, outbound translation, inbound segments and ICMP
     Row('natbox.py "no-route"', "nat", "no-route", lambda: at_nat(tcp("7.7.7.7", "10.0.0.9"))),
     Row('natbox.py "unsupported-outbound"', "nat", "unsupported-outbound",
@@ -142,12 +130,59 @@ def test_each_drop_site_records_its_reason(row):
         (row.node, "drop", row.reason)]
 
 
+def literal_values(node):
+    """The strings an argument can be: a literal, or either arm of a
+    conditional between literals; anything else fails."""
+    if isinstance(node, ast.IfExp):
+        return literal_values(node.body) | literal_values(node.orelse)
+    assert isinstance(node, ast.Constant) and isinstance(node.value, str), ast.dump(node)
+    return {node.value}
+
+
+def drop_sites(source):
+    """The reason source text of each `record` call in `source` whose action
+    can be "drop".  Every `record` call must pass node, action, reason and
+    datagram by position, its action a literal (or a conditional between
+    literals), and a drop's reason a string or f-string literal."""
+    sites = []
+    for call in ast.walk(ast.parse(source)):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "record"):
+            continue
+        assert len(call.args) == 4 and not call.keywords, ast.get_source_segment(source, call)
+        if "drop" in literal_values(call.args[1]):
+            reason = call.args[2]
+            assert isinstance(reason, (ast.Constant, ast.JoinedStr)), ast.get_source_segment(source, call)
+            sites.append(ast.get_source_segment(source, reason))
+    return sites
+
+
+@pytest.mark.parametrize("source, sites", [
+    ('sim.record(n, "drop", "a", d)', ['"a"']),
+    ('self.record(\n    n,\n    "drop",\n    f"b-{x}",\n    d)', ['f"b-{x}"']),
+    ('sim.record(n, "drop" if x else "send", "c", d)', ['"c"']),
+    ('sim.record(n, "send", "", d)', []),
+])
+def test_drop_sites_are_found_across_lines_and_conditionals(source, sites):
+    assert drop_sites(source) == sites
+
+
+@pytest.mark.parametrize("source", [
+    'sim.record(n, "drop", reason, d)',
+    'sim.record(n, action, "a", d)',
+    'sim.record(n, "drop", reason="a", d=d)',
+    'sim.record(*args)',
+])
+def test_a_drop_site_the_table_cannot_name_fails(source):
+    with pytest.raises(AssertionError):
+        drop_sites(source)
+
+
 def test_the_table_has_a_row_per_recording_site():
-    """Each `record(..., "drop", reason)` call in src/ has its row; the one
+    """Each `record` call in src/ that can drop has its row; the one
     formatted site has a row per DropClass."""
     sites = Counter()
     for path in sorted((ROOT / "src" / "natsim").glob("*.py")):
-        for literal in re.findall(r'record\([^,]+, "drop", (f?"[^"]*")', path.read_text()):
+        for literal in drop_sites(path.read_text()):
             sites[f"{path.name} {literal}"] += 1
     rows = Counter(r.site for r in ROWS)
     family = 'fabric.py f"filtered-{cls.value}"'

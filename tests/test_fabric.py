@@ -26,17 +26,7 @@ from natsim.fabric import (
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
-
-def chain(n=3, seed=1, **link_kw):
-    """n plain nodes in a line: n0 - n1 - ... ; returns the sim."""
-    sim = Simulator(seed=seed)
-    for i in range(n):
-        sim.add_node(f"n{i}", f"10.1.0.{i + 1}", transit=True)
-    for i in range(n - 1):
-        sim.add_link(LinkSpec(f"n{i}", f"n{i + 1}", **link_kw))
-        sim.add_link(LinkSpec(f"n{i + 1}", f"n{i}", **link_kw))
-    sim.finalize_routes()
-    return sim
+from helpers import chain
 
 
 def rst(length=0, src="10.1.0.1", dst="10.1.0.3"):

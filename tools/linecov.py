@@ -1,8 +1,8 @@
 """Count the lines of src/natsim that the tier-1 tests never run.
 
-    python tools/linecov.py [--max N] [pytest args ...]
+    python tools/linecov.py [--max N]
 
-Runs pytest in this process under `sys.settrace` (no coverage package
+Runs pytest on `tests` in this process under `sys.settrace` (no coverage package
 needed) and prints one `file:line: source` line for each executable line
 of `src/natsim` that no test ran, then the total.  The executable lines
 are the line numbers in the line tables of every code object compiled
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "natsim")
@@ -36,8 +35,8 @@ def executable_lines(source: str, path: str) -> set[int]:
     return lines
 
 
-def trace_run(pytest_args: list[str]) -> dict[str, set[int]]:
-    """Run pytest under the tracer; the lines hit in each package file."""
+def trace_run() -> dict[str, set[int]]:
+    """Run the tests under the tracer; the lines hit in each package file."""
     prefix = PACKAGE + os.sep
     hit: dict[str, set[int]] = {}
 
@@ -60,26 +59,24 @@ def trace_run(pytest_args: list[str]) -> dict[str, set[int]]:
 
     settings.register_profile("linecov", derandomize=True, database=None)
     settings.load_profile("linecov")
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         # hypothesis is imported above, before pytest could mark it for
         # assertion rewriting, which pytest would otherwise warn about
         pytest.main(["-q", "-p", "no:cacheprovider", "-W", "ignore::pytest.PytestAssertRewriteWarning",
-                     *pytest_args])
+                     "tests"])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return hit
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("--max", type=int, default=None, help="fail above this many unrun lines")
-    args, pytest_args = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     os.chdir(ROOT)
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    hit = trace_run(pytest_args or ["tests"])
+    hit = trace_run()
 
     unrun = []
     for name in sorted(os.listdir(PACKAGE)):
