@@ -254,8 +254,8 @@ class Host(IpNode):
         super().__init__(node_id, address)
         self.profile = profile
         self.ephemeral_range = ephemeral_range
-        # a vantage host logs each TCP segment and echo reply it takes in as
-        # (tick, datagram) and leaves its data unacknowledged, for the probe
+        # a vantage host logs each TCP segment, fragment and echo reply it takes
+        # in as (tick, datagram) and leaves its data unacknowledged, for the probe
         self.vantage = vantage
         self.sockets: dict[ConnKey, Socket] = {}
         self.listeners: set[int] = set()
@@ -280,7 +280,10 @@ class Host(IpNode):
         sock = self.sockets.get(key)
         if sock is None or sock.state != TcpState.ESTABLISHED:
             raise ConnectionResetSimError("connection-reset")
-        mss = self.pmtu.get(sock.remote[0]) - wire.IP_HEADER_LEN - wire.TCP_HEADER_LEN
+        # RFC 1191 section 3: the first estimate of a path's MTU is its first hop's
+        route = sim.forwarding[self.node_id].get(sock.remote[0])
+        mtu = min(self.pmtu.get(sock.remote[0]), route[1].mtu if route else wire.DEFAULT_MTU)
+        mss = mtu - wire.IP_HEADER_LEN - wire.TCP_HEADER_LEN
         remaining = length
         while remaining > 0:
             chunk = min(remaining, mss)
@@ -309,6 +312,11 @@ class Host(IpNode):
     def _on_echo_reply(self, sim: Simulator, d: Ipv4Datagram) -> None:
         if self.vantage:
             self.arrivals.append((sim.now, d))
+
+    def _on_fragment(self, sim: Simulator, d: Ipv4Datagram) -> None:
+        if self.vantage:
+            self.arrivals.append((sim.now, d))
+        super()._on_fragment(sim, d)
 
     # -- TCP -------------------------------------------------------------------------
 
@@ -410,5 +418,5 @@ class Host(IpNode):
         return sock.state if sock else TcpState.CLOSED
 
     def observations_after(self, tick: int, src: str) -> list[tuple[int, Ipv4Datagram]]:
-        """The logged arrivals from `src` after `tick`, as (tick, datagram)."""
+        """The logged arrivals from `src` after `tick`, fragments included, as (tick, datagram)."""
         return [(t, d) for t, d in self.arrivals if t > tick and d.src == src]

@@ -21,10 +21,13 @@ datagram would give it.
 
 A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
-Every trace record is counted and shown to the registered watchers; the
-records themselves are kept only when asked (see `keep_traces`), as five
-slots each of one flat list: a kept record allocates no object of its own
-for the cyclic GC to track and rescan.
+One shape watches a run.  Every trace record is counted, and kept only when
+asked (see `keep_traces`), inline in `record` as five slots of one flat list:
+no call, and no object for the cyclic GC to track.  Records go to the
+watchers `watching` registers for its block, never to one bound at build.
+What a node takes in goes to its own log (only the vantage `Host` keeps
+one: a reassembled datagram makes no record), and counts are made inline
+where the node is in hand (`Counters`).
 """
 
 from __future__ import annotations

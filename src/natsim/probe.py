@@ -87,7 +87,7 @@ _UNKNOWN_REASONS = {
 
 @dataclass
 class Observation:
-    baseline_tcp_size: int = 0
+    baseline_tcp_size: int | None = None
     post_probe_tcp_size: int | None = None
     echo_reply_fragments: list[int] = field(default_factory=list)
     echo_reply_total: int | None = None
@@ -109,8 +109,8 @@ class Verdict:
     def csv_row(self, target: str) -> str:
         ev = self.evidence
         frags = "+".join(str(s) for s in ev.echo_reply_fragments) or "-"
-        post = ev.post_probe_tcp_size if ev.post_probe_tcp_size is not None else "-"
-        return f"{target},{self.kind.value},{self.reason.value},{ev.baseline_tcp_size},{post},{frags}"
+        base, post = ("-" if n is None else n for n in (ev.baseline_tcp_size, ev.post_probe_tcp_size))
+        return f"{target},{self.kind.value},{self.reason.value},{base},{post},{frags}"
 
 
 def craft_frag_needed(observed: Ipv4Datagram, forged_mtu: int) -> FragNeeded:
@@ -167,38 +167,29 @@ def run_identification(handles: Handles) -> Verdict:
     # depends on the reply path, where the router fragments
     target_node = sim.addr_to_node[target_addr]
     path_mtu = sim.path_min_mtu(target_node, vantage.address)
-    echo_tick = sim.now
+    echo_tick, sent = sim.now, len(vantage.arrivals)
     ident = derive_rng(sim.seed, "probe-echo", echo_tick).randrange(0x10000)
-    frags: list[tuple[int, int]] = []  # (total length, fragment offset) of each reply piece
+    sim.send_from(
+        vantage.node_id,
+        Ipv4Datagram(
+            src=vantage.address,
+            dst=target_addr,
+            protocol=Protocol.ICMP,
+            payload=EchoRequest(ident=ident, seq_no=1, padding_length=cfg.baseline_size - 28),
+        ),
+    )
+    reply = _next_arrival(
+        sim, vantage, target_addr, echo_tick, sim.now + cfg.timeout_ticks,
+        lambda p: isinstance(p, EchoReply),
+    )
 
-    def reply_piece(tick, node, action, reason, d):
-        if (
-            action == "deliver"
-            and node == vantage.node_id
-            and d.src == target_addr
-            and tick > echo_tick
-            and d.protocol is Protocol.ICMP
-            and isinstance(d.payload, (EchoReply, bytes))
-        ):
-            frags.append((d.total_length, d.fragment_offset))
-
-    with sim.watching(reply_piece):
-        sim.send_from(
-            vantage.node_id,
-            Ipv4Datagram(
-                src=vantage.address,
-                dst=target_addr,
-                protocol=Protocol.ICMP,
-                payload=EchoRequest(ident=ident, seq_no=1, padding_length=cfg.baseline_size - 28),
-            ),
-        )
-        reply = _next_arrival(
-            sim, vantage, target_addr, echo_tick, sim.now + cfg.timeout_ticks,
-            lambda p: isinstance(p, EchoReply),
-        )
-
-    obs.echo_reply_fragments = [total for total, _ in frags]
-    obs.echo_reply_boundaries = frozenset(off * 8 for _, off in frags if off > 0)
+    # the reply as the vantage took it in: its fragments, else the whole datagram
+    pieces = [
+        d for _, d in vantage.arrivals[sent:]
+        if d.src == target_addr and d.protocol is Protocol.ICMP and isinstance(d.payload, bytes)
+    ] or ([reply[1]] if reply else [])
+    obs.echo_reply_fragments = [d.total_length for d in pieces]
+    obs.echo_reply_boundaries = frozenset(d.fragment_offset * 8 for d in pieces if d.fragment_offset)
     if reply is None:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_ECHO_REPLY, obs)
     obs.echo_reply_total = reply[1].total_length

@@ -23,8 +23,8 @@ from enum import EnumMeta
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, DEFAULT_RCV_WND, Host, LINUX_LIKE, OPENBSD_LIKE, TcpState
 from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
 from .natbox import NatBox, NatPolicy
-from .probe import ProbeConfig
-from .strike import AttackPlan
+from .probe import ProbeConfig, VerdictKind
+from .strike import AttackPlan, FailureDiagnosis
 from .wire import MIN_MTU, check_port_range, check_range
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
@@ -204,6 +204,13 @@ class Expectation:
     verdict: str | None = None
     attack_success: bool | None = None
     diagnosis: str | None = None
+
+    def __post_init__(self):
+        # strings, as graders compare them to `.value`, but refused at load
+        # when misspelt: one would otherwise grade as a mismatch
+        for name, kinds in (("verdict", VerdictKind), ("diagnosis", FailureDiagnosis)):
+            if getattr(self, name) is not None:
+                _enum_value(f"expect.{name}", getattr(self, name), kinds)
 
 
 @dataclass(kw_only=True)

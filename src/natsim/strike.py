@@ -66,6 +66,7 @@ class FailureDiagnosis(Enum):
     NONE = "none"
     FORWARDED_RST_NO_REMOVAL = "forwarded-rst-no-removal"
     RST_BLOCKED_BY_MIDDLEBOX = "rst-blocked-by-middlebox"
+    RST_NOT_ROUTED = "rst-not-routed"
     NO_DUP_ACK_FROM_SERVER = "no-dup-ack-from-server"
     PACKET_LOSS = "packet-loss"
 
@@ -342,7 +343,8 @@ def _diagnose(report: AttackReport, seen: set[str], dup_acked: bool) -> FailureD
             return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
         if "rst-lost" in seen:
             return FailureDiagnosis.PACKET_LOSS
-        return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
+        # no forged RST was filtered, lost or seen at the NAT: none had a route
+        return FailureDiagnosis.RST_NOT_ROUTED
     if "push-at-server" in seen and not dup_acked:
         return FailureDiagnosis.NO_DUP_ACK_FROM_SERVER
     if "loss" in seen:

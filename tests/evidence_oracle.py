@@ -1,9 +1,10 @@
-"""Trace-rescan oracles for the evidence that probe and strike gather with
-trace watchers while a run happens.
+"""Trace-rescan oracles for the evidence that probe and strike gather
+while a run happens: the probe from the vantage's arrival log, the strike
+with a trace watcher.
 
 Each function below reads a kept trace after the run, the way the two
-orchestrators once did; the equivalence tests check the watchers against
-them.
+orchestrators once did; the equivalence tests check the live evidence
+against them.
 """
 
 from natsim.strike import FailureDiagnosis
@@ -80,7 +81,7 @@ def diagnose(sim, plan, ctx, report, start: int, dup_acks_before: int) -> Failur
             return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
         if rst_lost:
             return FailureDiagnosis.PACKET_LOSS
-        return FailureDiagnosis.RST_BLOCKED_BY_MIDDLEBOX
+        return FailureDiagnosis.RST_NOT_ROUTED
     if push_delivered and ctx.server_host.dup_acks_sent == dup_acks_before:
         return FailureDiagnosis.NO_DUP_ACK_FROM_SERVER
     if any_loss:

@@ -86,6 +86,19 @@ class TestSendData:
         assert sum(s.payload_length for s in segs) == 5000
         assert sim.counters["a"].packets_sent - sent_before == len(segs)
 
+    def test_segments_fit_the_first_hop(self):
+        """With no cache entry, the first hop's MTU bounds a segment
+        (RFC 1191 section 3): a 576 link carries 1,400 octets, no drop."""
+        sim, a, b = host_pair(mtu=576)
+        b.listen(80)
+        key = connect(sim, a, ("2.2.2.2", 80))
+        a.send_data(sim, key, 1400)
+        sim.run()
+        assert [r.dgram.payload.payload_length for r in sim.trace
+                if r.node == "b" and r.action == "deliver" and r.dgram.payload.payload_length] == [536, 536, 328]
+        assert not [r for r in sim.trace if r.action == "drop"]
+        assert next(iter(b.sockets.values())).rcv_nxt == a.socket(key).snd_nxt
+
     def test_send_on_closed_raises(self):
         sim, a, b = host_pair()
         b.listen(80)

@@ -1,14 +1,16 @@
-"""Evidence gathered by trace watchers while a run happens equals what a
-rescan of the kept trace finds afterwards, and a run that only counts its
-trace records behaves exactly like one that keeps them."""
+"""Evidence gathered while a run happens (the probe's from the vantage's
+arrival log, the strike's by a trace watcher) equals what a rescan of the
+kept trace finds afterwards, and a run that only counts its trace records
+behaves exactly like one that keeps them."""
 
 from collections import Counter
 
 import pytest
 
-from natsim import assess, strike
+from natsim import assess, probe, strike
 from natsim import scenario as sc
-from natsim.fabric import TraceNotKeptError, keep_traces
+from natsim.fabric import Simulator, TraceNotKeptError, keep_traces
+from natsim.probe import VerdictReason
 from natsim.strike import FailureDiagnosis
 from natsim.wire import EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
@@ -17,6 +19,21 @@ import evidence_oracle as oracle
 SEEDS = range(24)
 FAST = dict(ephemeral_range=(40000, 40063), port_range=(40000, 40063), interleave_batch=16)
 
+
+def lossy_reply_doc(make, name):
+    """A reply fragmented at a 576 re-dial, then a fifth of it lost on
+    r1->vantage: some replies come in part, some sessions never open."""
+    doc = make(name, pre_echo_mtu=576)
+    for link in doc["links"]:
+        if (link["from"], link["to"]) == ("r1", "vantage"):
+            link["loss"] = 0.2
+    return doc
+
+
+LOSSY_REPLY_DOCS = [
+    lossy_reply_doc(sc.nat_scenario_doc, "ev-lossy-reply-nat"),
+    lossy_reply_doc(sc.host_scenario_doc, "ev-lossy-reply-host"),
+]
 IDENTIFY_DOCS = [
     sc.nat_scenario_doc("ev-leaky"),
     sc.nat_scenario_doc("ev-synchronized", pmtud_sync="synchronized"),
@@ -24,6 +41,7 @@ IDENTIFY_DOCS = [
     sc.nat_scenario_doc("ev-576-nat", pre_echo_mtu=576),
     sc.host_scenario_doc("ev-576-host", pre_echo_mtu=576),
     sc.nat_scenario_doc("ev-icmp-filter", nat_inbound_filter=["icmp-error"]),
+    *LOSSY_REPLY_DOCS,
 ]
 
 
@@ -71,12 +89,17 @@ def attack_windows(monkeypatch):
 
 
 def test_echo_reply_evidence_matches_trace_rescan():
+    partial_replies = 0
     for doc in IDENTIFY_DOCS:
         scn = sc.load_scenario(doc)
         vantage = scn.probe.vantage
         for seed in SEEDS:
-            with keep_traces():
-                verdict, handles = assess.identify_scenario(scn, seed=seed)
+            try:
+                with keep_traces():
+                    verdict, handles = assess.identify_scenario(scn, seed=seed)
+            except sc.EstablishError:
+                assert doc in LOSSY_REPLY_DOCS, (doc["name"], seed)
+                continue
             echoes = [r.tick for r in handles.sim.trace
                       if r.node == vantage and r.action == "send"
                       and isinstance(r.dgram.payload, EchoRequest)]
@@ -88,6 +111,33 @@ def test_echo_reply_evidence_matches_trace_rescan():
             assert ev.echo_reply_boundaries == frozenset(
                 off * 8 for _, off, _ in frags if off > 0), (doc["name"], seed)
             assert handles.sim.watchers == []
+            partial_replies += verdict.reason is VerdictReason.NO_ECHO_REPLY and bool(frags)
+    assert partial_replies
+
+
+def test_identification_registers_no_watcher(monkeypatch):
+    """The probe reads what the vantage took in from its arrival log alone:
+    no record made while it runs finds a watcher registered."""
+    watchers_at_record, probing = [], []
+    record, run = Simulator.record, probe.run_identification
+
+    def checking_record(sim, *rec):
+        if probing:
+            watchers_at_record.append(len(sim.watchers))
+        record(sim, *rec)
+
+    def flagged(handles):
+        probing.append(True)
+        try:
+            return run(handles)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(Simulator, "record", checking_record)
+    monkeypatch.setattr(probe, "run_identification", flagged)
+    for doc in IDENTIFY_DOCS:
+        assess.identify_scenario(sc.load_scenario(doc), seed=0)
+    assert watchers_at_record and not any(watchers_at_record)
 
 
 def test_failure_diagnosis_matches_trace_rescan(attack_windows):

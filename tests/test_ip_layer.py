@@ -147,14 +147,16 @@ def test_group_over_16_bits_is_a_recorded_drop(make):
 ], ids=["nat", "host", "vantage"])
 def test_echo_reply_dispatch(make, records, logged, fragmented):
     """An echo reply to the NAT is one no-mapping drop; a Host records
-    nothing for it, and a vantage logs the reply once, reassembled."""
+    nothing for it, and a vantage logs each fragment as it takes it in,
+    then the reassembled reply."""
     sim, node = make()
     reply = Ipv4Datagram(src=PEER, dst=sim.nodes[node.node_id].address, protocol=Protocol.ICMP,
                          payload=EchoReply(11, 1, 1472), identification=9)
     start = len(sim.trace)
-    for piece in wire.fragment(reply, 600) if fragmented else [reply]:
+    pieces = wire.fragment(reply, 600) if fragmented else []
+    for piece in pieces or [reply]:
         node.on_datagram(sim, node.node_id, piece)
     sim.run()
     assert [(r.action, r.reason, r.dgram) for r in list(sim.trace)[start:]] == [
         (action, reason, reply) for action, reason in records]
-    assert [d for _, d in getattr(node, "arrivals", [])] == [reply] * logged
+    assert [d for _, d in getattr(node, "arrivals", [])] == [*pieces, reply] * logged

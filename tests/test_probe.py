@@ -104,7 +104,8 @@ class TestIdentification:
         handles = sc.build(sc.load_scenario(sc.nat_scenario_doc("p-quiet")))
         v = probe.run_identification(handles)
         assert (v.kind, v.reason) == (VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK)
-        assert not v.evidence.baseline_tcp_size and v.evidence.post_probe_tcp_size is None
+        assert (v.evidence.baseline_tcp_size, v.evidence.post_probe_tcp_size) == (None, None)
+        assert v.csv_row("6.6.6.6") == "6.6.6.6,unknown,no-pmtu-shrink,-,-,-"
 
     def test_no_segment_after_the_probe_within_the_timeout(self):
         doc = sc.nat_scenario_doc("p-slow")

@@ -263,6 +263,12 @@ class TestValidation:
         # no nodes, or no clients
         (("nodes",), [], "scenario.nodes: at least one node required"),
         (("clients",), [], "clients: at least one client node required"),
+        # an expected verdict or diagnosis must be one the run can give
+        (("expect", "verdict"), "nat-devise",
+         "expect.verdict: unknown value 'nat-devise' (valid: nat-device, separate-host, unknown)"),
+        (("expect", "diagnosis"), "nonee",
+         "expect.diagnosis: unknown value 'nonee' (valid: none, forwarded-rst-no-removal, "
+         "rst-blocked-by-middlebox, rst-not-routed, no-dup-ack-from-server, packet-loss)"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
