@@ -75,12 +75,9 @@ def _build_and_establish(scn: Scenario, seed: int | None, block: str) -> Handles
 
 
 def identify_scenario(scn: Scenario, seed: int | None = None) -> tuple[Verdict, Handles]:
-    """Build a fresh instance, establish the workload, and run the probe."""
+    """Build a fresh instance, establish the workload, and run the probe (whose planted MTU stays)."""
     handles = _build_and_establish(scn, seed, "probe")
-    verdict = probe_mod.run_identification(handles)
-    # undo the planted path MTU, mirroring a polite prober
-    probe_mod.restore_path_mtu(handles.sim, handles.vantage_host.address)
-    return verdict, handles
+    return probe_mod.run_identification(handles), handles
 
 
 def attack_scenario(scn: Scenario, seed: int | None = None) -> tuple[AttackReport, Handles]:

@@ -95,10 +95,12 @@ def cmd_identify(args, sink):
         print(f"{scn.name}: {verdict.kind.value} ({verdict.reason.value})")
         ev = verdict.evidence
         payloads = [s - 20 for s in ev.echo_reply_fragments]
-        print(f"  baseline={ev.baseline_tcp_size} post-probe={ev.post_probe_tcp_size}")
+        base, post, total = ("-" if n is None else n
+                             for n in (ev.baseline_tcp_size, ev.post_probe_tcp_size, ev.echo_reply_total))
+        print(f"  baseline={base} post-probe={post}")
         print(
             f"  echo reply fragments={ev.echo_reply_fragments} wire octets "
-            f"(payloads {payloads}), total={ev.echo_reply_total}"
+            f"(payloads {payloads}), total={total}"
         )
     row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), verdict=verdict)
     assess_mod.check_expectations(scn, row, attack=False)

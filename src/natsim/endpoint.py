@@ -73,7 +73,7 @@ OPENBSD_LIKE = StackProfile(name="openbsd-like", emits_dup_ack_on_stray_push_ack
 
 
 class PathMtuCache:
-    """Per-destination path MTU; entries only shrink between resets."""
+    """Per-destination path MTU; entries only shrink within a run."""
 
     def __init__(self):
         self.entries: dict[str, int] = {}
@@ -85,9 +85,6 @@ class PathMtuCache:
         new = max(wire.MIN_MTU, min(mtu, self.get(dst)))
         self.entries[dst] = new
         return new
-
-    def reset(self, dst: str) -> None:
-        self.entries.pop(dst, None)
 
 
 def pick_port(rng: random.Random, lo: int, hi: int, used: set[int]) -> int | None:

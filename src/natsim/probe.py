@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import wire
 from .endpoint import Host
-from .fabric import Simulator, derive_rng
+from .fabric import derive_rng
 from .wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol
 
 if TYPE_CHECKING:  # `scenario` imports this module
@@ -214,20 +214,6 @@ def _classify(obs: Observation, cfg: ProbeConfig, path_mtu: int | None) -> Verdi
         # it: the sender's own path MTU cache shrank
         return Verdict(VerdictKind.SEPARATE_HOST, VerdictReason.FRAG_SIZE_MATCHES_MTU, obs)
     return Verdict(VerdictKind.NAT_DEVICE, VerdictReason.FRAG_SIZE_MISMATCH, obs)
-
-
-def restore_path_mtu(sim: Simulator, vantage_addr: str) -> int:
-    """Explicit restore event undoing the probe's side effect: every cache
-    shrunk for the vantage (client, host, or a synchronizing NAT) returns
-    to the default.  No-op when nothing was probed; returns the number of
-    entries cleared."""
-    cleared = 0
-    for node in sim.nodes.values():
-        pmtu = getattr(node.handler, "pmtu", None)
-        if pmtu is not None and vantage_addr in pmtu.entries:
-            pmtu.reset(vantage_addr)
-            cleared += 1
-    return cleared
 
 
 # -- helpers -------------------------------------------------------------------

@@ -67,6 +67,7 @@ class FailureDiagnosis(Enum):
     FORWARDED_RST_NO_REMOVAL = "forwarded-rst-no-removal"
     RST_BLOCKED_BY_MIDDLEBOX = "rst-blocked-by-middlebox"
     RST_NOT_ROUTED = "rst-not-routed"
+    SWEEP_MISSED_MAPPINGS = "sweep-missed-mappings"
     NO_DUP_ACK_FROM_SERVER = "no-dup-ack-from-server"
     PACKET_LOSS = "packet-loss"
 
@@ -283,12 +284,12 @@ def run_dos_attack(handles: Handles) -> AttackReport:
 def _evidence_watcher(handles: Handles, seen: set[str]):
     """A trace watcher that adds to `seen` what the attack window shows:
     "loss" for any packet dropped by link loss; "rst-lost", "rst-filtered",
-    "rst-at-nat" (delivered to or forwarded by the NAT) and "rst-at-client"
-    (delivered at a victim client) for a forged RST, which spoofs the server
-    with the plan's sequence number; "push-at-server" for a PUSH from the
-    NAT's address delivered at the server.  Each record is placed by its
-    action and node first: only the first record of each kind needs the
-    flag test."""
+    "rst-refused" (dropped out of window by the NAT), "rst-at-nat" (delivered
+    to or forwarded by the NAT) and "rst-at-client" (delivered at a victim
+    client) for a forged RST, which spoofs the server with the plan's
+    sequence number; "push-at-server" for a PUSH from the NAT's address
+    delivered at the server.  Each record is placed by its action and node
+    first: only the first record of each kind needs the flag test."""
     plan = handles.plan
     server_addr, server_port = plan.victim_server
     forged_seq = plan.forged_seq
@@ -304,6 +305,8 @@ def _evidence_watcher(handles: Handles, seen: set[str]):
                 kind = "rst-lost"
             elif reason.startswith("filtered"):
                 kind = "rst-filtered"
+            elif reason == "rst-out-of-window":
+                kind = "rst-refused"
             else:
                 return
         elif action == "send" or action == "fragment":
@@ -345,6 +348,9 @@ def _diagnose(report: AttackReport, seen: set[str], dup_acked: bool) -> FailureD
             return FailureDiagnosis.PACKET_LOSS
         # no forged RST was filtered, lost or seen at the NAT: none had a route
         return FailureDiagnosis.RST_NOT_ROUTED
+    if report.mappings_removed == 0 and "rst-refused" not in seen:
+        # the RSTs reached the NAT, and none matched a mapping to refuse
+        return FailureDiagnosis.SWEEP_MISSED_MAPPINGS
     if "push-at-server" in seen and not dup_acked:
         return FailureDiagnosis.NO_DUP_ACK_FROM_SERVER
     if "loss" in seen:

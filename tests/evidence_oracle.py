@@ -47,6 +47,7 @@ def diagnose(sim, plan, ctx, report, start: int, dup_acks_before: int) -> Failur
     saw_rst_at_client = False
     rst_reached_nat = False
     rst_filtered = False
+    rst_refused = False
     rst_lost = False
     any_loss = False
     push_delivered = False
@@ -61,6 +62,8 @@ def diagnose(sim, plan, ctx, report, start: int, dup_acks_before: int) -> Failur
         if forged:
             if rec.action == "drop" and rec.reason.startswith("filtered"):
                 rst_filtered = True
+            if rec.node == nat_node and rec.action == "drop" and rec.reason == "rst-out-of-window":
+                rst_refused = True
             if rec.node == nat_node and rec.action in ("deliver", "forward"):
                 rst_reached_nat = True
             if rec.node in client_nodes and rec.action == "deliver":
@@ -82,6 +85,8 @@ def diagnose(sim, plan, ctx, report, start: int, dup_acks_before: int) -> Failur
         if rst_lost:
             return FailureDiagnosis.PACKET_LOSS
         return FailureDiagnosis.RST_NOT_ROUTED
+    if report.mappings_removed == 0 and not rst_refused:
+        return FailureDiagnosis.SWEEP_MISSED_MAPPINGS
     if push_delivered and ctx.server_host.dup_acks_sent == dup_acks_before:
         return FailureDiagnosis.NO_DUP_ACK_FROM_SERVER
     if any_loss:

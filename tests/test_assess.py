@@ -318,6 +318,17 @@ class TestCli:
         rc = main(["identify", self.scenario_file(tmp_path, fast_doc("c1")), "--quiet"])
         assert rc == 0
 
+    def test_identify_prints_missing_sizes_as_csv_does(self, tmp_path, capsys):
+        doc = fast_doc("c-dash")
+        doc["probe"]["timeout_ticks"] = 50
+        doc["workload"]["send_period"] = 60
+        csv = tmp_path / "out.csv"
+        assert main(["identify", self.scenario_file(tmp_path, doc), "--csv", str(csv)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "  baseline=1500 post-probe=-"
+        assert out[2].endswith(", total=-")
+        assert csv.read_text().split("\n")[1] == "6.6.6.6,unknown,no-pmtu-shrink,1500,-,-"
+
     def test_attack_csv_and_trace(self, tmp_path):
         csv = tmp_path / "out.csv"
         trace = tmp_path / "out.trace"

@@ -28,6 +28,11 @@ def load_spans():
     return module
 
 
+def contract_scenario():
+    return sc.load_scenario(sc.nat_scenario_doc(
+        "bench-contract", ephemeral_range=(40000, 40063), port_range=(40000, 40063)))
+
+
 def test_every_wrapped_entry_point_resolves():
     spans = load_spans()
     for name, owner, attr in spans.WRAPPED:
@@ -36,8 +41,7 @@ def test_every_wrapped_entry_point_resolves():
 
 def test_trace_file_is_complete_when_write_returns(tmp_path):
     spans = load_spans()
-    scn = sc.load_scenario(sc.nat_scenario_doc(
-        "bench-contract", ephemeral_range=(40000, 40063), port_range=(40000, 40063)))
+    scn = contract_scenario()
     path = tmp_path / "run.trace"
     tracer = spans.Tracer()
     with tracer.installed():
@@ -52,13 +56,28 @@ def test_trace_file_is_complete_when_write_returns(tmp_path):
     assert assess.replay(str(path)).identical
 
 
+def test_attack_runs_the_tracer_hooks():
+    """The attack hook counts the attack, and the NAT, fabric and wire
+    layers each count their part of it."""
+    spans = load_spans()
+    scn = contract_scenario()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assess.attack_scenario(scn)
+    assert tracer.attacks == 1
+    assert tracer.nat_table_peak >= 1
+    assert tracer.total_length_reads > 0
+    rollup = tracer.rollup(lambda t: t)
+    for name in ("fabric.record", "fabric.inject", "natbox.on_datagram"):
+        assert rollup[name]["calls"] > 0, name
+
+
 def test_no_instance_attribute_shadows_a_wrapped_method():
     """The tracer replaces a method on its class, so a Simulator, Host or
     NatBox that bound its own attribute of that name would bypass the
     span and its layer would count nothing."""
     spans = load_spans()
-    scn = sc.load_scenario(sc.nat_scenario_doc(
-        "bench-contract", ephemeral_range=(40000, 40063), port_range=(40000, 40063)))
+    scn = contract_scenario()
     for run in (assess.identify_scenario, assess.attack_scenario):
         _, handles = run(scn)
         objects = [handles.sim, handles.nat, *handles.hosts.values()]

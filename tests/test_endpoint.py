@@ -167,8 +167,6 @@ class TestIcmpValidation:
             new = cache.shrink("5.5.5.5", mtu)
             assert 68 <= new <= last
             last = new
-        cache.reset("5.5.5.5")
-        assert cache.get("5.5.5.5") == 1500
 
 
 class TestEchoResponder:
@@ -351,16 +349,3 @@ class TestResetBehavior:
                                              protocol=Protocol.TCP, payload=seg))
         out = [r.dgram.payload for r in sim.trace if r.node == "b" and r.action == "send"]
         assert len(out) == 1 and out[0].seq == ack and TcpFlag.RST in out[0].flags
-
-
-class TestPathMtuReset:
-    def test_restore_returns_to_default(self):
-        sim, a, b = host_pair()
-        a.pmtu.shrink("2.2.2.2", 600)
-        a.pmtu.reset("2.2.2.2")
-        a.on_datagram(sim, "a", Ipv4Datagram(src="2.2.2.2", dst="1.1.1.1",
-                                             protocol=Protocol.ICMP,
-                                             payload=EchoRequest(1, 1, 1472)))
-        sizes = [r.dgram.total_length for r in sim.trace
-                 if r.node == "a" and r.action == "send"]
-        assert sizes == [1500]

@@ -71,6 +71,8 @@ ATTACK_DOCS = [
     fast_attack_doc("ev-all-lost", loss=1.0),
     # no forged RST leaves any evidence: the ladder's last rung
     unrouted_attack_doc("ev-no-route"),
+    # the NAT's external ports lie outside both sweeps: no forged RST matches a mapping
+    fast_attack_doc("ev-seeded-random", port_allocation="seeded-random"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Identification engine: crafting, both stages, classifier, restoration."""
+"""Identification engine: crafting, both stages, classifier, what it leaves behind."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from natsim.probe import (
     VerdictKind,
     VerdictReason,
     craft_frag_needed,
-    restore_path_mtu,
 )
 from natsim.wire import EchoReply, EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
@@ -130,34 +129,33 @@ class TestIdentification:
 
 
 class TestRestore:
-    def test_restore_then_large_segments_return(self):
-        scn = sc.load_scenario(sc.nat_scenario_doc("p-rst"))
-        handles = sc.build(scn)
-        sc.establish(handles)
-        from natsim.probe import run_identification
-
-        v = run_identification(handles)
-        assert v.evidence.post_probe_tcp_size <= 600
-        cleared = restore_path_mtu(handles.sim, handles.vantage_host.address)
-        assert cleared == 1
-        tick = handles.sim.now
-        handles.sim.run(until=tick + 60)  # periodic session sends continue
-        post = [d for _, d in handles.vantage_host.observations_after(tick, scn.target_addr)
-                if d.payload.payload_length > 0]
-        assert post and post[0].total_length == 1500
-
-    def test_restore_without_probe_is_noop(self):
-        scn = sc.load_scenario(sc.nat_scenario_doc("p-noop"))
-        handles = sc.build(scn)
-        sc.establish(handles)
-        assert restore_path_mtu(handles.sim, "8.8.8.8") == 0
-
     def test_reprobe_matches_first_probe(self):
         doc = sc.nat_scenario_doc("p-again", router_vantage_mtu=1492)
         a, _ = identify(doc)
         b, _ = identify(doc)
         assert (a.kind, a.reason, a.evidence.echo_reply_fragments) == (
             b.kind, b.reason, b.evidence.echo_reply_fragments)
+
+
+class TestPlantedMtuStays:
+    """No off-path prober can take the forged Fragmentation Needed back:
+    identification leaves the planted path MTU where the side channel put it."""
+
+    @pytest.mark.parametrize("doc, expected", [
+        (sc.nat_scenario_doc("p-leaky"), {"client1": 600, "nat": 1500}),
+        (sc.nat_scenario_doc("p-sync", pmtud_sync="synchronized"), {"client1": 600, "nat": 600}),
+        (sc.host_scenario_doc("p-host"), {"host": 600}),
+    ], ids=["leaky", "synchronized", "host"])
+    def test_identification_leaves_planted_mtu(self, doc, expected):
+        _, handles = identify(doc)
+        nodes = {**handles.hosts, "nat": handles.nat}
+        vantage = handles.vantage_host
+        assert {n: nodes[n].pmtu.get(vantage.address) for n in expected} == expected
+        tick = handles.sim.now
+        handles.sim.run(until=tick + 60)  # periodic session sends continue, still small
+        later = [d.total_length for _, d in vantage.observations_after(tick, handles.scenario.target_addr)
+                 if isinstance(d.payload, TcpSegment) and d.payload.payload_length > 0]
+        assert later and max(later) <= 600
 
 
 class ReadCountingLog(list):

@@ -268,7 +268,8 @@ class TestValidation:
          "expect.verdict: unknown value 'nat-devise' (valid: nat-device, separate-host, unknown)"),
         (("expect", "diagnosis"), "nonee",
          "expect.diagnosis: unknown value 'nonee' (valid: none, forwarded-rst-no-removal, "
-         "rst-blocked-by-middlebox, rst-not-routed, no-dup-ack-from-server, packet-loss)"),
+         "rst-blocked-by-middlebox, rst-not-routed, sweep-missed-mappings, no-dup-ack-from-server, "
+         "packet-loss)"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()
