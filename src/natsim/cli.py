@@ -95,11 +95,14 @@ def cmd_identify(args, sink):
         print(f"{scn.name}: {verdict.kind.value} ({verdict.reason.value})")
         ev = verdict.evidence
         payloads = [s - 20 for s in ev.echo_reply_fragments]
-        base, post, total = ("-" if n is None else n
-                             for n in (ev.baseline_tcp_size, ev.post_probe_tcp_size, ev.echo_reply_total))
+        # a missing size, or no fragment at all, prints "-" as the CSV does
+        frags, payloads, base, post, total = (
+            "-" if n is None or n == [] else n
+            for n in (ev.echo_reply_fragments, payloads, ev.baseline_tcp_size,
+                      ev.post_probe_tcp_size, ev.echo_reply_total))
         print(f"  baseline={base} post-probe={post}")
         print(
-            f"  echo reply fragments={ev.echo_reply_fragments} wire octets "
+            f"  echo reply fragments={frags} wire octets "
             f"(payloads {payloads}), total={total}"
         )
     row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), verdict=verdict)

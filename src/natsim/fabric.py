@@ -23,11 +23,15 @@ A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
 One shape watches a run.  Every trace record is counted, and kept only when
 asked (see `keep_traces`), inline in `record` as five slots of one flat list:
-no call, and no object for the cyclic GC to track.  Records go to the
-watchers `watching` registers for its block, never to one bound at build.
-What a node takes in goes to its own log (only the vantage `Host` keeps
-one: a reassembled datagram makes no record), and counts are made inline
-where the node is in hand (`Counters`).
+no call, and no object for the cyclic GC to track.  `watching` registers a
+watcher for its block, never one bound at build, in one of three views, each
+called where the simulator already branches: every record (from `record`);
+the drops of given reasons (from `record`'s drop branch, one dict lookup a
+drop); and what a node takes in for its handler, its deliver records and an
+intercepting node's forwards (from `_arrive`'s branch for them, where the
+Node is in hand), until the watcher returns True.  A node may also log what
+it takes in (only the vantage `Host` does: a reassembled datagram makes no
+record), and counts are made inline where the node is in hand (`Counters`).
 """
 
 from __future__ import annotations
@@ -134,6 +138,8 @@ class Node:
     transit: bool = False  # router: forwards packets not addressed to it
     intercept: bool = False  # NAT: handler sees every arriving packet
     counters: Counters = field(default_factory=Counters)  # also Simulator.counters[node_id]
+    # watchers of what this node takes in (see `Simulator.watching`)
+    arrival_watchers: list[Watcher] = field(default_factory=list, repr=False, compare=False)
 
 
 # a forwarding table entry: (next hop, the link to it, its loss stream or
@@ -142,20 +148,23 @@ Route = tuple[str, LinkSpec, random.Random | None, Node]
 
 
 _FLAG_ORDER = "FSRPA"  # the letters of TcpFlag's bits, lowest first
-# the flags column for each value of the five flag bits, built once
-_FLAG_COLUMN = tuple(
-    "".join(ch for i, ch in enumerate(_FLAG_ORDER) if bits >> i & 1) or "-" for bits in range(32)
-)
+# the flags column for every value of the TCP flags octet, built once: the
+# TcpFlag itself is the key, with no int() call
+_FLAG_COLUMN = {
+    bits: "".join(ch for i, ch in enumerate(_FLAG_ORDER) if bits >> i & 1) or "-" for bits in range(256)
+}
 
 
 def packet_summary(d: Ipv4Datagram) -> str:
     """`proto src:port>dst:port flags seq ack len df off` trace column."""
     p = d.payload
-    if isinstance(p, wire.TcpSegment):
-        flags = _FLAG_COLUMN[int(p.flags) & 0x1F]
-        sp, dp, seq, ack = p.src_port, p.dst_port, p.seq, p.ack
-        proto = "TCP"
-    elif isinstance(p, wire.EchoRequest):
+    df = "DF" if d.df else ("MF" if d.more_fragments else "-")
+    if type(p) is TcpSegment:  # nearly every record; the length inline, as in forward_from
+        return (
+            f"TCP {d.src}:{p.src_port}>{d.dst}:{p.dst_port} {_FLAG_COLUMN[p.flags]} {p.seq} {p.ack} "
+            f"{_TCP_HEADERS + p.payload_length} {df} {d.fragment_offset}"
+        )
+    if isinstance(p, wire.EchoRequest):
         proto, flags, sp, dp, seq, ack = "ICMP", "EQ", 0, 0, p.seq_no, p.ident
     elif isinstance(p, wire.EchoReply):
         proto, flags, sp, dp, seq, ack = "ICMP", "EP", 0, 0, p.seq_no, p.ident
@@ -164,7 +173,6 @@ def packet_summary(d: Ipv4Datagram) -> str:
     else:
         proto = d.protocol.name
         flags, sp, dp, seq, ack = "-", 0, 0, 0, 0
-    df = "DF" if d.df else ("MF" if d.more_fragments else "-")
     return (
         f"{proto} {d.src}:{sp}>{d.dst}:{dp} {flags} {seq} {ack} "
         f"{d.total_length} {df} {d.fragment_offset}"
@@ -206,8 +214,9 @@ def render_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
 # a TraceRecord from a (tick, node, action, reason, dgram) row, without its __new__
 _as_record = functools.partial(tuple.__new__, TraceRecord)
 
-# (tick, node, action, reason, datagram) for every trace record, kept or not
-Watcher = Callable[[int, str, str, str, Ipv4Datagram], None]
+# called with (tick, node, action, reason, datagram) for each trace record it
+# is shown, kept or not; an arrival watcher that returns True is removed
+Watcher = Callable[[int, str, str, str, Ipv4Datagram], bool | None]
 
 _keep_traces = contextvars.ContextVar("natsim_keep_traces", default=False)
 
@@ -268,6 +277,7 @@ class Simulator:
         self.addr_to_node: dict[str, str] = {}
         self.trace = Trace(keep_trace)
         self.watchers: list[Watcher] = []
+        self.drop_watchers: dict[str, list[Watcher]] = {}  # drop reason -> its watchers
         self.counters: dict[str, Counters] = {}
         # the event queue: a heap of the distinct pending ticks, and each
         # tick's events in a FIFO bucket (a one-level calendar queue)
@@ -471,13 +481,23 @@ class Simulator:
             bucket.append(("group", hop, [d]))
 
     @contextlib.contextmanager
-    def watching(self, watcher: Watcher):
-        """Show every trace record made inside the block to `watcher`."""
-        self.watchers.append(watcher)
+    def watching(self, watcher: Watcher, *, drops: Iterable[str] = (), arrivals: Iterable[str] = ()):
+        """Show `watcher` the trace records made inside the block: every one;
+        or, given drop reasons, the drops of those reasons; or, given node
+        ids, what those nodes take in (a datagram delivered there, or one an
+        intercepting handler sees), until it returns True there."""
+        lists = [self.drop_watchers.setdefault(reason, []) for reason in drops]
+        lists += [self.nodes[node].arrival_watchers for node in arrivals]
+        lists = lists or [self.watchers]
+        for watchers in lists:
+            watchers.append(watcher)
         try:
             yield
         finally:
-            self.watchers.remove(watcher)
+            for watchers in lists:
+                if watcher in watchers:  # an arrival watcher that returned True is gone
+                    watchers.remove(watcher)
+            self.drop_watchers = {reason: ws for reason, ws in self.drop_watchers.items() if ws}
 
     def record(self, node: str, action: str, reason: str, d: Ipv4Datagram) -> None:
         records = self.trace.records
@@ -489,6 +509,8 @@ class Simulator:
             watch(self.now, node, action, reason, d)
         if action == "drop":
             self.counters[node].packets_dropped += 1
+            for watch in self.drop_watchers.get(reason, ()):
+                watch(self.now, node, action, reason, d)
 
     # -- internals ---------------------------------------------------------------
 
@@ -500,6 +522,8 @@ class Simulator:
             if local:
                 node.counters.packets_delivered += 1
             self.record(node_id, "deliver" if local else "forward", "", d)
+            if node.arrival_watchers:
+                self._show_arrival(node, "deliver" if local else "forward", d)
             if node.handler is not None:
                 node.handler.on_datagram(self, node_id, d)
             return
@@ -508,3 +532,9 @@ class Simulator:
             self.forward_from(node_id, d)
             return
         self.record(node_id, "drop", "no-route", d)
+
+    def _show_arrival(self, node: Node, action: str, d: Ipv4Datagram) -> None:
+        watchers = node.arrival_watchers
+        for watch in watchers[:]:
+            if watch(self.now, node.node_id, action, "", d):
+                watchers.remove(watch)

@@ -17,13 +17,14 @@ victims, the clients that attempt new connections and the NAT.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, ConnKey, Host, TcpState
-from .fabric import derive_rng
+from .fabric import DropClass, derive_rng
 from .wire import (
     PSH_ACK,
     PSH_BIT,
@@ -234,7 +235,7 @@ def run_dos_attack(handles: Handles) -> AttackReport:
 
     attempts: list[tuple[Host, ConnKey]] = []
     last_inject = sim.now
-    with sim.watching(_evidence_watcher(handles, evidence)):
+    with _watching_evidence(handles, evidence):
         for rnd in range(plan.rounds):
             if rnd == 0:
                 for i in range(plan.new_connection_attempts):
@@ -281,61 +282,67 @@ def run_dos_attack(handles: Handles) -> AttackReport:
 # -- outcome analysis ------------------------------------------------------------
 
 
+# the drop reasons the diagnosis reads, each with what a forged RST dropped for it shows
+_EVIDENCE_DROPS = {
+    "loss": "rst-lost",
+    "rst-out-of-window": "rst-refused",
+    **{f"filtered-{cls.value}": "rst-filtered" for cls in DropClass},
+}
+
+
 def _evidence_watcher(handles: Handles, seen: set[str]):
-    """A trace watcher that adds to `seen` what the attack window shows:
-    "loss" for any packet dropped by link loss; "rst-lost", "rst-filtered",
-    "rst-refused" (dropped out of window by the NAT), "rst-at-nat" (delivered
-    to or forwarded by the NAT) and "rst-at-client" (delivered at a victim
-    client) for a forged RST, which spoofs the server with the plan's
-    sequence number; "push-at-server" for a PUSH from the NAT's address
-    delivered at the server.  Each record is placed by its action and node
-    first: only the first record of each kind needs the flag test."""
+    """`saw(kind, d)`: add `kind` to `seen` when `d` shows it, and say
+    whether `seen` holds it.  "push-at-server" is shown by a PUSH from the
+    NAT's address; every other kind by a forged RST, which spoofs the
+    server with the plan's sequence number."""
     plan = handles.plan
     server_addr, server_port = plan.victim_server
     forged_seq = plan.forged_seq
     nat_addr = plan.nat_public_ip
-    nat_node = handles.nat.node_id
-    server_node = handles.server_host.node_id
-    client_nodes = {h.node_id for h, _ in handles.victims}
 
-    def watch(tick, node, action, reason, d):
-        if action == "drop":
-            if reason == "loss":
-                seen.add("loss")
-                kind = "rst-lost"
-            elif reason.startswith("filtered"):
-                kind = "rst-filtered"
-            elif reason == "rst-out-of-window":
-                kind = "rst-refused"
-            else:
-                return
-        elif action == "send" or action == "fragment":
-            return
-        elif node == nat_node:
-            kind = "rst-at-nat"
-        elif action == "forward":
-            return
-        elif node in client_nodes:
-            kind = "rst-at-client"
-        elif node == server_node and d.src == nat_addr and "push-at-server" not in seen:
-            seg = d.payload
-            if isinstance(seg, TcpSegment) and int(seg.flags) & PSH_BIT:
-                seen.add("push-at-server")
-            return
-        else:
-            return
+    def saw(kind: str, d: Ipv4Datagram) -> bool:
+        if kind in seen:
+            return True
         seg = d.payload
-        if (
-            kind not in seen
-            and d.src == server_addr
-            and isinstance(seg, TcpSegment)
-            and seg.seq == forged_seq
-            and seg.src_port == server_port
-            and int(seg.flags) & RST_BIT
-        ):
+        if kind == "push-at-server":
+            shown = d.src == nat_addr and isinstance(seg, TcpSegment) and int(seg.flags) & PSH_BIT
+        else:
+            shown = (d.src == server_addr and isinstance(seg, TcpSegment) and seg.seq == forged_seq
+                     and seg.src_port == server_port and int(seg.flags) & RST_BIT)
+        if shown:
             seen.add(kind)
+        return bool(shown)
 
-    return watch
+    return saw
+
+
+@contextlib.contextmanager
+def _watching_evidence(handles: Handles, seen: set[str]):
+    """Inside the block, add to `seen` what the attack window shows: "loss"
+    for any packet dropped by link loss; for a forged RST, "rst-lost",
+    "rst-filtered" and "rst-refused" (dropped out of window by the NAT) by
+    its drop reason, "rst-at-nat" when the NAT takes it in and
+    "rst-at-client" when a victim client does; "push-at-server" when the
+    server takes in a PUSH from the NAT's address.  Only those drops and
+    arrivals are watched, each arrival until its kind is seen."""
+    saw = _evidence_watcher(handles, seen)
+
+    def on_drop(tick, node, action, reason, d):
+        if reason == "loss":
+            seen.add("loss")
+        saw(_EVIDENCE_DROPS[reason], d)
+
+    def arriving(kind):
+        return lambda tick, node, action, reason, d: saw(kind, d)
+
+    sim = handles.sim
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(sim.watching(on_drop, drops=_EVIDENCE_DROPS))
+        for kind, nodes in (("rst-at-nat", [handles.nat.node_id]),
+                            ("rst-at-client", {h.node_id for h, _ in handles.victims}),
+                            ("push-at-server", [handles.server_host.node_id])):
+            stack.enter_context(sim.watching(arriving(kind), arrivals=nodes))
+        yield
 
 
 def _diagnose(report: AttackReport, seen: set[str], dup_acked: bool) -> FailureDiagnosis:

@@ -1,6 +1,6 @@
 """Trace-rescan oracles for the evidence that probe and strike gather
 while a run happens: the probe from the vantage's arrival log, the strike
-with a trace watcher.
+with drop and arrival watchers.
 
 Each function below reads a kept trace after the run, the way the two
 orchestrators once did; the equivalence tests check the live evidence
@@ -38,6 +38,44 @@ def _is_forged_rst(plan, d) -> bool:
         and d.src == plan.victim_server[0]
         and seg.src_port == plan.victim_server[1]
     )
+
+
+def _drop_kind(reason: str) -> str | None:
+    if reason == "loss":
+        return "rst-lost"
+    if reason == "rst-out-of-window":
+        return "rst-refused"
+    return "rst-filtered" if reason.startswith("filtered-") else None
+
+
+def evidence_reads(sim, plan, ctx, start: int) -> list[str]:
+    """The kind the strike's evidence test reads each record for, in record
+    order from tick `start` on: each drop the diagnosis reads, and each
+    arrival at the NAT, a victim client or the server, until a record shows
+    that kind."""
+    kind_at = {h.node_id: "rst-at-client" for h, _ in ctx.victims}
+    kind_at[ctx.nat.node_id] = "rst-at-nat"
+    kind_at[ctx.server_host.node_id] = "push-at-server"
+    seen, reads = set(), []
+    for rec in sim.trace:
+        if rec.tick < start:
+            continue
+        if rec.action == "drop":
+            kind = _drop_kind(rec.reason)
+        else:
+            kind = kind_at.get(rec.node) if rec.action in ("deliver", "forward") else None
+        if kind is None or kind in seen:
+            continue
+        reads.append(kind)
+        d = rec.dgram
+        if kind == "push-at-server":
+            shown = (d.src == plan.nat_public_ip and isinstance(d.payload, TcpSegment)
+                     and TcpFlag.PSH in d.payload.flags)
+        else:
+            shown = _is_forged_rst(plan, d)
+        if shown:
+            seen.add(kind)
+    return reads
 
 
 def diagnose(sim, plan, ctx, report, start: int, dup_acks_before: int) -> FailureDiagnosis:

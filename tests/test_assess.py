@@ -326,7 +326,7 @@ class TestCli:
         assert main(["identify", self.scenario_file(tmp_path, doc), "--csv", str(csv)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "  baseline=1500 post-probe=-"
-        assert out[2].endswith(", total=-")
+        assert out[2] == "  echo reply fragments=- wire octets (payloads -), total=-"
         assert csv.read_text().split("\n")[1] == "6.6.6.6,unknown,no-pmtu-shrink,1500,-,-"
 
     def test_attack_csv_and_trace(self, tmp_path):

@@ -1,7 +1,7 @@
 """Evidence gathered while a run happens (the probe's from the vantage's
-arrival log, the strike's by a trace watcher) equals what a rescan of the
-kept trace finds afterwards, and a run that only counts its trace records
-behaves exactly like one that keeps them."""
+arrival log, the strike's by drop and arrival watchers) equals what a
+rescan of the kept trace finds afterwards, and a run that only counts its
+trace records behaves exactly like one that keeps them."""
 
 from collections import Counter
 
@@ -159,20 +159,48 @@ def test_failure_diagnosis_matches_trace_rescan(attack_windows):
     assert set(diagnoses) == set(FailureDiagnosis), diagnoses
 
 
+@pytest.mark.parametrize("doc", [ATTACK_DOCS[0], ATTACK_DOCS[3], ATTACK_DOCS[5], ATTACK_DOCS[7]],
+                         ids=lambda d: d["name"])
+def test_evidence_reads_only_watched_drops_and_arrivals(doc, attack_windows, monkeypatch):
+    """At seed 1 the evidence test runs once per drop of a reason the
+    diagnosis reads, and once per arrival at the NAT, a victim client or
+    the server until that arrival's kind is seen; a watcher of every
+    record would run once per record of the window."""
+    reads = []
+    make = strike._evidence_watcher
+
+    def counted(handles, seen):
+        saw = make(handles, seen)
+
+        def counting(kind, *rest):
+            if kind not in seen:
+                reads.append(kind)
+            return saw(kind, *rest)
+
+        return counting
+
+    monkeypatch.setattr(strike, "_evidence_watcher", counted)
+    with keep_traces():
+        _, handles = assess.attack_scenario(sc.load_scenario(doc), seed=1)
+    _, start, _ = attack_windows.pop()
+    window = sum(rec.tick >= start for rec in handles.sim.trace)
+    assert reads == oracle.evidence_reads(handles.sim, handles.plan, handles, start)
+    assert 0 < len(reads) <= window // 10
+
+
 def test_only_a_forged_rst_counts():
     """A segment from the server's port with the forged sequence number
     counts only when it carries RST."""
     handles = sc.build(sc.load_scenario(ATTACK_DOCS[0]))
     client = handles.hosts["client1"]
-    handles.victims.append((client, None))
     seen = set()
-    watch = strike._evidence_watcher(handles, seen)
+    saw = strike._evidence_watcher(handles, seen)
     server_addr, server_port = handles.plan.victim_server
     for flags in (TcpFlag.ACK, TcpFlag.PSH | TcpFlag.ACK, TcpFlag.RST | TcpFlag.ACK):
         seg = TcpSegment(server_port, 40000, seq=handles.plan.forged_seq, flags=flags)
-        watch(0, client.node_id, "deliver", "",
-              Ipv4Datagram(src=server_addr, dst=client.address, protocol=Protocol.TCP, payload=seg))
-        assert ("rst-at-client" in seen) == (TcpFlag.RST in flags)
+        shown = saw("rst-at-client",
+                    Ipv4Datagram(src=server_addr, dst=client.address, protocol=Protocol.TCP, payload=seg))
+        assert shown == ("rst-at-client" in seen) == (TcpFlag.RST in flags)
 
 
 @pytest.mark.parametrize("doc", [IDENTIFY_DOCS[0], IDENTIFY_DOCS[3], ATTACK_DOCS[2], ATTACK_DOCS[7]],

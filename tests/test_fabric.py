@@ -26,7 +26,7 @@ from natsim.fabric import (
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
-from helpers import chain
+from helpers import chain, connect, nat_triangle
 
 
 def rst(length=0, src="10.1.0.1", dst="10.1.0.3"):
@@ -664,6 +664,64 @@ class TestKeptTrace:
         assert all(type(rec) is TraceRecord for rec in trace)
         first = next(iter(trace))
         assert first == seen[0] and first.dgram is seen[0][4]
+
+
+class TestWatcherViews:
+    """Besides every record, a watcher can see the drops of some reasons, or
+    what some nodes take in; neither view is in `sim.watchers`."""
+
+    def test_a_drop_watcher_sees_only_the_drops_of_its_reasons(self):
+        sim = chain(3, seed=7, loss=0.3)
+        sim.set_link_mtu("n1", "n2", 600)
+        seen = []
+        with sim.watching(lambda *rec: seen.append(TraceRecord(*rec)), drops=["loss", "no-route"]):
+            assert sim.watchers == []
+            for i in range(40):  # lost, unrouted, or too big to pass n1
+                sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"), big_echo(size=700 + i, df=True))
+            sim.run()
+        drops = [rec for rec in sim.trace if rec.action == "drop"]
+        assert seen == [rec for rec in drops if rec.reason in ("loss", "no-route")]
+        assert {rec.reason for rec in seen} == {"loss", "no-route"}
+        assert "needs-fragmentation" in {rec.reason for rec in drops}
+
+    def test_an_arrival_watcher_sees_only_what_its_node_takes_in(self):
+        sim, client, _, _ = nat_triangle()
+        seen = []
+        with sim.watching(lambda *rec: seen.append(TraceRecord(*rec)), arrivals=["nat"]):
+            assert sim.watchers == []
+            connect(sim, client)
+        taken = [rec for rec in sim.trace if rec.node == "nat" and rec.action in ("deliver", "forward")]
+        assert seen == taken
+        assert {rec.action for rec in seen} == {"deliver", "forward"}
+
+    def test_an_arrival_watcher_that_returns_true_is_never_called_again(self):
+        sim, client, _, _ = nat_triangle()
+        calls = []
+
+        def once(*rec):
+            calls.append(rec)
+            return True
+
+        with sim.watching(once, arrivals=["nat", "server"]):
+            connect(sim, client)
+            assert sim.nodes["nat"].arrival_watchers == sim.nodes["server"].arrival_watchers == []
+        # the SYN, forwarded by the NAT and delivered at the server; none of
+        # the later arrivals at either
+        assert [(rec[1], rec[2]) for rec in calls] == [("nat", "forward"), ("server", "deliver")]
+        assert sum(rec.node in ("nat", "server") for rec in sim.trace if rec.action != "send") > 2
+
+    def test_both_views_are_gone_after_their_block_even_when_it_raises(self):
+        sim, client, _, _ = nat_triangle()
+        watch = lambda *rec: None  # noqa: E731
+        with pytest.raises(RuntimeError):
+            with sim.watching(watch, drops=["loss"]), sim.watching(watch, arrivals=["nat"]):
+                assert sim.drop_watchers == {"loss": [watch]}
+                assert sim.nodes["nat"].arrival_watchers == [watch]
+                assert sim.watchers == []
+                raise RuntimeError
+        assert sim.drop_watchers == {}
+        assert all(node.arrival_watchers == [] for node in sim.nodes.values())
+        assert sim.watchers == []
 
 
 class TestRenderLines:
