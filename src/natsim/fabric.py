@@ -24,14 +24,14 @@ fixed seed two runs of the same scenario produce bit-identical traces.
 One shape watches a run.  Every trace record is counted, and kept only when
 asked (see `keep_traces`), inline in `record` as five slots of one flat list:
 no call, and no object for the cyclic GC to track.  `watching` registers a
-watcher for its block, never one bound at build, in one of three views, each
-called where the simulator already branches: every record (from `record`);
-the drops of given reasons (from `record`'s drop branch, one dict lookup a
-drop); and what a node takes in for its handler, its deliver records and an
-intercepting node's forwards (from `_arrive`'s branch for them, where the
-Node is in hand), until the watcher returns True.  A node may also log what
-it takes in (only the vantage `Host` does: a reassembled datagram makes no
-record), and counts are made inline where the node is in hand (`Counters`).
+watcher for its block, never one bound at build, in two views, each called
+where the simulator already branches: the drops of given reasons (from
+`record`'s drop branch, one dict lookup a drop), and what given nodes take
+in for their handlers, deliver records and an intercepting node's forwards
+(from `_arrive`'s branch for them, where the Node is in hand).  A watcher
+that returns True is removed from the list that called it.  A node may also
+log what it takes in (only the vantage `Host` does: a reassembled datagram
+makes no record), and counts are made inline where the node is in hand.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def render_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
 _as_record = functools.partial(tuple.__new__, TraceRecord)
 
 # called with (tick, node, action, reason, datagram) for each trace record it
-# is shown, kept or not; an arrival watcher that returns True is removed
+# is shown, kept or not; one that returns True is removed from the list that called it
 Watcher = Callable[[int, str, str, str, Ipv4Datagram], bool | None]
 
 _keep_traces = contextvars.ContextVar("natsim_keep_traces", default=False)
@@ -276,7 +276,6 @@ class Simulator:
         self.forwarding: dict[str, dict[str, Route]] = {}  # node -> dst address -> route
         self.addr_to_node: dict[str, str] = {}
         self.trace = Trace(keep_trace)
-        self.watchers: list[Watcher] = []
         self.drop_watchers: dict[str, list[Watcher]] = {}  # drop reason -> its watchers
         self.counters: dict[str, Counters] = {}
         # the event queue: a heap of the distinct pending ticks, and each
@@ -482,20 +481,21 @@ class Simulator:
 
     @contextlib.contextmanager
     def watching(self, watcher: Watcher, *, drops: Iterable[str] = (), arrivals: Iterable[str] = ()):
-        """Show `watcher` the trace records made inside the block: every one;
-        or, given drop reasons, the drops of those reasons; or, given node
-        ids, what those nodes take in (a datagram delivered there, or one an
-        intercepting handler sees), until it returns True there."""
+        """Show `watcher` the trace records made inside the block: the drops
+        of the given reasons, and what the given nodes take in (a datagram
+        delivered there, or one an intercepting handler sees), each reason
+        and node until it returns True there.  Naming neither is an error."""
         lists = [self.drop_watchers.setdefault(reason, []) for reason in drops]
         lists += [self.nodes[node].arrival_watchers for node in arrivals]
-        lists = lists or [self.watchers]
+        if not lists:
+            raise FabricError("watching: no drop reason and no node to watch")
         for watchers in lists:
             watchers.append(watcher)
         try:
             yield
         finally:
             for watchers in lists:
-                if watcher in watchers:  # an arrival watcher that returned True is gone
+                if watcher in watchers:  # one that returned True there is gone
                     watchers.remove(watcher)
             self.drop_watchers = {reason: ws for reason, ws in self.drop_watchers.items() if ws}
 
@@ -505,12 +505,11 @@ class Simulator:
             self.trace.count += 1
         else:
             records += (self.now, node, action, reason, d)
-        for watch in self.watchers:
-            watch(self.now, node, action, reason, d)
         if action == "drop":
             self.counters[node].packets_dropped += 1
-            for watch in self.drop_watchers.get(reason, ()):
-                watch(self.now, node, action, reason, d)
+            watchers = self.drop_watchers.get(reason)
+            if watchers:
+                self._show(watchers, node, action, reason, d)
 
     # -- internals ---------------------------------------------------------------
 
@@ -523,7 +522,7 @@ class Simulator:
                 node.counters.packets_delivered += 1
             self.record(node_id, "deliver" if local else "forward", "", d)
             if node.arrival_watchers:
-                self._show_arrival(node, "deliver" if local else "forward", d)
+                self._show(node.arrival_watchers, node_id, "deliver" if local else "forward", "", d)
             if node.handler is not None:
                 node.handler.on_datagram(self, node_id, d)
             return
@@ -533,8 +532,7 @@ class Simulator:
             return
         self.record(node_id, "drop", "no-route", d)
 
-    def _show_arrival(self, node: Node, action: str, d: Ipv4Datagram) -> None:
-        watchers = node.arrival_watchers
+    def _show(self, watchers: list[Watcher], node: str, action: str, reason: str, d: Ipv4Datagram) -> None:
         for watch in watchers[:]:
-            if watch(self.now, node.node_id, action, "", d):
+            if watch(self.now, node, action, reason, d):
                 watchers.remove(watch)

@@ -17,7 +17,6 @@ victims, the clients that attempt new connections and the NAT.
 
 from __future__ import annotations
 
-import contextlib
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -46,7 +45,6 @@ if TYPE_CHECKING:  # `scenario` imports this module
 _TCP = Protocol.TCP
 _RST = TcpFlag.RST
 
-WINDOWS_EPHEMERAL = (49152, 65535)
 # forged packets one plan may send: 8 rounds of two full 65,536-port sweeps
 MAX_FORGED_PACKETS = 1 << 20
 # the data bytes of each victim's send after the attack, which completes the teardown
@@ -235,7 +233,8 @@ def run_dos_attack(handles: Handles) -> AttackReport:
 
     attempts: list[tuple[Host, ConnKey]] = []
     last_inject = sim.now
-    with _watching_evidence(handles, evidence):
+    watched = {nat.node_id, server.node_id, *(h.node_id for h, _ in handles.victims)}
+    with sim.watching(_evidence_dispatcher(handles, evidence), drops=_EVIDENCE_DROPS, arrivals=watched):
         for rnd in range(plan.rounds):
             if rnd == 0:
                 for i in range(plan.new_connection_attempts):
@@ -316,33 +315,23 @@ def _evidence_watcher(handles: Handles, seen: set[str]):
     return saw
 
 
-@contextlib.contextmanager
-def _watching_evidence(handles: Handles, seen: set[str]):
-    """Inside the block, add to `seen` what the attack window shows: "loss"
-    for any packet dropped by link loss; for a forged RST, "rst-lost",
-    "rst-filtered" and "rst-refused" (dropped out of window by the NAT) by
-    its drop reason, "rst-at-nat" when the NAT takes it in and
-    "rst-at-client" when a victim client does; "push-at-server" when the
-    server takes in a PUSH from the NAT's address.  Only those drops and
-    arrivals are watched, each arrival until its kind is seen."""
+def _evidence_dispatcher(handles: Handles, seen: set[str]):
+    """The attack window's one watcher: "loss" for any link-loss drop, and
+    `saw` the kind its drop reason shows (`_EVIDENCE_DROPS`) or its node
+    does: "rst-at-nat", "push-at-server", or "rst-at-client" at a victim
+    client.  It returns what `saw` does, so each reason and node retires
+    once its kind is seen."""
     saw = _evidence_watcher(handles, seen)
+    kind_at = {handles.nat.node_id: "rst-at-nat", handles.server_host.node_id: "push-at-server"}
 
-    def on_drop(tick, node, action, reason, d):
+    def dispatch(tick, node, action, reason, d):
         if reason == "loss":
             seen.add("loss")
-        saw(_EVIDENCE_DROPS[reason], d)
+        if action == "drop":
+            return saw(_EVIDENCE_DROPS[reason], d)
+        return saw(kind_at.get(node, "rst-at-client"), d)
 
-    def arriving(kind):
-        return lambda tick, node, action, reason, d: saw(kind, d)
-
-    sim = handles.sim
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(sim.watching(on_drop, drops=_EVIDENCE_DROPS))
-        for kind, nodes in (("rst-at-nat", [handles.nat.node_id]),
-                            ("rst-at-client", {h.node_id for h, _ in handles.victims}),
-                            ("push-at-server", [handles.server_host.node_id])):
-            stack.enter_context(sim.watching(arriving(kind), arrivals=nodes))
-        yield
+    return dispatch
 
 
 def _diagnose(report: AttackReport, seen: set[str], dup_acked: bool) -> FailureDiagnosis:

@@ -76,6 +76,11 @@ ATTACK_DOCS = [
 ]
 
 
+def watches_nothing(sim) -> bool:
+    """No drop reason and no node has a watcher registered."""
+    return not sim.drop_watchers and not any(node.arrival_watchers for node in sim.nodes.values())
+
+
 @pytest.fixture
 def attack_windows(monkeypatch):
     """Every attack run's (handles, window start, dup ACKs before)."""
@@ -112,7 +117,7 @@ def test_echo_reply_evidence_matches_trace_rescan():
             assert ev.echo_reply_fragments == [total for total, _, _ in frags], (doc["name"], seed)
             assert ev.echo_reply_boundaries == frozenset(
                 off * 8 for _, off, _ in frags if off > 0), (doc["name"], seed)
-            assert handles.sim.watchers == []
+            assert watches_nothing(handles.sim)
             partial_replies += verdict.reason is VerdictReason.NO_ECHO_REPLY and bool(frags)
     assert partial_replies
 
@@ -120,12 +125,12 @@ def test_echo_reply_evidence_matches_trace_rescan():
 def test_identification_registers_no_watcher(monkeypatch):
     """The probe reads what the vantage took in from its arrival log alone:
     no record made while it runs finds a watcher registered."""
-    watchers_at_record, probing = [], []
+    unwatched_at_record, probing = [], []
     record, run = Simulator.record, probe.run_identification
 
     def checking_record(sim, *rec):
         if probing:
-            watchers_at_record.append(len(sim.watchers))
+            unwatched_at_record.append(watches_nothing(sim))
         record(sim, *rec)
 
     def flagged(handles):
@@ -139,7 +144,7 @@ def test_identification_registers_no_watcher(monkeypatch):
     monkeypatch.setattr(probe, "run_identification", flagged)
     for doc in IDENTIFY_DOCS:
         assess.identify_scenario(sc.load_scenario(doc), seed=0)
-    assert watchers_at_record and not any(watchers_at_record)
+    assert unwatched_at_record and all(unwatched_at_record)
 
 
 def test_failure_diagnosis_matches_trace_rescan(attack_windows):
@@ -150,7 +155,7 @@ def test_failure_diagnosis_matches_trace_rescan(attack_windows):
             with keep_traces():
                 report, handles = assess.attack_scenario(scn, seed=seed)
             attacked, start, dup_acks_before = attack_windows.pop()
-            assert attacked is handles and handles.sim.watchers == []
+            assert attacked is handles and watches_nothing(handles.sim)
             if report.success:
                 continue
             want = oracle.diagnose(handles.sim, handles.plan, handles, report, start, dup_acks_before)
@@ -186,6 +191,36 @@ def test_evidence_reads_only_watched_drops_and_arrivals(doc, attack_windows, mon
     window = sum(rec.tick >= start for rec in handles.sim.trace)
     assert reads == oracle.evidence_reads(handles.sim, handles.plan, handles, start)
     assert 0 < len(reads) <= window // 10
+
+
+@pytest.mark.parametrize("doc", [ATTACK_DOCS[5], ATTACK_DOCS[7], ATTACK_DOCS[8]], ids=lambda d: d["name"])
+def test_each_watched_reason_and_node_retires_once_its_kind_is_seen(doc, monkeypatch):
+    """At seed 1 the evidence dispatcher is called at most once for a drop
+    reason or a node after the kind it shows is seen: the call that is
+    told so returns True, and the reason or node calls it no more."""
+    late = Counter()  # per drop reason or node: the calls after its kind was seen
+    make = strike._evidence_dispatcher
+
+    def counted(handles, seen):
+        dispatch = make(handles, seen)
+        kind_at = {h.node_id: "rst-at-client" for h, _ in handles.victims}
+        kind_at[handles.nat.node_id] = "rst-at-nat"
+        kind_at[handles.server_host.node_id] = "push-at-server"
+
+        def counting(tick, node, action, reason, d):
+            if action == "drop":
+                key, kind = reason, strike._EVIDENCE_DROPS[reason]
+            else:
+                key, kind = node, kind_at[node]
+            late[key] += kind in seen
+            return dispatch(tick, node, action, reason, d)
+
+        return counting
+
+    monkeypatch.setattr(strike, "_evidence_dispatcher", counted)
+    assess.attack_scenario(sc.load_scenario(doc), seed=1)
+    assert set(late) & set(strike._EVIDENCE_DROPS), late  # the window had watched drops
+    assert max(late.values()) <= 1, late
 
 
 def test_only_a_forged_rst_counts():

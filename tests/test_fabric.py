@@ -648,34 +648,35 @@ class TestKeptTrace:
         assert len(sim.trace) == n
         assert per_record < 48
 
-    def test_records_read_back_as_the_watcher_saw_them(self):
+    def test_records_read_back_as_they_were_made(self):
         sim = chain(3, seed=7, loss=0.2)
         sim.set_link_mtu("n1", "n2", 600)
-        seen = []
-        with sim.watching(lambda *rec: seen.append(rec)):
-            for i in range(4):
-                sim.inject("n0", big_echo(size=700 + i))
-                sim.inject("n0", rst(length=i))
-            sim.run()
+        sent = []
+        for i in range(4):
+            for d in (big_echo(size=700 + i), rst(length=i)):
+                sent.append(d)
+                sim.inject("n0", d)
+        sim.run()
         trace = sim.trace
-        assert len(seen) > 10
-        assert len(trace) == len(seen)
-        assert list(trace) == seen
+        rows = list(trace.rows())
+        assert len(trace) == len(rows) > 10
+        assert list(trace) == rows
         assert all(type(rec) is TraceRecord for rec in trace)
-        first = next(iter(trace))
-        assert first == seen[0] and first.dgram is seen[0][4]
+        # each inject records its send at once, and the record holds the datagram itself
+        sends = list(trace)[:len(sent)]
+        assert {(rec.tick, rec.node, rec.action, rec.reason) for rec in sends} == {(0, "n0", "send", "")}
+        assert all(rec.dgram is d for rec, d in zip(sends, sent))
 
 
 class TestWatcherViews:
-    """Besides every record, a watcher can see the drops of some reasons, or
-    what some nodes take in; neither view is in `sim.watchers`."""
+    """A watcher sees the drops of some reasons, or what some nodes take in,
+    and one that returns True is removed from the list that called it."""
 
     def test_a_drop_watcher_sees_only_the_drops_of_its_reasons(self):
         sim = chain(3, seed=7, loss=0.3)
         sim.set_link_mtu("n1", "n2", 600)
         seen = []
         with sim.watching(lambda *rec: seen.append(TraceRecord(*rec)), drops=["loss", "no-route"]):
-            assert sim.watchers == []
             for i in range(40):  # lost, unrouted, or too big to pass n1
                 sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"), big_echo(size=700 + i, df=True))
             sim.run()
@@ -688,7 +689,6 @@ class TestWatcherViews:
         sim, client, _, _ = nat_triangle()
         seen = []
         with sim.watching(lambda *rec: seen.append(TraceRecord(*rec)), arrivals=["nat"]):
-            assert sim.watchers == []
             connect(sim, client)
         taken = [rec for rec in sim.trace if rec.node == "nat" and rec.action in ("deliver", "forward")]
         assert seen == taken
@@ -717,11 +717,35 @@ class TestWatcherViews:
             with sim.watching(watch, drops=["loss"]), sim.watching(watch, arrivals=["nat"]):
                 assert sim.drop_watchers == {"loss": [watch]}
                 assert sim.nodes["nat"].arrival_watchers == [watch]
-                assert sim.watchers == []
                 raise RuntimeError
         assert sim.drop_watchers == {}
         assert all(node.arrival_watchers == [] for node in sim.nodes.values())
-        assert sim.watchers == []
+
+    def test_a_drop_watcher_that_returns_true_is_never_called_again_for_that_reason(self):
+        sim = chain(3, seed=7, loss=0.3)
+        calls = []
+
+        def done_at_loss(*rec):
+            calls.append(rec[3])
+            return rec[3] == "loss"
+
+        with sim.watching(done_at_loss, drops=["loss", "no-route"]):
+            for i in range(40):  # lost or unrouted
+                sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"))
+            sim.run()
+            assert sim.drop_watchers == {"loss": [], "no-route": [done_at_loss]}
+        drops = [rec.reason for rec in sim.trace if rec.action == "drop"]
+        assert drops.count("loss") > 1
+        assert calls.count("loss") == 1
+        assert calls.count("no-route") == drops.count("no-route") == 40
+        assert sim.drop_watchers == {}
+
+    def test_watching_nothing_is_an_error(self):
+        sim = chain()
+        with pytest.raises(FabricError, match="no drop reason and no node"):
+            with sim.watching(lambda *rec: None):
+                pass
+        assert sim.drop_watchers == {}
 
 
 class TestRenderLines:
@@ -828,7 +852,7 @@ class TestRouting:
         calls = [(f"n{a % n}", f"n{b % n}", mtu) for a, b, mtu in data.draw(st.permutations(calls))]
         addresses = {f"n{i}": f"10.1.0.{i + 1}" for i in range(n)}
         ref = ParentWalkRoutes(addresses, calls)
-        sim = Simulator(keep_trace=False)
+        sim = Simulator(keep_trace=True)
         for node, address in addresses.items():
             sim.add_node(node, address, transit=True)
         for frm, to, mtu in calls:
@@ -838,10 +862,10 @@ class TestRouting:
             assert {dst: route[0] for dst, route in sim.forwarding[origin].items()} == ref.routes[origin]
             for dst in [*addresses.values(), "10.9.9.9"]:
                 assert sim.path_min_mtu(origin, dst) == ref.path_min_mtu(origin, dst)
-                fate = []
-                with sim.watching(lambda _tick, node, action, reason, _d: fate.append((node, action, reason))):
-                    sim.forward_from(origin, rst(dst=dst))
-                    sim.run()
+                mark = len(sim.trace)
+                sim.forward_from(origin, rst(dst=dst))
+                sim.run()
+                fate = [(rec.node, rec.action, rec.reason) for rec in itertools.islice(sim.trace, mark, None)]
                 assert fate == ref.fate(origin, dst)
 
     def test_destinations_sharing_a_lossy_link_share_its_stream(self):

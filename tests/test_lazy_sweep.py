@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from natsim import assess, strike
 from natsim import scenario as sc
+from natsim.fabric import keep_traces
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 
 
@@ -26,19 +27,11 @@ def around_attack(wrap):
 
 def attack_sends(doc):
     """The report, plan and (tick, datagram) of every packet the attacker
-    sends, seen by a watcher on the attack's simulator."""
-    sends = []
-
-    def watch(tick, node, action, reason, d):
-        if node == "attacker" and action == "send":
-            sends.append((tick, d))
-
-    def watched(attack, handles):
-        with handles.sim.watching(watch):
-            return attack(handles)
-
-    with around_attack(watched):
+    sends, read from the run's kept trace."""
+    with keep_traces():
         report, handles = assess.attack_scenario(sc.load_scenario(doc))
+    sends = [(rec.tick, rec.dgram) for rec in handles.sim.trace
+             if rec.node == "attacker" and rec.action == "send"]
     return report, handles.plan, sends
 
 

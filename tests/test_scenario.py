@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from natsim import assess, strike
 from natsim import scenario as sc
 from natsim.cli import main
+from natsim.fabric import keep_traces
 from natsim.natbox import PmtudSync, PortAllocation, RstHandling, UnmappedInbound
 from natsim.scenario import ScenarioError, load_scenario
 from natsim.wire import TcpFlag, TcpSegment
@@ -415,28 +416,18 @@ SHIPPED_DOCS = [json.loads(p.read_text()) for p in sorted(pathlib.Path(SHIPPED).
 
 
 @pytest.mark.parametrize("doc", SHIPPED_DOCS, ids=lambda d: d["name"])
-def test_shipped_runs_carry_tcpflag_flags(doc, monkeypatch):
+def test_shipped_runs_carry_tcpflag_flags(doc):
     """Every TCP segment an identify or attack run records has a TcpFlag,
     never a plain int, in its public flags field."""
-    flag_types = set()
-
-    def watch(tick, node, action, reason, d):
-        if isinstance(d.payload, TcpSegment):
-            flag_types.add(type(d.payload.flags))
-
-    build = sc.build
-
-    def watched_build(scn, seed=None):
-        handles = build(scn, seed=seed)
-        handles.sim.watchers.append(watch)
-        return handles
-
-    monkeypatch.setattr(sc, "build", watched_build)
     scn = load_scenario(doc)
-    if scn.probe is not None:
-        assess.identify_scenario(scn)
-    if scn.attack is not None:
-        assess.attack_scenario(scn)
+    flag_types = set()
+    for run, part in ((assess.identify_scenario, scn.probe), (assess.attack_scenario, scn.attack)):
+        if part is None:
+            continue
+        with keep_traces():
+            _, handles = run(scn)
+        flag_types |= {type(rec.dgram.payload.flags) for rec in handles.sim.trace
+                       if isinstance(rec.dgram.payload, TcpSegment)}
     assert flag_types == {TcpFlag}
 
 

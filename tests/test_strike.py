@@ -81,9 +81,7 @@ class TestCrafting:
         assert len(craft_push_ack_sweep(plan)) == 1
 
     def test_windows_preset(self):
-        from natsim.strike import WINDOWS_EPHEMERAL
-
-        plan = AttackPlan("6.6.6.6", ("7.7.7.7", 22), dst_port_range=WINDOWS_EPHEMERAL)
+        plan = AttackPlan("6.6.6.6", ("7.7.7.7", 22), dst_port_range=(49152, 65535))
         assert len(craft_rst_sweep(plan)) == 65535 - 49152 + 1
 
     def test_empty_range_rejected_by_plan(self):

@@ -6,7 +6,9 @@ Runs pytest on `tests` in this process under `sys.settrace` (no coverage package
 needed) and prints one `file:line: source` line for each executable line
 of `src/natsim` that no test ran, then the total.  The executable lines
 are the line numbers in the line tables of every code object compiled
-from each module.  Hypothesis runs derandomized and with no example
+from each module.  The bodies of `if TYPE_CHECKING:` blocks, which only a
+type checker reads and no run can reach, are listed apart as skipped and
+left out of the total.  Hypothesis runs derandomized and with no example
 database, so the count does not move with the examples a run happens to
 draw.  Exits 1 when the total is above `--max`, otherwise 0:
 the test outcomes never decide the exit status, since tracing slows
@@ -17,6 +19,7 @@ the untraced tier-1 run is the test gate.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import sys
 
@@ -32,6 +35,16 @@ def executable_lines(source: str, path: str) -> set[int]:
         co = stack.pop()
         lines.update(line for _, _, line in co.co_lines() if line)  # None or the 0 of RESUME
         stack.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def type_checking_lines(source: str) -> set[int]:
+    """The line numbers of the bodies of the module's `if TYPE_CHECKING:` blocks."""
+    lines: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            for stmt in node.body:
+                lines.update(range(stmt.lineno, stmt.end_lineno + 1))
     return lines
 
 
@@ -78,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     hit = trace_run()
 
-    unrun = []
+    unrun, skipped = [], []
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
@@ -86,8 +99,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         text = source.splitlines()
+        type_checking = type_checking_lines(source)
         for line in sorted(executable_lines(source, path) - hit.get(path, set())):
-            unrun.append(f"src/natsim/{name}:{line}: {text[line - 1].strip()}")
+            where = f"src/natsim/{name}:{line}: {text[line - 1].strip()}"
+            (skipped if line in type_checking else unrun).append(where)
+    for where in skipped:
+        print(f"skipped (if TYPE_CHECKING) {where}")
     print("\n".join(unrun))
     print(f"{len(unrun)} unrun lines in src/natsim")
     if args.max is not None and len(unrun) > args.max:
