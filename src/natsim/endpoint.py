@@ -38,6 +38,8 @@ from .wire import (
     TcpSegment,
     seq_add,
     seq_in_range,
+    tcp_datagram,
+    tcp_segment,
 )
 
 # Enum members read per packet: through the class, each read costs several times a global
@@ -179,30 +181,16 @@ class IpNode:
         flags = int(seg.flags)
         if flags & RST_BIT:
             return  # never reset in response to a reset
+        # the ports and numbers come from a checked segment: built store-only
         if flags & ACK_BIT:
-            reply = TcpSegment(seg.dst_port, seg.src_port, seq=seg.ack, flags=_RST)
+            reply = tcp_segment(seg.dst_port, seg.src_port, seg.ack, 0, _RST, 0)
         else:
-            reply = TcpSegment(
-                seg.dst_port,
-                seg.src_port,
-                seq=0,
-                ack=seq_add(seg.seq, seg.seg_len),
-                flags=RST_ACK,
-            )
+            reply = tcp_segment(seg.dst_port, seg.src_port, 0, seq_add(seg.seq, seg.seg_len), RST_ACK, 0)
         self._emit_tcp(sim, d.src, reply)
 
     def _emit_tcp(self, sim: Simulator, dst: str, seg: TcpSegment) -> None:
-        sim.send_from(
-            self.node_id,
-            Ipv4Datagram(
-                src=self.address,
-                dst=dst,
-                protocol=_TCP,
-                payload=seg,
-                identification=self._next_ident(),
-                df=True,
-            ),
-        )
+        # store-only: the identification stays in 16 bits, and DF goes on a whole datagram
+        sim.send_from(self.node_id, tcp_datagram(self.address, dst, seg, self._next_ident(), True))
 
     def _next_ident(self) -> int:
         self._ip_ident = (self._ip_ident + 1) % 0x10000
@@ -381,19 +369,11 @@ class Host(IpNode):
     def _send(
         self, sim: Simulator, sock: Socket, flags: TcpFlag, length: int = 0, seq: int | None = None
     ) -> None:
-        """Send one segment on sock, at snd_nxt unless seq is given."""
-        self._emit_tcp(
-            sim,
-            sock.remote[0],
-            TcpSegment(
-                sock.local_port,
-                sock.remote[1],
-                seq=sock.snd_nxt if seq is None else seq,
-                ack=sock.rcv_nxt,
-                flags=flags,
-                payload_length=length,
-            ),
-        )
+        """Send one segment on sock, at snd_nxt unless seq is given; built
+        store-only, from the socket's ports and its numbers modulo 2**32."""
+        seq = sock.snd_nxt if seq is None else seq
+        seg = tcp_segment(sock.local_port, sock.remote[1], seq, sock.rcv_nxt, flags, length)
+        self._emit_tcp(sim, sock.remote[0], seg)
 
     def _alloc_ephemeral(self) -> int:
         lo, hi = self.ephemeral_range

@@ -28,6 +28,8 @@ from .wire import (
     TcpSegment,
     seq_add,
     seq_in_range,
+    tcp_datagram,
+    tcp_segment,
 )
 
 
@@ -194,23 +196,11 @@ class NatBox(IpNode):
         self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment, src: tuple, dst: tuple
     ) -> None:
         """Forward a TCP datagram rewritten to the (address, port) pairs
-        src and dst, keeping everything else."""
-        translated = Ipv4Datagram(
-            src=src[0],
-            dst=dst[0],
-            protocol=d.protocol,
-            payload=TcpSegment(
-                src_port=src[1],
-                dst_port=dst[1],
-                seq=seg.seq,
-                ack=seg.ack,
-                flags=seg.flags,
-                payload_length=seg.payload_length,
-            ),
-            identification=d.identification,
-            df=d.df,
-        )
-        sim.forward_from(self.node_id, translated)
+        src and dst, keeping everything else.  Only a whole datagram gets
+        here (a fragment carries bytes), so the copy is built store-only
+        from the checked d and seg and a mapping's ports."""
+        seg = tcp_segment(src[1], dst[1], seg.seq, seg.ack, seg.flags, seg.payload_length)
+        sim.forward_from(self.node_id, tcp_datagram(src[0], dst[0], seg, d.identification, d.df))
 
     # -- ICMP ------------------------------------------------------------------------
 

@@ -31,18 +31,18 @@ from .wire import (
     RST_BIT,
     SEQ_MOD,
     Ipv4Datagram,
-    Protocol,
     TcpFlag,
     TcpSegment,
     check_port_range,
     check_range,
+    tcp_datagram,
+    tcp_segment,
 )
 
 if TYPE_CHECKING:  # `scenario` imports this module
     from .scenario import Handles
 
-# Enum members read per packet: through the class, each read costs several times a global
-_TCP = Protocol.TCP
+# an Enum member read per packet: through the class, each read costs several times a global
 _RST = TcpFlag.RST
 
 # forged packets one plan may send: 8 rounds of two full 65,536-port sweeps
@@ -98,6 +98,7 @@ class AttackPlan:
                 f"bound of {MAX_FORGED_PACKETS}"
             )
         check_range("forged_seq", self.forged_seq, 0, SEQ_MOD)
+        check_range("victim_server", self.victim_server[1], 0, 0x10000)
         check_range("new_connection_attempts", self.new_connection_attempts, 0)
         check_range("settle_ticks", self.settle_ticks, 0)
 
@@ -134,19 +135,17 @@ class AttackReport:
 
 def craft_rst_sweep(plan: AttackPlan, ports: range | None = None) -> list[Ipv4Datagram]:
     """One forged 40-octet RST per destination port (by default the plan's
-    whole range), spoofing the victim server; the sequence number is
-    whatever the plan says, because a vulnerable device never checks it."""
+    whole range; `ports` must lie inside it), spoofing the victim server;
+    the sequence number is whatever the plan says, because a vulnerable
+    device never checks it.  The checked plan vouches for every field, so
+    the packets are built store-only."""
     flags = RST_ACK if plan.set_ack_flag_on_rst else _RST
     if ports is None:
         ports = _port_span(plan.dst_port_range)
     server_addr, server_port = plan.victim_server
+    nat_addr, seq = plan.nat_public_ip, plan.forged_seq
     return [
-        Ipv4Datagram(
-            src=server_addr,
-            dst=plan.nat_public_ip,
-            protocol=_TCP,
-            payload=TcpSegment(server_port, port, seq=plan.forged_seq, flags=flags),
-        )
+        tcp_datagram(server_addr, nat_addr, tcp_segment(server_port, port, seq, 0, flags, 0), 0, False)
         for port in ports
     ]
 
@@ -155,30 +154,20 @@ def craft_push_ack_sweep(
     plan: AttackPlan, ports: range | None = None, rng: random.Random | None = None
 ) -> list[Ipv4Datagram]:
     """One forged PUSH/ACK per source port (by default the plan's whole
-    range), spoofing the NAT toward the server.  Sequence and
-    acknowledgment numbers are arbitrary, drawn from `rng` (by default the
-    plan's freshly seeded one; a sweep crafted in parts passes the same
-    rng to each part); one payload octet makes the segment impossible to
-    ignore."""
+    range; `ports` must lie inside it), spoofing the NAT toward the server.
+    Sequence and acknowledgment numbers are arbitrary, drawn from `rng` (by
+    default the plan's freshly seeded one; a sweep crafted in parts passes
+    the same rng to each part); one payload octet makes the segment
+    impossible to ignore.  Built store-only, as the RST sweep is."""
     if rng is None:
         rng = _push_ack_rng(plan)
     if ports is None:
         ports = _port_span(plan.push_ack_src_port_range)
     server_addr, server_port = plan.victim_server
+    nat_addr, draw = plan.nat_public_ip, rng.getrandbits
     return [
-        Ipv4Datagram(
-            src=plan.nat_public_ip,
-            dst=server_addr,
-            protocol=_TCP,
-            payload=TcpSegment(
-                port,
-                server_port,
-                seq=rng.getrandbits(32),
-                ack=rng.getrandbits(32),
-                flags=PSH_ACK,
-                payload_length=1,
-            ),
-        )
+        tcp_datagram(nat_addr, server_addr,
+                     tcp_segment(port, server_port, draw(32), draw(32), PSH_ACK, 1), 0, False)
         for port in ports
     ]
 

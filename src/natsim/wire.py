@@ -103,10 +103,13 @@ def check_port_range(field: str, ports: tuple[int, int]) -> None:
         raise ValueError(f"{field}: range [{lo}, {hi}] empty or out of bounds")
 
 
-# TcpSegment and Ipv4Datagram are built once per packet, so each has a
-# hand-written __init__: its checks, then one store per field through the
-# slot descriptor's __set__ (fetched once, below the class), where the
-# generated frozen __init__ calls object.__setattr__ per field.
+# TcpSegment and Ipv4Datagram are built once per packet, so each has two
+# constructors.  The hand-written __init__ checks its fields, then makes one
+# store per field through the slot descriptor's __set__ (fetched once, below
+# the class), where the generated frozen __init__ calls object.__setattr__
+# per field.  The store-only tcp_segment and tcp_datagram (below
+# Ipv4Datagram) make the same stores with no checks: use them only for
+# fields that a checked object or a loaded AttackPlan already vouches for.
 @dataclass(frozen=True, slots=True, init=False)
 class TcpSegment:
     """A TCP segment; only the payload length is modeled, not its bytes."""
@@ -277,6 +280,37 @@ _set_identification = Ipv4Datagram.identification.__set__
 _set_df = Ipv4Datagram.df.__set__
 _set_more_fragments = Ipv4Datagram.more_fragments.__set__
 _set_fragment_offset = Ipv4Datagram.fragment_offset.__set__
+_new = object.__new__
+
+
+def tcp_segment(
+    src_port: int, dst_port: int, seq: int, ack: int, flags: TcpFlag, payload_length: int
+) -> TcpSegment:
+    """TcpSegment(src_port, dst_port, seq, ack, flags, payload_length),
+    without its checks."""
+    seg = _new(TcpSegment)
+    _set_src_port(seg, src_port)
+    _set_dst_port(seg, dst_port)
+    _set_seq(seg, seq)
+    _set_ack(seg, ack)
+    _set_flags(seg, flags)
+    _set_payload_length(seg, payload_length)
+    return seg
+
+
+def tcp_datagram(src: str, dst: str, seg: TcpSegment, identification: int, df: bool) -> Ipv4Datagram:
+    """Ipv4Datagram(src, dst, Protocol.TCP, seg, identification, df), a
+    whole datagram, without its checks."""
+    d = _new(Ipv4Datagram)
+    _set_src(d, src)
+    _set_dst(d, dst)
+    _set_protocol(d, _TCP)
+    _set_payload(d, seg)
+    _set_identification(d, identification)
+    _set_df(d, df)
+    _set_more_fragments(d, False)
+    _set_fragment_offset(d, 0)
+    return d
 
 
 def frag_cap(mtu: int) -> int:

@@ -1,7 +1,9 @@
-"""tools/ab.py: the pure summary of alternating benchmark pairs."""
+"""tools/ab.py: the summary of alternating benchmark pairs, and runs that give no result."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,3 +48,27 @@ def test_one_pair_has_no_spread():
 def test_bad_runs_are_the_missing_the_incorrect_and_the_failed():
     runs = [run(1.0), None, run(1.0, correct=False), run(1.0, failed=1), run(1.0)]
     assert ab.bad_runs(runs) == [1, 2, 3]
+
+
+def test_a_run_whose_last_line_is_not_json_is_a_bad_run(monkeypatch, tmp_path, capsys):
+    """The change's run prints a traceback and no result line: it counts as
+    a bad run, its stderr tail is printed, --json is still written and the
+    tool exits 1."""
+    good = json.dumps(run(1.0))
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if "compileall" in cmd:
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+        if cwd.endswith("change"):
+            return subprocess.CompletedProcess(cmd, 0, "starting\nnot json\n", "ValueError: boom")
+        return subprocess.CompletedProcess(cmd, 0, "starting\n" + good + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    out = tmp_path / "runs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "sweep",
+            "--seed", "1", "--pairs", "2", "--seconds", "1", "--json", str(out)]
+    assert ab.main(argv) == 1
+    assert json.loads(out.read_text()) == {"parent": [run(1.0)] * 2, "change": [None, None]}
+    captured = capsys.readouterr()
+    assert captured.err.count("ValueError: boom") == 2
+    assert "'change': [0, 1]" in captured.out

@@ -3,6 +3,7 @@ arrival log, the strike's by drop and arrival watchers) equals what a
 rescan of the kept trace finds afterwards, and a run that only counts its
 trace records behaves exactly like one that keeps them."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -255,6 +256,23 @@ def test_unkept_run_counts_like_a_kept_one(doc):
             iter(counted.sim.trace)
         with pytest.raises(TraceNotKeptError):
             assess.TraceFile().add_section(scn, "attack", counted.sim)
+
+
+def test_every_recorded_packet_passes_the_checked_constructors():
+    """The attack's paths build packets store-only; at seed 1 every datagram
+    an attack run records, and its TCP segment, is rebuilt by the checked
+    constructor unchanged, so no store-only call builds a packet the
+    checked path would reject."""
+    for doc in ATTACK_DOCS:
+        with keep_traces():
+            _, handles = assess.attack_scenario(sc.load_scenario(doc), seed=1)
+        # each datagram once, though most are recorded at several hops
+        datagrams = {id(row[4]): row[4] for row in handles.sim.trace.rows()}.values()
+        segments = [d.payload for d in datagrams if isinstance(d.payload, TcpSegment)]
+        assert segments, doc["name"]
+        for packet in [*datagrams, *segments]:
+            again = dataclasses.replace(packet)
+            assert again == packet and repr(again) == repr(packet), (doc["name"], packet)
 
 
 def test_keep_traces_nests_and_restores():

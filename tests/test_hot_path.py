@@ -22,6 +22,8 @@ from natsim.wire import Protocol
 PER_PACKET = (
     strike.craft_rst_sweep,
     strike.craft_push_ack_sweep,
+    wire.tcp_segment,
+    wire.tcp_datagram,
     IpNode._emit_tcp,
     IpNode._reflect_reset,
     NatBox.on_datagram,
@@ -29,8 +31,10 @@ PER_PACKET = (
     NatBox._outbound,
     NatBox._on_tcp,
     NatBox._on_inbound_rst,
+    NatBox._translate,
     Host.on_datagram,
     Host._on_tcp,
+    Host._send,
     Simulator.inject,
     Simulator.run,
     Simulator.forward_from,

@@ -88,6 +88,12 @@ class TestCrafting:
         with pytest.raises(ValueError):
             AttackPlan("6.6.6.6", ("7.7.7.7", 22), dst_port_range=(5000, 4000))
 
+    @pytest.mark.parametrize("port", [-1, 0x10000])
+    def test_server_port_out_of_range_rejected_by_plan(self, port):
+        # the sweeps build their segments store-only, so the plan checks every port they use
+        with pytest.raises(ValueError, match="^victim_server"):
+            AttackPlan("6.6.6.6", ("7.7.7.7", port))
+
     def test_blindness_pure_function_of_plan(self):
         # same plan, totally different scenarios: byte-identical streams
         plan = AttackPlan("6.6.6.6", ("7.7.7.7", 80), dst_port_range=(40000, 40020), seed=5)

@@ -596,3 +596,33 @@ class TestFastConstructors:
             ref2 = build(Reference.Ipv4Datagram, *others[0])[0]
             fast2 = build(Ipv4Datagram, *others[1])[0]
             assert (fast == fast2) == (ref == ref2)
+
+
+def same_object(store_only, checked):
+    """Equal by ==, hash, repr and fields; frozen, slotted, and rebuilt
+    through the checked constructor unchanged."""
+    assert store_only == checked and checked == store_only
+    assert hash(store_only) == hash(checked)
+    assert repr(store_only) == repr(checked)
+    assert dataclasses.astuple(store_only) == dataclasses.astuple(checked)
+    assert type(store_only) is type(checked) and not hasattr(store_only, "__dict__")
+    assert dataclasses.replace(store_only) == store_only
+    for f in dataclasses.fields(store_only):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(store_only, f.name, getattr(store_only, f.name))
+
+
+class TestStoreOnlyConstructors:
+    """For valid fields, wire.tcp_segment and wire.tcp_datagram build what
+    the checked constructors build."""
+
+    @given(segment_st, addr_st, addr_st, st.integers(0, 0xFFFF), st.booleans())
+    @settings(max_examples=100)
+    def test_same_as_checked(self, seg, src, dst, ident, df):
+        fields = [getattr(seg, n) for n in SEGMENT_FIELDS]
+        fast_seg = wire.tcp_segment(*fields)
+        same_object(fast_seg, TcpSegment(*fields))
+        fast = wire.tcp_datagram(src, dst, fast_seg, ident, df)
+        same_object(fast, Ipv4Datagram(src, dst, Protocol.TCP, seg, ident, df))
+        assert fast.total_length == wire.IP_HEADER_LEN + seg.wire_payload_length
+        assert wire.decode(wire.encode(fast)) == fast

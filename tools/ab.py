@@ -67,15 +67,24 @@ def bad_runs(runs: list[dict | None]) -> list[int]:
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
-    """The JSON result (the last stdout line) of one bench/run.py run in `tree`."""
+    """The JSON result (the last stdout line) of one bench/run.py run in
+    `tree`; None, with the tail of its stderr printed, when the run exits
+    nonzero or its last line is not a JSON object."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or not lines:
-        print(f"{tree}: exit {out.returncode}: {out.stderr.strip()[-500:]}", file=sys.stderr)
+    result = None
+    if out.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    if not isinstance(result, dict):
+        print(f"{tree}: exit {out.returncode}, no JSON result: {out.stderr.strip()[-500:]}",
+              file=sys.stderr)
         return None
-    return json.loads(lines[-1])
+    return result
 
 
 def main(argv=None) -> int:
