@@ -23,15 +23,15 @@ A simulator instance is single-threaded and owns all of its state; for a
 fixed seed two runs of the same scenario produce bit-identical traces.
 One shape watches a run.  Every trace record is counted, and kept only when
 asked (see `keep_traces`), inline in `record` as five slots of one flat list:
-no call, and no object for the cyclic GC to track.  `watching` registers a
-watcher for its block, never one bound at build, in two views, each called
-where the simulator already branches: the drops of given reasons (from
-`record`'s drop branch, one dict lookup a drop), and what given nodes take
-in for their handlers, deliver records and an intercepting node's forwards
-(from `_arrive`'s branch for them, where the Node is in hand).  A watcher
-that returns True is removed from the list that called it.  A node may also
-log what it takes in (only the vantage `Host` does: a reassembled datagram
-makes no record), and counts are made inline where the node is in hand.
+no call, and no object for the cyclic GC to track.  Two hook slots, empty
+at build, are read where the simulator already branches: `on_drop[reason]`
+is called with each datagram dropped for that reason (in `record`'s drop
+branch, one dict lookup a drop), and a Node's `on_arrival` with what the
+node takes in for its handler, deliveries and an intercepting node's
+forwards (in `_arrive`'s branch for them).  A hook that returns True is
+cleared; whoever fills a slot clears it.  A node may also log what it
+takes in (only the vantage `Host` does: a reassembled datagram makes no
+record), and counts are made inline where the node is in hand.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ class Counters:
     packets_dropped: int = 0
 
 
+# called with each datagram its slot shows it; one that returns True is cleared
+Hook = Callable[[Ipv4Datagram], bool]
+
+
 @dataclass
 class Node:
     node_id: str
@@ -138,8 +142,7 @@ class Node:
     transit: bool = False  # router: forwards packets not addressed to it
     intercept: bool = False  # NAT: handler sees every arriving packet
     counters: Counters = field(default_factory=Counters)  # also Simulator.counters[node_id]
-    # watchers of what this node takes in (see `Simulator.watching`)
-    arrival_watchers: list[Watcher] = field(default_factory=list, repr=False, compare=False)
+    on_arrival: Hook | None = field(default=None, repr=False, compare=False)  # what it takes in
 
 
 # a forwarding table entry: (next hop, the link to it, its loss stream or
@@ -214,10 +217,6 @@ def render_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
 # a TraceRecord from a (tick, node, action, reason, dgram) row, without its __new__
 _as_record = functools.partial(tuple.__new__, TraceRecord)
 
-# called with (tick, node, action, reason, datagram) for each trace record it
-# is shown, kept or not; one that returns True is removed from the list that called it
-Watcher = Callable[[int, str, str, str, Ipv4Datagram], bool | None]
-
 _keep_traces = contextvars.ContextVar("natsim_keep_traces", default=False)
 
 
@@ -276,7 +275,7 @@ class Simulator:
         self.forwarding: dict[str, dict[str, Route]] = {}  # node -> dst address -> route
         self.addr_to_node: dict[str, str] = {}
         self.trace = Trace(keep_trace)
-        self.drop_watchers: dict[str, list[Watcher]] = {}  # drop reason -> its watchers
+        self.on_drop: dict[str, Hook] = {}  # drop reason -> its hook
         self.counters: dict[str, Counters] = {}
         # the event queue: a heap of the distinct pending ticks, and each
         # tick's events in a FIFO bucket (a one-level calendar queue)
@@ -479,26 +478,6 @@ class Simulator:
         else:
             bucket.append(("group", hop, [d]))
 
-    @contextlib.contextmanager
-    def watching(self, watcher: Watcher, *, drops: Iterable[str] = (), arrivals: Iterable[str] = ()):
-        """Show `watcher` the trace records made inside the block: the drops
-        of the given reasons, and what the given nodes take in (a datagram
-        delivered there, or one an intercepting handler sees), each reason
-        and node until it returns True there.  Naming neither is an error."""
-        lists = [self.drop_watchers.setdefault(reason, []) for reason in drops]
-        lists += [self.nodes[node].arrival_watchers for node in arrivals]
-        if not lists:
-            raise FabricError("watching: no drop reason and no node to watch")
-        for watchers in lists:
-            watchers.append(watcher)
-        try:
-            yield
-        finally:
-            for watchers in lists:
-                if watcher in watchers:  # one that returned True there is gone
-                    watchers.remove(watcher)
-            self.drop_watchers = {reason: ws for reason, ws in self.drop_watchers.items() if ws}
-
     def record(self, node: str, action: str, reason: str, d: Ipv4Datagram) -> None:
         records = self.trace.records
         if records is None:
@@ -507,9 +486,9 @@ class Simulator:
             records += (self.now, node, action, reason, d)
         if action == "drop":
             self.counters[node].packets_dropped += 1
-            watchers = self.drop_watchers.get(reason)
-            if watchers:
-                self._show(watchers, node, action, reason, d)
+            hook = self.on_drop.get(reason)
+            if hook is not None and hook(d):
+                del self.on_drop[reason]
 
     # -- internals ---------------------------------------------------------------
 
@@ -521,8 +500,9 @@ class Simulator:
             if local:
                 node.counters.packets_delivered += 1
             self.record(node_id, "deliver" if local else "forward", "", d)
-            if node.arrival_watchers:
-                self._show(node.arrival_watchers, node_id, "deliver" if local else "forward", "", d)
+            hook = node.on_arrival
+            if hook is not None and hook(d):
+                node.on_arrival = None
             if node.handler is not None:
                 node.handler.on_datagram(self, node_id, d)
             return
@@ -531,8 +511,3 @@ class Simulator:
             self.forward_from(node_id, d)
             return
         self.record(node_id, "drop", "no-route", d)
-
-    def _show(self, watchers: list[Watcher], node: str, action: str, reason: str, d: Ipv4Datagram) -> None:
-        for watch in watchers[:]:
-            if watch(self.now, node, action, reason, d):
-                watchers.remove(watch)

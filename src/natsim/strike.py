@@ -222,13 +222,14 @@ def run_dos_attack(handles: Handles) -> AttackReport:
 
     attempts: list[tuple[Host, ConnKey]] = []
     last_inject = sim.now
-    watched = {nat.node_id, server.node_id, *(h.node_id for h, _ in handles.victims)}
-    with sim.watching(_evidence_dispatcher(handles, evidence), drops=_EVIDENCE_DROPS, arrivals=watched):
-        for rnd in range(plan.rounds):
-            if rnd == 0:
-                for i in range(plan.new_connection_attempts):
-                    client = clients[i % len(clients)]
-                    attempts.append((client, client.open_connection(sim, plan.victim_server)))
+    sim.on_drop, on_arrival = _evidence_hooks(handles, evidence)
+    for node_id, hook in on_arrival.items():
+        sim.nodes[node_id].on_arrival = hook
+    try:
+        for i in range(plan.new_connection_attempts):
+            client = clients[i % len(clients)]
+            attempts.append((client, client.open_connection(sim, plan.victim_server)))
+        for _ in range(plan.rounds):
             for rsts, pushes in batches:
                 report.rst_packets_sent += len(rsts)
                 report.push_ack_packets_sent += len(pushes)
@@ -248,6 +249,10 @@ def run_dos_attack(handles: Handles) -> AttackReport:
             if host.state(key) == TcpState.ESTABLISHED:
                 host.send_data(sim, key, PROBE_PAYLOAD)
         sim.run(until=sim.now + plan.settle_ticks)
+    finally:
+        sim.on_drop = {}
+        for node_id in on_arrival:
+            sim.nodes[node_id].on_arrival = None
 
     report.implied_bandwidth = report.octets_sent / (report.duration_ticks * handles.scenario.tick_duration)
     report.mappings_removed = nat.mappings_removed_by_rst - removed_before
@@ -270,57 +275,41 @@ def run_dos_attack(handles: Handles) -> AttackReport:
 # -- outcome analysis ------------------------------------------------------------
 
 
-# the drop reasons the diagnosis reads, each with what a forged RST dropped for it shows
-_EVIDENCE_DROPS = {
-    "loss": "rst-lost",
-    "rst-out-of-window": "rst-refused",
-    **{f"filtered-{cls.value}": "rst-filtered" for cls in DropClass},
-}
-
-
-def _evidence_watcher(handles: Handles, seen: set[str]):
-    """`saw(kind, d)`: add `kind` to `seen` when `d` shows it, and say
-    whether `seen` holds it.  "push-at-server" is shown by a PUSH from the
-    NAT's address; every other kind by a forged RST, which spoofs the
-    server with the plan's sequence number."""
+def _evidence_hooks(handles: Handles, seen: set[str]):
+    """The attack window's (`on_drop` by drop reason, `on_arrival` by node
+    id).  Each hook adds its kind to `seen` once a datagram shows it, and
+    returns True, clearing its slot, once `seen` holds the kind: a forged
+    RST, which spoofs the server with the plan's sequence number, shows
+    every kind but "push-at-server", which a PUSH from the NAT's address
+    shows.  The loss hook first adds "loss", for any link-loss drop."""
     plan = handles.plan
     server_addr, server_port = plan.victim_server
-    forged_seq = plan.forged_seq
-    nat_addr = plan.nat_public_ip
 
-    def saw(kind: str, d: Ipv4Datagram) -> bool:
-        if kind in seen:
-            return True
+    def forged_rst(d: Ipv4Datagram):
         seg = d.payload
-        if kind == "push-at-server":
-            shown = d.src == nat_addr and isinstance(seg, TcpSegment) and int(seg.flags) & PSH_BIT
-        else:
-            shown = (d.src == server_addr and isinstance(seg, TcpSegment) and seg.seq == forged_seq
-                     and seg.src_port == server_port and int(seg.flags) & RST_BIT)
-        if shown:
-            seen.add(kind)
-        return bool(shown)
+        return (d.src == server_addr and isinstance(seg, TcpSegment) and seg.seq == plan.forged_seq
+                and seg.src_port == server_port and int(seg.flags) & RST_BIT)
 
-    return saw
+    def push_from_nat(d: Ipv4Datagram):
+        seg = d.payload
+        return d.src == plan.nat_public_ip and isinstance(seg, TcpSegment) and int(seg.flags) & PSH_BIT
 
+    def hook(kind: str, shows=forged_rst, loss: bool = False):
+        def saw(d: Ipv4Datagram) -> bool:
+            if loss:
+                seen.add("loss")
+            if kind not in seen and shows(d):
+                seen.add(kind)
+            return kind in seen
 
-def _evidence_dispatcher(handles: Handles, seen: set[str]):
-    """The attack window's one watcher: "loss" for any link-loss drop, and
-    `saw` the kind its drop reason shows (`_EVIDENCE_DROPS`) or its node
-    does: "rst-at-nat", "push-at-server", or "rst-at-client" at a victim
-    client.  It returns what `saw` does, so each reason and node retires
-    once its kind is seen."""
-    saw = _evidence_watcher(handles, seen)
-    kind_at = {handles.nat.node_id: "rst-at-nat", handles.server_host.node_id: "push-at-server"}
+        return saw
 
-    def dispatch(tick, node, action, reason, d):
-        if reason == "loss":
-            seen.add("loss")
-        if action == "drop":
-            return saw(_EVIDENCE_DROPS[reason], d)
-        return saw(kind_at.get(node, "rst-at-client"), d)
-
-    return dispatch
+    on_drop = {"loss": hook("rst-lost", loss=True), "rst-out-of-window": hook("rst-refused")}
+    on_drop.update((f"filtered-{cls.value}", hook("rst-filtered")) for cls in DropClass)
+    on_arrival = {h.node_id: hook("rst-at-client") for h, _ in handles.victims}
+    on_arrival[handles.nat.node_id] = hook("rst-at-nat")
+    on_arrival[handles.server_host.node_id] = hook("push-at-server", push_from_nat)
+    return on_drop, on_arrival
 
 
 def _diagnose(report: AttackReport, seen: set[str], dup_acked: bool) -> FailureDiagnosis:

@@ -1,6 +1,6 @@
 """Trace-rescan oracles for the evidence that probe and strike gather
 while a run happens: the probe from the vantage's arrival log, the strike
-with drop and arrival watchers.
+from the hooks it puts in `Simulator.on_drop` and `Node.on_arrival`.
 
 Each function below reads a kept trace after the run, the way the two
 orchestrators once did; the equivalence tests check the live evidence

@@ -45,6 +45,41 @@ def test_one_pair_has_no_spread():
     assert (wall.spread_pct, wall.delta_pct, wall.change_wins, wall.parent_wins) == (0.0, -50.0, 1, 0)
 
 
+def test_beyond_bound_is_worse_than_the_bound_in_the_worse_direction():
+    # lower is better: 1.0 -> 1.25 is exactly the bound, 1.26 beyond it; a faster change never is
+    for wall, beyond in ((1.25, False), (1.26, True), (0.5, False)):
+        (row, _) = ab.summarize([run(1.0)], [run(wall)], METRICS)
+        assert row.beyond_bound is beyond, wall
+    # higher is better: 100 -> 75 is exactly the bound, 74 beyond it; a gain never is
+    for pkts, beyond in ((75.0, False), (74.0, True), (200.0, False)):
+        (_, row) = ab.summarize([run(1.0, 100.0)], [run(1.0, pkts)], METRICS)
+        assert row.beyond_bound is beyond, pkts
+
+
+def test_main_marks_the_rows_beyond_bound_and_names_them_last(monkeypatch, tmp_path, capsys):
+    def fake_run(cmd, cwd=None, **kwargs):
+        if "compileall" in cmd:
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+        result = run(1.5, 70.0) if cwd.endswith("change") else run(1.0, 100.0)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "sweep",
+            "--seed", "1", "--pairs", "2", "--seconds", "1"]
+    assert ab.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    marked = [line.split()[0] for line in lines if line.endswith("  beyond bound")]
+    assert marked == ["wall_s", "sim_pkts_per_s"]
+    assert lines[-1] == "beyond bound: wall_s, sim_pkts_per_s"
+
+    monkeypatch.setattr(ab.subprocess, "run", lambda cmd, cwd=None, **kw: fake_run(cmd, "parent"))
+    assert ab.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "beyond bound: none" and not any(line.endswith("  beyond bound") for line in lines)
+
+
 def test_bad_runs_are_the_missing_the_incorrect_and_the_failed():
     runs = [run(1.0), None, run(1.0, correct=False), run(1.0, failed=1), run(1.0)]
     assert ab.bad_runs(runs) == [1, 2, 3]

@@ -1,5 +1,5 @@
 """Evidence gathered while a run happens (the probe's from the vantage's
-arrival log, the strike's by drop and arrival watchers) equals what a
+arrival log, the strike's from its drop and arrival hooks) equals what a
 rescan of the kept trace finds afterwards, and a run that only counts its
 trace records behaves exactly like one that keeps them."""
 
@@ -10,7 +10,7 @@ import pytest
 
 from natsim import assess, probe, strike
 from natsim import scenario as sc
-from natsim.fabric import Simulator, TraceNotKeptError, keep_traces
+from natsim.fabric import DropClass, Simulator, TraceNotKeptError, keep_traces
 from natsim.probe import VerdictReason
 from natsim.strike import FailureDiagnosis
 from natsim.wire import EchoRequest, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
@@ -77,9 +77,39 @@ ATTACK_DOCS = [
 ]
 
 
-def watches_nothing(sim) -> bool:
-    """No drop reason and no node has a watcher registered."""
-    return not sim.drop_watchers and not any(node.arrival_watchers for node in sim.nodes.values())
+# the drop reasons the diagnosis reads
+EVIDENCE_DROPS = {"loss", "rst-out-of-window", *(f"filtered-{cls.value}" for cls in DropClass)}
+
+
+def holds_no_hook(sim) -> bool:
+    """No drop reason and no node has a hook in its slot."""
+    return sim.on_drop == {} and all(node.on_arrival is None for node in sim.nodes.values())
+
+
+def count_hook_calls(monkeypatch, count):
+    """Make every evidence hook of the attacks that follow call
+    `count(slot, kind, seen)` first: `slot` is its drop reason or node id,
+    `kind` the evidence it looks for, `seen` the evidence set so far."""
+    make = strike._evidence_hooks
+
+    def counted(handles, seen):
+        on_drop, on_arrival = make(handles, seen)
+        kind_at = {h.node_id: "rst-at-client" for h, _ in handles.victims}
+        kind_at[handles.nat.node_id] = "rst-at-nat"
+        kind_at[handles.server_host.node_id] = "push-at-server"
+
+        def counting(slot, kind, hook):
+            def call(d):
+                count(slot, kind, seen)
+                return hook(d)
+
+            return call
+
+        return ({reason: counting(reason, oracle._drop_kind(reason), hook)
+                 for reason, hook in on_drop.items()},
+                {node: counting(node, kind_at[node], hook) for node, hook in on_arrival.items()})
+
+    monkeypatch.setattr(strike, "_evidence_hooks", counted)
 
 
 @pytest.fixture
@@ -118,20 +148,20 @@ def test_echo_reply_evidence_matches_trace_rescan():
             assert ev.echo_reply_fragments == [total for total, _, _ in frags], (doc["name"], seed)
             assert ev.echo_reply_boundaries == frozenset(
                 off * 8 for _, off, _ in frags if off > 0), (doc["name"], seed)
-            assert watches_nothing(handles.sim)
+            assert holds_no_hook(handles.sim)
             partial_replies += verdict.reason is VerdictReason.NO_ECHO_REPLY and bool(frags)
     assert partial_replies
 
 
-def test_identification_registers_no_watcher(monkeypatch):
+def test_identification_installs_no_hook(monkeypatch):
     """The probe reads what the vantage took in from its arrival log alone:
-    no record made while it runs finds a watcher registered."""
-    unwatched_at_record, probing = [], []
+    no record made while it runs finds a hook in a slot."""
+    unhooked_at_record, probing = [], []
     record, run = Simulator.record, probe.run_identification
 
     def checking_record(sim, *rec):
         if probing:
-            unwatched_at_record.append(watches_nothing(sim))
+            unhooked_at_record.append(holds_no_hook(sim))
         record(sim, *rec)
 
     def flagged(handles):
@@ -145,7 +175,7 @@ def test_identification_registers_no_watcher(monkeypatch):
     monkeypatch.setattr(probe, "run_identification", flagged)
     for doc in IDENTIFY_DOCS:
         assess.identify_scenario(sc.load_scenario(doc), seed=0)
-    assert unwatched_at_record and all(unwatched_at_record)
+    assert unhooked_at_record and all(unhooked_at_record)
 
 
 def test_failure_diagnosis_matches_trace_rescan(attack_windows):
@@ -156,7 +186,7 @@ def test_failure_diagnosis_matches_trace_rescan(attack_windows):
             with keep_traces():
                 report, handles = assess.attack_scenario(scn, seed=seed)
             attacked, start, dup_acks_before = attack_windows.pop()
-            assert attacked is handles and watches_nothing(handles.sim)
+            assert attacked is handles and holds_no_hook(handles.sim)
             if report.success:
                 continue
             want = oracle.diagnose(handles.sim, handles.plan, handles, report, start, dup_acks_before)
@@ -170,22 +200,15 @@ def test_failure_diagnosis_matches_trace_rescan(attack_windows):
 def test_evidence_reads_only_watched_drops_and_arrivals(doc, attack_windows, monkeypatch):
     """At seed 1 the evidence test runs once per drop of a reason the
     diagnosis reads, and once per arrival at the NAT, a victim client or
-    the server until that arrival's kind is seen; a watcher of every
-    record would run once per record of the window."""
+    the server until that arrival's kind is seen; a hook on every record
+    would run once per record of the window."""
     reads = []
-    make = strike._evidence_watcher
 
-    def counted(handles, seen):
-        saw = make(handles, seen)
+    def count(slot, kind, seen):
+        if kind not in seen:
+            reads.append(kind)
 
-        def counting(kind, *rest):
-            if kind not in seen:
-                reads.append(kind)
-            return saw(kind, *rest)
-
-        return counting
-
-    monkeypatch.setattr(strike, "_evidence_watcher", counted)
+    count_hook_calls(monkeypatch, count)
     with keep_traces():
         _, handles = assess.attack_scenario(sc.load_scenario(doc), seed=1)
     _, start, _ = attack_windows.pop()
@@ -196,31 +219,17 @@ def test_evidence_reads_only_watched_drops_and_arrivals(doc, attack_windows, mon
 
 @pytest.mark.parametrize("doc", [ATTACK_DOCS[5], ATTACK_DOCS[7], ATTACK_DOCS[8]], ids=lambda d: d["name"])
 def test_each_watched_reason_and_node_retires_once_its_kind_is_seen(doc, monkeypatch):
-    """At seed 1 the evidence dispatcher is called at most once for a drop
-    reason or a node after the kind it shows is seen: the call that is
-    told so returns True, and the reason or node calls it no more."""
+    """At seed 1 an evidence hook is called at most once for a drop reason
+    or a node after the kind it shows is seen: the call that is told so
+    returns True, and the slot is cleared."""
     late = Counter()  # per drop reason or node: the calls after its kind was seen
-    make = strike._evidence_dispatcher
 
-    def counted(handles, seen):
-        dispatch = make(handles, seen)
-        kind_at = {h.node_id: "rst-at-client" for h, _ in handles.victims}
-        kind_at[handles.nat.node_id] = "rst-at-nat"
-        kind_at[handles.server_host.node_id] = "push-at-server"
+    def count(slot, kind, seen):
+        late[slot] += kind in seen
 
-        def counting(tick, node, action, reason, d):
-            if action == "drop":
-                key, kind = reason, strike._EVIDENCE_DROPS[reason]
-            else:
-                key, kind = node, kind_at[node]
-            late[key] += kind in seen
-            return dispatch(tick, node, action, reason, d)
-
-        return counting
-
-    monkeypatch.setattr(strike, "_evidence_dispatcher", counted)
+    count_hook_calls(monkeypatch, count)
     assess.attack_scenario(sc.load_scenario(doc), seed=1)
-    assert set(late) & set(strike._EVIDENCE_DROPS), late  # the window had watched drops
+    assert set(late) & EVIDENCE_DROPS, late  # the window had drops the hooks read
     assert max(late.values()) <= 1, late
 
 
@@ -228,15 +237,37 @@ def test_only_a_forged_rst_counts():
     """A segment from the server's port with the forged sequence number
     counts only when it carries RST."""
     handles = sc.build(sc.load_scenario(ATTACK_DOCS[0]))
-    client = handles.hosts["client1"]
+    sc.establish(handles)
+    client = handles.victims[0][0]
     seen = set()
-    saw = strike._evidence_watcher(handles, seen)
+    _, on_arrival = strike._evidence_hooks(handles, seen)
+    hook = on_arrival[client.node_id]
     server_addr, server_port = handles.plan.victim_server
     for flags in (TcpFlag.ACK, TcpFlag.PSH | TcpFlag.ACK, TcpFlag.RST | TcpFlag.ACK):
         seg = TcpSegment(server_port, 40000, seq=handles.plan.forged_seq, flags=flags)
-        shown = saw("rst-at-client",
-                    Ipv4Datagram(src=server_addr, dst=client.address, protocol=Protocol.TCP, payload=seg))
+        shown = hook(Ipv4Datagram(src=server_addr, dst=client.address, protocol=Protocol.TCP, payload=seg))
         assert shown == ("rst-at-client" in seen) == (TcpFlag.RST in flags)
+
+
+def test_an_attack_that_raises_leaves_no_hook(monkeypatch):
+    """The strike clears the slots it fills even when the run raises partway
+    through the attack window."""
+    handles = sc.build(sc.load_scenario(ATTACK_DOCS[0]))
+    sc.establish(handles)
+    run, start, hooked_at_raise = Simulator.run, handles.sim.now, []
+
+    def failing(sim, until=None):
+        if sim.now > start + 2:
+            hooked_at_raise.append(not holds_no_hook(sim))
+            raise RuntimeError("partway")
+        run(sim, until)
+
+    monkeypatch.setattr(Simulator, "run", failing)
+    with pytest.raises(RuntimeError, match="partway"):
+        strike.run_dos_attack(handles)
+    assert hooked_at_raise == [True]
+    assert handles.sim.on_drop == {}
+    assert all(node.on_arrival is None for node in handles.sim.nodes.values())
 
 
 @pytest.mark.parametrize("doc", [IDENTIFY_DOCS[0], IDENTIFY_DOCS[3], ATTACK_DOCS[2], ATTACK_DOCS[7]],

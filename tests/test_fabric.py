@@ -668,84 +668,87 @@ class TestKeptTrace:
         assert all(rec.dgram is d for rec, d in zip(sends, sent))
 
 
-class TestWatcherViews:
-    """A watcher sees the drops of some reasons, or what some nodes take in,
-    and one that returns True is removed from the list that called it."""
+def collecting(seen, until=lambda d: False):
+    """A hook that appends each datagram it is shown to `seen` and returns until(d)."""
+    def hook(d):
+        seen.append(d)
+        return until(d)
 
-    def test_a_drop_watcher_sees_only_the_drops_of_its_reasons(self):
+    return hook
+
+
+def ids(datagrams):
+    return [id(d) for d in datagrams]
+
+
+class TestHookSlots:
+    """`Simulator.on_drop` holds a hook per drop reason and `Node.on_arrival`
+    one per node; each is called with the datagram, and one that returns
+    True is cleared from its slot."""
+
+    def test_a_fresh_simulator_has_no_hook(self):
+        sim, _, _, _ = nat_triangle()
+        assert sim.on_drop == {}
+        assert all(node.on_arrival is None for node in sim.nodes.values())
+
+    def test_a_drop_hook_sees_exactly_the_drops_of_its_reason(self):
         sim = chain(3, seed=7, loss=0.3)
         sim.set_link_mtu("n1", "n2", 600)
-        seen = []
-        with sim.watching(lambda *rec: seen.append(TraceRecord(*rec)), drops=["loss", "no-route"]):
-            for i in range(40):  # lost, unrouted, or too big to pass n1
-                sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"), big_echo(size=700 + i, df=True))
-            sim.run()
+        lost = []
+        sim.on_drop["loss"] = collecting(lost)
+        for i in range(40):  # lost, unrouted, or too big to pass n1
+            sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"), big_echo(size=700 + i, df=True))
+        sim.run()
         drops = [rec for rec in sim.trace if rec.action == "drop"]
-        assert seen == [rec for rec in drops if rec.reason in ("loss", "no-route")]
-        assert {rec.reason for rec in seen} == {"loss", "no-route"}
-        assert "needs-fragmentation" in {rec.reason for rec in drops}
+        assert ids(lost) == ids(rec.dgram for rec in drops if rec.reason == "loss")
+        assert lost and {rec.reason for rec in drops} == {"loss", "no-route", "needs-fragmentation"}
+        assert list(sim.on_drop) == ["loss"]
 
-    def test_an_arrival_watcher_sees_only_what_its_node_takes_in(self):
+    def test_an_arrival_hook_sees_what_its_node_takes_in_and_no_transit(self):
         sim, client, _, _ = nat_triangle()
-        seen = []
-        with sim.watching(lambda *rec: seen.append(TraceRecord(*rec)), arrivals=["nat"]):
-            connect(sim, client)
+        at_nat = []
+        sim.nodes["nat"].on_arrival = collecting(at_nat)
+        connect(sim, client)
         taken = [rec for rec in sim.trace if rec.node == "nat" and rec.action in ("deliver", "forward")]
-        assert seen == taken
-        assert {rec.action for rec in seen} == {"deliver", "forward"}
+        assert ids(at_nat) == ids(rec.dgram for rec in taken)
+        assert {rec.action for rec in taken} == {"deliver", "forward"}
+        # a router's transit hop is no intake: only the datagrams' last hop sees them
+        sim = chain(3)
+        at_router, at_end = [], []
+        sim.nodes["n1"].on_arrival = collecting(at_router)
+        sim.nodes["n2"].on_arrival = collecting(at_end)
+        sent = [rst(length=i) for i in range(3)]
+        sim.inject("n0", *sent)
+        sim.run()
+        assert at_router == [] and ids(at_end) == ids(sent)
+        assert [rec.action for rec in sim.trace if rec.node == "n1"] == ["forward"] * 3
 
-    def test_an_arrival_watcher_that_returns_true_is_never_called_again(self):
-        sim, client, _, _ = nat_triangle()
-        calls = []
-
-        def once(*rec):
-            calls.append(rec)
-            return True
-
-        with sim.watching(once, arrivals=["nat", "server"]):
-            connect(sim, client)
-            assert sim.nodes["nat"].arrival_watchers == sim.nodes["server"].arrival_watchers == []
-        # the SYN, forwarded by the NAT and delivered at the server; none of
-        # the later arrivals at either
-        assert [(rec[1], rec[2]) for rec in calls] == [("nat", "forward"), ("server", "deliver")]
-        assert sum(rec.node in ("nat", "server") for rec in sim.trace if rec.action != "send") > 2
-
-    def test_both_views_are_gone_after_their_block_even_when_it_raises(self):
-        sim, client, _, _ = nat_triangle()
-        watch = lambda *rec: None  # noqa: E731
-        with pytest.raises(RuntimeError):
-            with sim.watching(watch, drops=["loss"]), sim.watching(watch, arrivals=["nat"]):
-                assert sim.drop_watchers == {"loss": [watch]}
-                assert sim.nodes["nat"].arrival_watchers == [watch]
-                raise RuntimeError
-        assert sim.drop_watchers == {}
-        assert all(node.arrival_watchers == [] for node in sim.nodes.values())
-
-    def test_a_drop_watcher_that_returns_true_is_never_called_again_for_that_reason(self):
+    def test_a_drop_hook_that_returns_true_is_cleared_others_stay(self):
         sim = chain(3, seed=7, loss=0.3)
-        calls = []
-
-        def done_at_loss(*rec):
-            calls.append(rec[3])
-            return rec[3] == "loss"
-
-        with sim.watching(done_at_loss, drops=["loss", "no-route"]):
-            for i in range(40):  # lost or unrouted
-                sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"))
-            sim.run()
-            assert sim.drop_watchers == {"loss": [], "no-route": [done_at_loss]}
+        lost, unrouted = [], []
+        sim.on_drop["loss"] = collecting(lost, until=lambda d: True)
+        sim.on_drop["no-route"] = unrouted_hook = collecting(unrouted)
+        for i in range(40):  # lost or unrouted
+            sim.inject("n0", rst(length=i), rst(dst="10.9.9.9"))
+        sim.run()
         drops = [rec.reason for rec in sim.trace if rec.action == "drop"]
-        assert drops.count("loss") > 1
-        assert calls.count("loss") == 1
-        assert calls.count("no-route") == drops.count("no-route") == 40
-        assert sim.drop_watchers == {}
+        assert drops.count("loss") > 1 and len(lost) == 1
+        assert len(unrouted) == drops.count("no-route") == 40
+        assert sim.on_drop == {"no-route": unrouted_hook}
 
-    def test_watching_nothing_is_an_error(self):
-        sim = chain()
-        with pytest.raises(FabricError, match="no drop reason and no node"):
-            with sim.watching(lambda *rec: None):
-                pass
-        assert sim.drop_watchers == {}
+    def test_an_arrival_hook_that_returns_true_is_cleared_others_stay(self):
+        sim, client, _, _ = nat_triangle()
+        at_nat, at_server = [], []
+        sim.nodes["nat"].on_arrival = collecting(at_nat, until=lambda d: True)
+        sim.nodes["server"].on_arrival = server_hook = collecting(at_server)
+        connect(sim, client)
+        assert sim.nodes["nat"].on_arrival is None and sim.nodes["server"].on_arrival is server_hook
+        # the SYN the NAT took in to forward, and none of its later arrivals
+        taken = [rec for rec in sim.trace if rec.node == "nat" and rec.action in ("deliver", "forward")]
+        assert ids(at_nat) == ids([taken[0].dgram]) and len(taken) > 2
+        assert ids(at_server) == ids(rec.dgram for rec in sim.trace
+                                     if rec.node == "server" and rec.action == "deliver")
+        assert len(at_server) > 1
 
 
 class TestRenderLines:

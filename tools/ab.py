@@ -9,7 +9,10 @@ one pair at a time; the parent goes first in pair 0 and the side that goes
 first swaps every pair.  For each end-to-end metric of BENCHMARK.json it
 prints the median of each side, the change in percent, the parent's
 quartile spread (Q3 - Q1, in percent of its median) and the pairs each side
-won; a tie counts for neither.  `--json OUT` writes every run's result,
+won; a tie counts for neither.  A metric whose change median is worse than
+the parent's by more than its `bound` (a fraction of the parent's median, in
+the metric's worse direction) is marked `beyond bound`, and a last line
+names every such metric, or `none`.  `--json OUT` writes every run's result,
 pair i at index i of each side's list.  Exits 1 when a run is not
 `correct: true`, has `failed` above 0 or gives no result, otherwise 0.
 Stdlib only.
@@ -37,6 +40,7 @@ class Row(NamedTuple):
     spread_pct: float  # the parent's Q3 - Q1, in percent of its median
     change_wins: int
     parent_wins: int
+    beyond_bound: bool  # the change median is worse than the parent's by more than the bound
 
 
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[Row]:
@@ -51,8 +55,10 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0], None, p[0])
         change_wins = sum(b < a if lower else b > a for a, b in zip(p, c))
         parent_wins = sum(a < b if lower else a > b for a, b in zip(p, c))
+        worse_by = c_med - p_med if lower else p_med - c_med
         rows.append(Row(name, metric["unit"], p_med, c_med, _pct(c_med - p_med, p_med),
-                        _pct(q3 - q1, p_med), change_wins, parent_wins))
+                        _pct(q3 - q1, p_med), change_wins, parent_wins,
+                        worse_by > metric["bound"] * p_med))
     return rows
 
 
@@ -122,9 +128,12 @@ def main(argv=None) -> int:
         print(f"runs that are not correct, failed or gave no result (pair indices): {bad}")
         return 1
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: parent -> change medians")
-    for r in summarize(runs["parent"], runs["change"], end_to_end):
+    rows = summarize(runs["parent"], runs["change"], end_to_end)
+    for r in rows:
         print(f"  {r.name:16} {r.parent:12.6g} -> {r.change:12.6g} {r.unit:4} {r.delta_pct:+6.1f}%  "
-              f"parent IQR {r.spread_pct:4.1f}%  won: change {r.change_wins}, parent {r.parent_wins}")
+              f"parent IQR {r.spread_pct:4.1f}%  won: change {r.change_wins}, parent {r.parent_wins}"
+              + ("  beyond bound" if r.beyond_bound else ""))
+    print("beyond bound: " + (", ".join(r.name for r in rows if r.beyond_bound) or "none"))
     return 0
 
 
