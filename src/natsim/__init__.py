@@ -11,7 +11,6 @@ from .wire import (  # noqa: F401
     Protocol,
     TcpFlag,
     TcpSegment,
-    decode,
     encode,
     fragment,
     reassemble,

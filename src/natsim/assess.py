@@ -10,7 +10,6 @@ is written or replayed (`fabric.keep_traces`).
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import shutil
@@ -22,7 +21,7 @@ from . import __version__ as VERSION
 from . import probe as probe_mod
 from . import scenario as scenario_mod
 from . import strike as strike_mod
-from .fabric import Simulator, keep_traces, render_lines
+from .fabric import Simulator, keep_traces, render_chunks
 from .probe import Verdict
 from .scenario import Handles, Scenario, ScenarioError
 from .strike import OUTCOME_CSV_COLUMNS, AttackReport
@@ -40,7 +39,8 @@ FIELD_CONTEXT_NOTE = (
     "not desk-scale simulator targets"
 )
 
-WRITE_LINES = 1024  # trace lines joined into one write, or one read in replay
+WRITE_LINES = 1024  # trace lines rendered into one chunk, and one write
+READ_CHARS = 1 << 13  # characters of a trace file read at once in replay
 TRACE_MARK = "#natsim-trace"  # the start of every section's first line
 
 
@@ -187,9 +187,7 @@ class TraceFile:
             f"{TRACE_MARK} {VERSION}\n#name {scn.name}\n#mode {mode}\n#seed {sim.seed}\n"
             f"#scenario {json.dumps(scn.doc, sort_keys=True)}\n"
         )
-        lines = render_lines(rows)
-        while chunk := "".join(itertools.islice(lines, WRITE_LINES)):
-            fh.write(chunk)
+        fh.writelines(render_chunks(rows, WRITE_LINES))
 
     def write(self, path: str) -> None:
         self._spool.flush()
@@ -233,23 +231,29 @@ def replay(path: str) -> ReplayResult:
 
 
 def _replay_section(path, name, mode, seed, doc, body) -> str | None:
-    """Re-simulate one section and compare each block of its recorded lines
-    with as many freshly rendered ones, joined; the first difference, or None."""
+    """Re-simulate one section and check that each block of its recorded
+    lines starts the freshly rendered text not yet matched; the first
+    difference, or None."""
     scn = scenario_mod.load_scenario(doc)
     if mode not in ("identify", "attack"):
         raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
     _, handles = run_section(scn, mode, seed)
     trace = handles.sim.trace
-    fresh = render_lines(trace.rows())
+    fresh = render_chunks(trace.rows(), WRITE_LINES)
+    pending, at = "", 0  # the fresh text, matched up to `at`
     recorded = 0
     for old in body:
+        while len(pending) - at < len(old) and (chunk := next(fresh, None)):
+            pending, at = pending[at:] + chunk, 0
         count = old.count("\n")
-        new = "".join(itertools.islice(fresh, count))
-        if new != old:  # name the first differing line; `new` is short once `fresh` runs out
-            pairs = zip(old.split("\n"), new.split("\n")[:-1])
-            for number, (was, now) in enumerate(pairs, recorded + 1):
+        if pending.startswith(old, at):
+            at += len(old)
+        else:  # name the first differing line; the fresh text is short once it runs out
+            new = pending[at:].split("\n", count)[:-1]
+            for number, (was, now) in enumerate(zip(old.split("\n"), new), recorded + 1):
                 if was != now:
                     return f"section {name} line {number}: recorded {was!r} vs replayed {now!r}"
+            pending, at = "", 0  # the fresh text ran out, all of it matched
         recorded += count
     if recorded != len(trace):
         return f"section {name}: recorded {recorded} lines vs replayed {len(trace)}"
@@ -258,10 +262,10 @@ def _replay_section(path, name, mode, seed, doc, body) -> str | None:
 
 def _sections(path: str, fh):
     """Yield (version, name, mode, seed, doc, body) for each section of an
-    open trace file.  The file is read WRITE_LINES lines at a time, and each
-    block is cut before every line that starts a section.  `body` yields the
-    section's record lines a block at a time, blank lines dropped and each
-    line ending in a newline; whatever of it is left unread is skipped."""
+    open trace file, read in the blocks of whole lines `_blocks` cuts.
+    `body` yields the section's record lines a block at a time, blank lines
+    dropped and each line ending in a newline; whatever of it is left unread
+    is skipped."""
     blocks = _blocks(fh)
     pending = next(blocks, "")  # the next section's first block
     if pending and not pending.startswith(TRACE_MARK):
@@ -305,9 +309,12 @@ def _sections(path: str, fh):
 
 
 def _blocks(fh):
-    """The text of an open trace file, WRITE_LINES lines at a time, with
-    each block cut before every line that starts a section."""
-    while block := "".join(itertools.islice(fh, WRITE_LINES)):
+    """The text of an open trace file, READ_CHARS characters at a time and
+    then the rest of the line in progress, with each block cut before every
+    line that starts a section."""
+    while block := fh.read(READ_CHARS):
+        if block[-1] != "\n":
+            block += fh.readline()
         start = 0
         while (cut := block.find("\n" + TRACE_MARK, start)) >= 0:
             yield block[start : cut + 1]

@@ -41,6 +41,7 @@ import contextvars
 import functools
 import hashlib
 import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -189,29 +190,46 @@ class TraceRecord(NamedTuple):
     reason: str
     dgram: Ipv4Datagram
 
-    def line(self) -> str:
-        return f"{self.tick}\t{self.node}\t{self.action}\t{self.reason}\t{packet_summary(self.dgram)}"
 
-
-# `render_lines` forgets its rendered columns when it holds this many; every
-# record of one datagram falls within a few ticks of the datagram's first
+# `render_chunks` holds at most this many packet columns, in two generations
+# of half as many.  Most records of a datagram fall within a few ticks of its
+# first, but not all: a second attack round re-sends the first round's
+# crafted datagrams, and their columns are rendered again
 SUMMARY_CACHE_ENTRIES = 1024
 
 
-def render_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
-    """Yield `rec.line() + "\n"` for each record, rendering the packet column
-    of each datagram once for all the records that carry it."""
-    summaries: dict[int, str] = {}  # id(d) -> d's column
-    held: list[Ipv4Datagram] = []  # the cached datagrams: no other object takes their ids
-    for tick, node, action, reason, d in records:
-        column = summaries.get(id(d))
-        if column is None:
-            if len(summaries) >= SUMMARY_CACHE_ENTRIES:
-                summaries.clear()
-                held.clear()
-            column = summaries[id(d)] = packet_summary(d)
-            held.append(d)
-        yield f"{tick}\t{node}\t{action}\t{reason}\t{column}\n"
+def render_chunks(records: Iterable[tuple], lines: int) -> Iterator[str]:
+    """The trace lines of (tick, node, action, reason, dgram) rows, `lines`
+    of them joined into each chunk.  A line is the tick, node, action, reason
+    and packet column, tab-separated, then a newline.  Each tick is formatted
+    once per run of records that share it, and each datagram's column, with
+    its tab and newline, once for all the records that carry it while it is
+    cached."""
+    half = SUMMARY_CACHE_ENTRIES // 2
+    young: dict[int, str] = {}  # id(d) -> d's column, for the newest datagrams
+    old: dict[int, str] = {}  # the generation before
+    # each generation's datagrams, so that no other object takes their ids
+    held: list[Ipv4Datagram] = []
+    held_old: list[Ipv4Datagram] = []
+    rows = iter(records)
+    last = tick_s = None
+    while True:
+        out = []
+        append = out.append
+        for tick, node, action, reason, d in itertools.islice(rows, lines):
+            if tick != last:
+                last, tick_s = tick, f"{tick}\t"
+            key = id(d)
+            column = young.get(key) or old.get(key)
+            if column is None:
+                if len(young) >= half:
+                    old, held_old, young, held = young, held, {}, []
+                column = young[key] = f"\t{packet_summary(d)}\n"
+                held.append(d)
+            append(f"{tick_s}{node}\t{action}\t{reason}{column}")
+        if not out:
+            return
+        yield "".join(out)
 
 
 # a TraceRecord from a (tick, node, action, reason, dgram) row, without its __new__

@@ -459,38 +459,6 @@ def encode(d: Ipv4Datagram) -> bytes:
     return header + body
 
 
-def decode(buf: bytes) -> Ipv4Datagram:
-    if len(buf) < IP_HEADER_LEN:
-        raise MalformedPacketError("malformed-packet: shorter than IP header")
-    (ver_ihl, _tos, total, ident, flags_off, _ttl, proto, _cksum, src, dst) = _IP_STRUCT.unpack(
-        buf[:IP_HEADER_LEN]
-    )
-    if ver_ihl != 0x45:
-        raise MalformedPacketError("malformed-packet: only IPv4 with 20-octet header supported")
-    if total != len(buf):
-        raise MalformedPacketError(f"malformed-packet: total length {total} != buffer {len(buf)}")
-    try:
-        protocol = Protocol(proto)
-    except ValueError:
-        raise MalformedPacketError(f"malformed-packet: unknown protocol {proto}") from None
-    df = bool(flags_off & 0x4000)
-    mf = bool(flags_off & 0x2000)
-    offset = flags_off & 0x1FFF
-    if df and (mf or offset):
-        raise MalformedPacketError("malformed-packet: DF datagram cannot be a fragment")
-    body = buf[IP_HEADER_LEN:]
-    return Ipv4Datagram(
-        src=str(IPv4Address(src)),
-        dst=str(IPv4Address(dst)),
-        protocol=protocol,
-        payload=body if mf or offset else _decode_body(protocol, body),
-        identification=ident,
-        df=df,
-        more_fragments=mf,
-        fragment_offset=offset,
-    )
-
-
 def _decode_body(protocol: Protocol, body: bytes) -> TcpSegment | IcmpMessage:
     return _decode_tcp(body) if protocol is _TCP else _decode_icmp(body)
 

@@ -1,9 +1,9 @@
-"""Shared mini-topologies for unit tests."""
+"""Shared mini-topologies for unit tests, and the reference trace line."""
 
 from __future__ import annotations
 
 from natsim.endpoint import Host, StackProfile
-from natsim.fabric import LinkSpec, Simulator
+from natsim.fabric import LinkSpec, Simulator, TraceRecord, packet_summary
 from natsim.natbox import NatBox, NatPolicy
 
 
@@ -55,3 +55,9 @@ def connect(sim, client, remote=("7.7.7.7", 80)):
     key = client.open_connection(sim, remote)
     sim.run(until=sim.now + 10)
     return key
+
+
+def line(rec: TraceRecord) -> str:
+    """The reference rendering of one trace record, without its newline:
+    what `fabric.render_chunks` must produce for it."""
+    return f"{rec.tick}\t{rec.node}\t{rec.action}\t{rec.reason}\t{packet_summary(rec.dgram)}"

@@ -14,7 +14,9 @@ import pytest
 from natsim import assess
 from natsim import scenario as sc
 from natsim.cli import main
-from natsim.fabric import Simulator, keep_traces, render_lines
+from natsim.fabric import Simulator, keep_traces, render_chunks
+
+from helpers import line
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SHIPPED = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json"))
@@ -230,8 +232,9 @@ class TestReplay:
         result = assess.replay(str(path))
         assert result.divergence == f"section m2: recorded {body + 2} lines vs replayed {body}"
 
-    # the header takes five lines, so body lines 1,019 and 1,020 end and
-    # start a 1,024-line block of the file
+    # body lines 1,024 and 1,025 end and start a chunk of WRITE_LINES
+    # (1,024) replayed lines; the header takes five lines, so body lines
+    # 1,019 and 1,020 are the file's lines 1,024 and 1,025
     @pytest.mark.parametrize("line", [1019, 1020, 1024, 1025])
     def test_divergence_at_a_block_edge_names_its_line(self, tmp_path, line):
         path = self.write_trace(tmp_path, fast_doc("e1"))
@@ -243,6 +246,84 @@ class TestReplay:
         result = assess.replay(str(path))
         assert result.divergence == (
             f"section e1 line {line}: recorded {original + ' '!r} vs replayed {original!r}")
+
+    @staticmethod
+    def replay_in_blocks(monkeypatch, path, text, edge):
+        """Replay `text` from `path`, read in blocks of `edge` characters."""
+        path.write_text(text)
+        monkeypatch.setattr(assess, "READ_CHARS", edge)
+        return assess.replay(str(path))
+
+    # where the first read block ends, counted from the start of the line
+    # that straddles or starts it
+    @pytest.mark.parametrize("into", [0, 1, 30, -1],
+                             ids=["starts", "second-char", "middle", "before-newline"])
+    def test_divergent_line_across_a_read_block_edge_names_its_line(self, tmp_path, monkeypatch,
+                                                                     into):
+        path = self.write_trace(tmp_path, fast_doc("e2"))
+        lines = path.read_text().splitlines(keepends=True)
+        number = 200  # body line 200 is line 205 of the file
+        original = lines[number + 4]
+        assert original.endswith(" 0\n")
+        lines[number + 4] = original[:-2] + "9\n"  # as long as it was, so the edge stays put
+        start = sum(map(len, lines[: number + 4]))
+        edge = start + (into if into >= 0 else len(original) + into)
+        result = self.replay_in_blocks(monkeypatch, path, "".join(lines), edge)
+        changed = lines[number + 4]
+        assert result.divergence == (
+            f"section e2 line {number}: recorded {changed[:-1]!r} vs replayed {original[:-1]!r}")
+
+    # a section's first line starts a block, straddles its edge, or ends it
+    @pytest.mark.parametrize("into", [0, 5, len("#natsim-trace ") + len(assess.VERSION) + 1],
+                             ids=["starts", "straddles", "ends"])
+    def test_a_section_mark_at_a_read_block_edge(self, tmp_path, monkeypatch, into):
+        path = self.three_sections(tmp_path)
+        text = path.read_text()
+        edge = text.index("\n#natsim-trace", 1) + 1 + into
+        assert self.replay_in_blocks(monkeypatch, path, text, edge).identical
+        lines = text.splitlines(keepends=True)
+        body = [i for i, l in enumerate(lines) if l == "#name m2\n"][0] + 4  # the first record line
+        original = lines[body]
+        lines[body] = original[:-2] + "9\n"
+        result = self.replay_in_blocks(monkeypatch, path, "".join(lines), edge)
+        assert result.divergence == (
+            f"section m2 line 1: recorded {lines[body][:-1]!r} vs replayed {original[:-1]!r}")
+
+    def test_extra_lines_across_a_read_block_edge_are_counted(self, tmp_path, monkeypatch):
+        # the first block ends between the two extra lines: its piece of the
+        # section has one more line than the replay, and the next none
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        second = [i for i, l in enumerate(lines) if l == "#name m2\n"][0]
+        third = [i for i, l in enumerate(lines) if l == "#name m3\n"][0] - 1
+        body = third - (second + 4)
+        lines[third:third] = lines[third - 2 : third]
+        edge = sum(map(len, lines[: third + 1]))
+        result = self.replay_in_blocks(monkeypatch, path, "".join(lines), edge)
+        assert result.divergence == f"section m2: recorded {body + 2} lines vs replayed {body}"
+
+    # three blank lines after body line 100 of the second section, and after
+    # its last: the first block ends before them, among them, or after them
+    @pytest.mark.parametrize("into", [0, 1, 2, 3], ids=["before", "after-one", "after-two", "after"])
+    @pytest.mark.parametrize("where", ["in-body", "before-next-mark"])
+    def test_blank_lines_at_a_read_block_edge(self, tmp_path, monkeypatch, into, where):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        second = [i for i, l in enumerate(lines) if l == "#name m2\n"][0]
+        third = [i for i, l in enumerate(lines) if l == "#name m3\n"][0] - 1
+        at = second + 4 + 100 if where == "in-body" else third
+        lines[at:at] = ["\n"] * 3
+        edge = sum(map(len, lines[:at])) + into
+        assert self.replay_in_blocks(monkeypatch, path, "".join(lines), edge).describe() == "identical"
+
+    # the file's last line has no newline, and the first block ends where
+    # that line starts, inside it, or at the end of the file
+    @pytest.mark.parametrize("into", [0, 10, None], ids=["starts", "inside", "file-end"])
+    def test_missing_final_newline_at_a_read_block_edge(self, tmp_path, monkeypatch, into):
+        path = self.three_sections(tmp_path)
+        text = path.read_text()[:-1]
+        edge = len(text) if into is None else text.rindex("\n") + 1 + into
+        assert self.replay_in_blocks(monkeypatch, path, text, edge).describe() == "identical"
 
     def test_replay_memory_follows_the_largest_section(self, tmp_path):
         one = self.write_trace(tmp_path, fast_doc("b1"))
@@ -280,7 +361,8 @@ class TestTraceRendering:
                 _, handles = run(scn, seed=1)
             trace = handles.sim.trace
             assert len(trace) > 0
-            assert "".join(render_lines(trace)) == "".join(rec.line() + "\n" for rec in trace)
+            assert "".join(render_chunks(trace.rows(), assess.WRITE_LINES)) == "".join(
+                line(rec) + "\n" for rec in trace)
 
     def test_add_section_memory_does_not_follow_its_length(self):
         # one run renders more datagrams than the summary cache holds; the

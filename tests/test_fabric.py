@@ -8,7 +8,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from natsim import scenario as sc
 from natsim.fabric import (
@@ -21,12 +21,12 @@ from natsim.fabric import (
     Simulator,
     TraceRecord,
     derive_rng,
-    render_lines,
+    render_chunks,
 )
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
-from helpers import chain, connect, nat_triangle
+from helpers import chain, connect, line, nat_triangle
 
 
 def rst(length=0, src="10.1.0.1", dst="10.1.0.3"):
@@ -69,7 +69,7 @@ class TestInject:
             for i in range(10):
                 sim.inject("n0", rst(length=i))
             sim.run()
-            return "\n".join(rec.line() for rec in sim.trace)
+            return "\n".join(line(rec) for rec in sim.trace)
 
         assert run_once() == run_once()
 
@@ -620,14 +620,14 @@ class TestTraceFormat:
         sim.inject("n0", rst())
         sim.run()
         for rec in sim.trace:
-            assert self.LINE.match(rec.line()), rec.line()
+            assert self.LINE.match(line(rec)), line(rec)
 
     def test_flag_rendering(self):
         sim = chain(2)
         sim.inject("n0", rst(dst="10.1.0.2"))
         sim.run()
-        line = next(iter(sim.trace)).line()
-        assert "\tsend\t" in line and " R " in line
+        first = line(next(iter(sim.trace)))
+        assert "\tsend\t" in first and " R " in first
 
 
 class TestKeptTrace:
@@ -751,10 +751,31 @@ class TestHookSlots:
         assert len(at_server) > 1
 
 
+class Tracked(Ipv4Datagram):
+    """A datagram a weak set can count: each one alive is held by the stream
+    that made it or by the renderer."""
+
+    __slots__ = ("__weakref__",)
+
+
+def tracked(n: int) -> Tracked:
+    """Datagram number n, whose packet column differs from its neighbours'."""
+    if n % 5 == 0:
+        return Tracked("10.1.0.1", "10.1.0.3", Protocol.ICMP, EchoReply(1, n % 0x10000, n % 50))
+    return Tracked("10.1.0.1", "10.1.0.3", Protocol.TCP,
+                   TcpSegment(80, 4444, seq=n, flags=TcpFlag.RST, payload_length=n % 7))
+
+
+# a render plan step: (datagrams made, records each, kept for re-sending), or
+# i: the kept datagram i (modulo how many are kept) once more
+RENDER_STEP = st.one_of(st.tuples(st.integers(1, 1200), st.integers(1, 2), st.booleans()),
+                        st.integers(0, 50))
+
+
 class TestRenderLines:
     @staticmethod
     def reference(records):
-        return "".join(rec.line() + "\n" for rec in records)
+        return "".join(line(rec) + "\n" for rec in records)
 
     def test_more_datagrams_than_the_cache_holds(self):
         dgrams = [rst(length=i % 7) if i % 3 else big_echo(size=100 + i)
@@ -764,7 +785,7 @@ class TestRenderLines:
             records += [TraceRecord(i, "n0", "send", "", d), TraceRecord(i + 1, "n2", "deliver", "", d)]
         # and all of them once more, long after the cache was cleared
         records += [TraceRecord(9999, "n1", "drop", "loss", d) for d in reversed(dgrams)]
-        assert "".join(render_lines(records)) == self.reference(records)
+        assert "".join(render_chunks(records, 1024)) == self.reference(records)
 
     def test_records_made_while_rendering(self):
         # each batch of datagrams is freed once its records are rendered, so
@@ -775,7 +796,49 @@ class TestRenderLines:
                 yield from [TraceRecord(b, "n0", "send", "", d) for d in batch]
                 del batch
 
-        assert "".join(render_lines(records())) == self.reference(records())
+        assert "".join(render_chunks(records(), 1024)) == self.reference(records())
+
+    @given(plan=st.lists(RENDER_STEP, max_size=6), lines=st.integers(1, 3000))
+    @example(plan=[(1, 1, True), (SUMMARY_CACHE_ENTRIES + 100, 1, False), 0], lines=1024)
+    @settings(max_examples=30, deadline=None)
+    def test_chunks_are_the_reference_lines(self, plan, lines):
+        # made datagrams that are not kept are freed once the renderer lets
+        # them go, so later ones can take their ids
+        live = weakref.WeakSet()
+        expected = []
+
+        def records():
+            kept, made = [], 0
+
+            def record(d, n):
+                rec = TraceRecord(n // 3, f"n{n % 3}", ("send", "forward", "drop")[n % 3],
+                                  "loss" if n % 3 == 2 else "", d)
+                expected.append(line(rec) + "\n")
+                # the stream holds the kept datagrams, `d` and the renderer's
+                # last one; every other datagram alive is in its cache
+                assert len(live) - len(kept) - 2 <= SUMMARY_CACHE_ENTRIES
+                return rec
+
+            for step in plan:
+                if isinstance(step, int):
+                    if kept:
+                        yield record(kept[step % len(kept)], len(expected))
+                    continue
+                count, each, keep = step
+                for _ in range(count):
+                    d = tracked(made)
+                    made += 1
+                    live.add(d)
+                    if keep:
+                        kept.append(d)
+                    for _ in range(each):
+                        yield record(d, len(expected))
+                    del d
+
+        chunks = list(render_chunks(records(), lines))
+        assert "".join(chunks) == "".join(expected)
+        assert all(chunk.count("\n") == lines for chunk in chunks[:-1])
+        assert not chunks or 0 < chunks[-1].count("\n") <= lines
 
 
 class ParentWalkRoutes:

@@ -2,8 +2,8 @@
 
 Reading `Protocol.TCP` or `RstHandling.FORWARD_ONLY` goes through the Enum
 metaclass and costs several times a global read, and these functions run
-once per packet or per hop; each module keeps the members they use as
-module-level aliases instead.
+once per packet, per hop or per trace record; each module keeps the
+members they use as module-level aliases instead.
 """
 
 import builtins
@@ -13,7 +13,7 @@ import types
 
 import pytest
 
-from natsim import strike, wire
+from natsim import fabric, strike, wire
 from natsim.endpoint import Host, IpNode
 from natsim.fabric import MiddleboxFilter, Simulator
 from natsim.natbox import NatBox
@@ -40,6 +40,8 @@ PER_PACKET = (
     Simulator.forward_from,
     Simulator._arrive,
     MiddleboxFilter.matches,
+    fabric.packet_summary,
+    fabric.render_chunks,
 )
 
 
