@@ -103,14 +103,13 @@ def check_port_range(field: str, ports: tuple[int, int]) -> None:
         raise ValueError(f"{field}: range [{lo}, {hi}] empty or out of bounds")
 
 
-# TcpSegment and Ipv4Datagram are built once per packet, so each has two
-# constructors.  The hand-written __init__ checks its fields, then makes one
+# TcpSegment and Ipv4Datagram each have one checked constructor, the
+# generated one, with its checks in __post_init__.  The store-only
+# tcp_segment and tcp_datagram (below Ipv4Datagram) are the fast path: one
 # store per field through the slot descriptor's __set__ (fetched once, below
-# the class), where the generated frozen __init__ calls object.__setattr__
-# per field.  The store-only tcp_segment and tcp_datagram (below
-# Ipv4Datagram) make the same stores with no checks: use them only for
-# fields that a checked object or a loaded AttackPlan already vouches for.
-@dataclass(frozen=True, slots=True, init=False)
+# each class), and no checks.  Use them only for fields that a checked
+# object or a loaded AttackPlan already vouches for.
+@dataclass(frozen=True, slots=True)
 class TcpSegment:
     """A TCP segment; only the payload length is modeled, not its bytes."""
 
@@ -121,25 +120,11 @@ class TcpSegment:
     flags: TcpFlag = TcpFlag(0)
     payload_length: int = 0
 
-    def __init__(
-        self,
-        src_port: int,
-        dst_port: int,
-        seq: int,
-        ack: int = 0,
-        flags: TcpFlag = TcpFlag(0),
-        payload_length: int = 0,
-    ):
-        if not 0 <= src_port <= 0xFFFF or not 0 <= dst_port <= 0xFFFF:
+    def __post_init__(self):
+        if not 0 <= self.src_port <= 0xFFFF or not 0 <= self.dst_port <= 0xFFFF:
             raise ValueError("port out of range")
-        if payload_length < 0:
+        if self.payload_length < 0:
             raise ValueError("negative payload length")
-        _set_src_port(self, src_port)
-        _set_dst_port(self, dst_port)
-        _set_seq(self, seq)
-        _set_ack(self, ack)
-        _set_flags(self, flags)
-        _set_payload_length(self, payload_length)
 
     @property
     def wire_payload_length(self) -> int:
@@ -213,7 +198,7 @@ _TCP = Protocol.TCP
 _ICMP = Protocol.ICMP
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Ipv4Datagram:
     src: str
     dst: str
@@ -224,36 +209,18 @@ class Ipv4Datagram:
     more_fragments: bool = False
     fragment_offset: int = 0  # in 8-octet units
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        protocol: Protocol,
-        payload: Payload,
-        identification: int = 0,
-        df: bool = False,
-        more_fragments: bool = False,
-        fragment_offset: int = 0,
-    ):
-        if df and (more_fragments or fragment_offset):
+    def __post_init__(self):
+        if self.df and (self.more_fragments or self.fragment_offset):
             raise ValueError("DF datagram cannot be a fragment")
-        if fragment_offset < 0:
+        if self.fragment_offset < 0:
             raise ValueError("negative fragment offset")
-        if not 0 <= identification <= 0xFFFF:
+        if not 0 <= self.identification <= 0xFFFF:
             raise ValueError("identification out of range")
-        if isinstance(payload, TcpSegment):
-            if protocol is not _TCP:
+        if isinstance(self.payload, TcpSegment):
+            if self.protocol is not _TCP:
                 raise ValueError("TCP payload on non-TCP datagram")
-        elif isinstance(payload, IcmpMessage) and protocol is not _ICMP:
+        elif isinstance(self.payload, IcmpMessage) and self.protocol is not _ICMP:
             raise ValueError("ICMP payload on non-ICMP datagram")
-        _set_src(self, src)
-        _set_dst(self, dst)
-        _set_protocol(self, protocol)
-        _set_payload(self, payload)
-        _set_identification(self, identification)
-        _set_df(self, df)
-        _set_more_fragments(self, more_fragments)
-        _set_fragment_offset(self, fragment_offset)
 
     @property
     def total_length(self) -> int:

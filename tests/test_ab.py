@@ -80,6 +80,23 @@ def test_main_marks_the_rows_beyond_bound_and_names_them_last(monkeypatch, tmp_p
     assert lines[-1] == "beyond bound: none" and not any(line.endswith("  beyond bound") for line in lines)
 
 
+def test_trees_on_paths_of_unequal_length_get_one_warning_first(monkeypatch, tmp_path, capsys):
+    def fake_run(cmd, cwd=None, **kwargs):
+        out = "" if "compileall" in cmd else json.dumps(run(1.0)) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, out, "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    for change, warned in (("change", False), ("change-longer", True)):
+        argv = [str(tmp_path / "parent"), str(tmp_path / change), "--workload", "sweep",
+                "--seed", "1", "--pairs", "2", "--seconds", "1"]
+        assert ab.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("warning: ")] == lines[:warned]
+    assert lines[0].startswith("warning: the tree paths differ in length")
+
+
 def test_bad_runs_are_the_missing_the_incorrect_and_the_failed():
     runs = [run(1.0), None, run(1.0, correct=False), run(1.0, failed=1), run(1.0)]
     assert ab.bad_runs(runs) == [1, 2, 3]

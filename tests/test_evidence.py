@@ -306,6 +306,45 @@ def test_every_recorded_packet_passes_the_checked_constructors():
             assert again == packet and repr(again) == repr(packet), (doc["name"], packet)
 
 
+def test_an_attack_window_builds_every_packet_store_only(monkeypatch):
+    """At seed 1 no attack on an ATTACK_DOCS document calls the checked
+    TcpSegment or Ipv4Datagram constructor while strike.run_dos_attack
+    runs: every forged packet and every translation of one is built
+    store-only.  The default suite's frag-router-1492-nat is the control:
+    its attack makes one Fragmentation Needed in forward_from and the
+    NAT's translation of it, two checked datagrams."""
+    calls, attacking = Counter(), []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            if attacking:
+                calls[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(TcpSegment)
+    counting(Ipv4Datagram)
+    run = strike.run_dos_attack
+
+    def flagged(handles):
+        attacking.append(True)
+        try:
+            return run(handles)
+        finally:
+            attacking.pop()
+
+    monkeypatch.setattr(strike, "run_dos_attack", flagged)
+    for doc in ATTACK_DOCS:
+        assess.attack_scenario(sc.load_scenario(doc), seed=1)
+        assert calls == Counter(), doc["name"]
+    control = next(scn for scn in sc.default_suite() if scn.name == "frag-router-1492-nat")
+    assess.attack_scenario(control, seed=1)
+    assert calls == Counter(Ipv4Datagram=2)
+
+
 def test_keep_traces_nests_and_restores():
     scn = sc.load_scenario(IDENTIFY_DOCS[2])
     with keep_traces():

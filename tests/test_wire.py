@@ -413,8 +413,8 @@ class TestSeqArithmetic:
 class Reference:
     """TcpSegment and Ipv4Datagram as generated dataclasses, validated in
     __post_init__, with the isinstance chain for total_length and IntFlag
-    membership for seg_len: what the hand-written constructors, payload
-    octet counts and flag bit tests must keep."""
+    membership for seg_len: the checks, messages, payload octet counts and
+    flag bit tests that wire's classes must keep."""
 
     @dataclass(frozen=True, slots=True)
     class TcpSegment:
@@ -548,8 +548,9 @@ def datagram_calls(draw):
 
 
 class TestFastConstructors:
-    """The hand-written TcpSegment and Ipv4Datagram constructors accept,
-    reject and build exactly what the generated dataclasses did."""
+    """wire's TcpSegment and Ipv4Datagram constructors accept and reject
+    exactly what the reference does, with the same messages, and build
+    objects with its fields, repr and hash, frozen."""
 
     @staticmethod
     def check_same(ref_cls, fast_cls, ref_call, fast_call):

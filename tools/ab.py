@@ -6,15 +6,18 @@
 Byte-compiles `src/` in both trees, then runs
 `bench/run.py --workload W --seed S --seconds T --trace 0` N times in each,
 one pair at a time; the parent goes first in pair 0 and the side that goes
-first swaps every pair.  For each end-to-end metric of BENCHMARK.json it
-prints the median of each side, the change in percent, the parent's
-quartile spread (Q3 - Q1, in percent of its median) and the pairs each side
-won; a tie counts for neither.  A metric whose change median is worse than
-the parent's by more than its `bound` (a fraction of the parent's median, in
-the metric's worse direction) is marked `beyond bound`, and a last line
-names every such metric, or `none`.  `--json OUT` writes every run's result,
-pair i at index i of each side's list.  Exits 1 when a run is not
-`correct: true`, has `failed` above 0 or gives no result, otherwise 0.
+first swaps every pair.  Before the pairs it prints a warning line when the
+two trees' absolute paths differ in length: `peak_rss_mb` moves with the
+directory, so compare trees on equal-length paths.  For each end-to-end
+metric of BENCHMARK.json it prints the median of each side, the change in
+percent, the parent's quartile spread (Q3 - Q1, in percent of its median)
+and the pairs each side won; a tie counts for neither.  A metric whose
+change median is worse than the parent's by more than its `bound` (a
+fraction of the parent's median, in the metric's worse direction) is marked
+`beyond bound`, and a last line names every such metric, or `none`.
+`--json OUT` writes every run's result, pair i at index i of each side's
+list.  Exits 1 when a run is not `correct: true`, has `failed` above 0 or
+gives no result, otherwise 0.
 Stdlib only.
 """
 
@@ -110,6 +113,10 @@ def main(argv=None) -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+    if len(trees["parent"]) != len(trees["change"]):
+        print(f"warning: the tree paths differ in length ({len(trees['parent'])} and "
+              f"{len(trees['change'])} characters); peak_rss_mb moves with the directory",
+              flush=True)
 
     runs: dict[str, list] = {"parent": [], "change": []}
     for i in range(args.pairs):
