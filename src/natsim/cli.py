@@ -77,7 +77,7 @@ def _driven(command):
         sink = assess_mod.TraceFile() if args.trace else None
         rows, csv = command(args, sink)
         if args.csv:
-            with _writing(args.csv), open(args.csv, "w") as fh:
+            with _writing(args.csv), open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv)
         if sink is not None:
             with _writing(args.trace):

@@ -237,6 +237,9 @@ class Scenario:
     target_addr: str
 
     def __post_init__(self):
+        # the characters that a CSV field must quote (RFC 4180 section 2)
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError(f"name: {self.name!r} holds a comma, double quote, CR or LF")
         if not self.tick_duration > 0:
             raise ValueError(f"tick_duration: {self.tick_duration} is not positive")
         check_port_range("ephemeral_range", self.ephemeral_range)

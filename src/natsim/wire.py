@@ -105,10 +105,12 @@ def check_port_range(field: str, ports: tuple[int, int]) -> None:
 
 # TcpSegment and Ipv4Datagram each have one checked constructor, the
 # generated one, with its checks in __post_init__.  The store-only
-# tcp_segment and tcp_datagram (below Ipv4Datagram) are the fast path: one
-# store per field through the slot descriptor's __set__ (fetched once, below
-# each class), and no checks.  Use them only for fields that a checked
-# object or a loaded AttackPlan already vouches for.
+# tcp_segment and tcp_datagram (below Ipv4Datagram) are the fast path, with
+# no checks: each fills a writable twin of the class, one with the same
+# slots and no frozen __setattr__, by plain attribute stores, then sets its
+# __class__ to the real one (CPython allows that between classes of one
+# layout), so the result is an ordinary frozen instance.  Use them only for
+# fields that a checked object or a loaded AttackPlan already vouches for.
 @dataclass(frozen=True, slots=True)
 class TcpSegment:
     """A TCP segment; only the payload length is modeled, not its bytes."""
@@ -142,12 +144,8 @@ class TcpSegment:
         return n
 
 
-_set_src_port = TcpSegment.src_port.__set__
-_set_dst_port = TcpSegment.dst_port.__set__
-_set_seq = TcpSegment.seq.__set__
-_set_ack = TcpSegment.ack.__set__
-_set_flags = TcpSegment.flags.__set__
-_set_payload_length = TcpSegment.payload_length.__set__
+class _TcpSegmentFields:
+    __slots__ = TcpSegment.__slots__
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,14 +237,10 @@ class Ipv4Datagram:
         return (self.src, self.dst, self.protocol, self.identification)
 
 
-_set_src = Ipv4Datagram.src.__set__
-_set_dst = Ipv4Datagram.dst.__set__
-_set_protocol = Ipv4Datagram.protocol.__set__
-_set_payload = Ipv4Datagram.payload.__set__
-_set_identification = Ipv4Datagram.identification.__set__
-_set_df = Ipv4Datagram.df.__set__
-_set_more_fragments = Ipv4Datagram.more_fragments.__set__
-_set_fragment_offset = Ipv4Datagram.fragment_offset.__set__
+class _Ipv4DatagramFields:
+    __slots__ = Ipv4Datagram.__slots__
+
+
 _new = object.__new__
 
 
@@ -255,28 +249,30 @@ def tcp_segment(
 ) -> TcpSegment:
     """TcpSegment(src_port, dst_port, seq, ack, flags, payload_length),
     without its checks."""
-    seg = _new(TcpSegment)
-    _set_src_port(seg, src_port)
-    _set_dst_port(seg, dst_port)
-    _set_seq(seg, seq)
-    _set_ack(seg, ack)
-    _set_flags(seg, flags)
-    _set_payload_length(seg, payload_length)
+    seg = _new(_TcpSegmentFields)
+    seg.src_port = src_port
+    seg.dst_port = dst_port
+    seg.seq = seq
+    seg.ack = ack
+    seg.flags = flags
+    seg.payload_length = payload_length
+    seg.__class__ = TcpSegment
     return seg
 
 
 def tcp_datagram(src: str, dst: str, seg: TcpSegment, identification: int, df: bool) -> Ipv4Datagram:
     """Ipv4Datagram(src, dst, Protocol.TCP, seg, identification, df), a
     whole datagram, without its checks."""
-    d = _new(Ipv4Datagram)
-    _set_src(d, src)
-    _set_dst(d, dst)
-    _set_protocol(d, _TCP)
-    _set_payload(d, seg)
-    _set_identification(d, identification)
-    _set_df(d, df)
-    _set_more_fragments(d, False)
-    _set_fragment_offset(d, 0)
+    d = _new(_Ipv4DatagramFields)
+    d.src = src
+    d.dst = dst
+    d.protocol = _TCP
+    d.payload = seg
+    d.identification = identification
+    d.df = df
+    d.more_fragments = False
+    d.fragment_offset = 0
+    d.__class__ = Ipv4Datagram
     return d
 
 

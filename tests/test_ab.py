@@ -72,12 +72,61 @@ def test_main_marks_the_rows_beyond_bound_and_names_them_last(monkeypatch, tmp_p
     lines = capsys.readouterr().out.splitlines()
     marked = [line.split()[0] for line in lines if line.endswith("  beyond bound")]
     assert marked == ["wall_s", "sim_pkts_per_s"]
-    assert lines[-1] == "beyond bound: wall_s, sim_pkts_per_s"
+    assert lines[-2:] == ["beyond bound: wall_s, sim_pkts_per_s", "claimable: none"]
 
     monkeypatch.setattr(ab.subprocess, "run", lambda cmd, cwd=None, **kw: fake_run(cmd, "parent"))
     assert ab.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "beyond bound: none" and not any(line.endswith("  beyond bound") for line in lines)
+    assert lines[-2] == "beyond bound: none" and not any(line.endswith("  beyond bound") for line in lines)
+
+
+def claim_row(parent_walls, change_walls):
+    (row, _) = ab.summarize([run(w) for w in parent_walls], [run(w) for w in change_walls], METRICS)
+    return row
+
+
+# ten parent runs with quartiles 0.9975 and 1.0325 (statistics.quantiles,
+# exclusive): an IQR of 0.035 about a median of 1.01
+PARENT = [1.0, 1.02, 0.98, 1.04, 1.01, 0.99, 1.03, 1.0, 1.05, 1.01]
+
+
+def test_a_change_that_wins_nine_tenths_by_more_than_the_iqr_is_claimable():
+    # better in 9 of 10 pairs, pair 9 a tie; the medians differ by 0.16
+    row = claim_row(PARENT, [0.85] * 9 + [1.01])
+    assert (row.change_wins, row.parent_wins) == (9, 0)
+    assert row.claimable and not row.beyond_bound
+
+
+def test_a_change_that_wins_only_eight_of_ten_is_not_claimable():
+    row = claim_row(PARENT, [0.85] * 8 + [1.2, 1.2])
+    assert (row.change_wins, row.parent_wins) == (8, 2)
+    assert not row.claimable
+
+
+def test_a_change_whose_gain_sits_inside_the_iqr_is_not_claimable():
+    # every pair won, by 0.03: the median gain is below the parent's IQR
+    row = claim_row(PARENT, [w - 0.03 for w in PARENT])
+    assert row.change_wins == 10 and round(row.parent - row.change, 9) == 0.03
+    assert not row.claimable
+
+
+def test_main_marks_the_claimable_rows_and_names_them_last(monkeypatch, tmp_path, capsys):
+    def fake_run(cmd, cwd=None, **kwargs):
+        if "compileall" in cmd:
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+        result = run(0.5, 100.0) if cwd.endswith("change") else run(1.0, 100.0)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "sweep",
+            "--seed", "1", "--pairs", "2", "--seconds", "1"]
+    assert ab.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the packet rate is a tie in every pair: neither claimable nor beyond bound
+    assert [line.split()[0] for line in lines if line.endswith("  claimable")] == ["wall_s"]
+    assert lines[-2:] == ["beyond bound: none", "claimable: wall_s"]
 
 
 def test_trees_on_paths_of_unequal_length_get_one_warning_first(monkeypatch, tmp_path, capsys):

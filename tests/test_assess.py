@@ -5,6 +5,7 @@ import json
 import os
 import re
 import runpy
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -421,6 +422,21 @@ class TestCli:
         assert lines[1].split(",")[2] == "true"
         rc = main(["replay", str(trace)])
         assert rc == 0
+
+    def test_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale without coercion or UTF-8 mode: the locale's encoding
+        # is ASCII, and the name holds a character outside it
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(fast_doc("wifi-café")), encoding="utf-8")
+        csv = tmp_path / "out.csv"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "natsim.cli", "attack", str(doc_path), "--csv", str(csv), "--quiet"],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert csv.read_bytes().decode("utf-8").split("\n")[1].startswith("wifi-café@1,")
 
     def test_attack_repeat_rows(self, tmp_path):
         csv = tmp_path / "out.csv"

@@ -271,6 +271,11 @@ class TestValidation:
          "expect.diagnosis: unknown value 'nonee' (valid: none, forwarded-rst-no-removal, "
          "rst-blocked-by-middlebox, rst-not-routed, sweep-missed-mappings, no-dup-ack-from-server, "
          "packet-loss)"),
+        # the CSV's first column and the trace header carry the name unquoted
+        (("name",), "wifi,cafe", "scenario.name: 'wifi,cafe' holds a comma, double quote, CR or LF"),
+        (("name",), 'wifi"cafe', "scenario.name: 'wifi\"cafe' holds a comma"),
+        (("name",), "wifi\ncafe", "scenario.name: 'wifi\\ncafe' holds a comma"),
+        (("name",), "wifi\rcafe", "scenario.name: 'wifi\\rcafe' holds a comma"),
     ])
     def test_malformed_shipped_document(self, path, value, field):
         doc = wifi_doc()

@@ -14,7 +14,11 @@ percent, the parent's quartile spread (Q3 - Q1, in percent of its median)
 and the pairs each side won; a tie counts for neither.  A metric whose
 change median is worse than the parent's by more than its `bound` (a
 fraction of the parent's median, in the metric's worse direction) is marked
-`beyond bound`, and a last line names every such metric, or `none`.
+`beyond bound`, and a line names every such metric, or `none`.  A metric
+that meets the claim rule of the choosing-metrics guide is marked
+`claimable`: the change won at least nine tenths of the pairs (a tie counts
+for neither) and its median beats the parent's by more than the parent's
+Q3 - Q1; a last line names every such metric, or `none`.
 `--json OUT` writes every run's result, pair i at index i of each side's
 list.  Exits 1 when a run is not `correct: true`, has `failed` above 0 or
 gives no result, otherwise 0.
@@ -44,6 +48,7 @@ class Row(NamedTuple):
     change_wins: int
     parent_wins: int
     beyond_bound: bool  # the change median is worse than the parent's by more than the bound
+    claimable: bool  # the change won 9/10 of the pairs and beats the parent by more than its IQR
 
 
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[Row]:
@@ -61,7 +66,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         worse_by = c_med - p_med if lower else p_med - c_med
         rows.append(Row(name, metric["unit"], p_med, c_med, _pct(c_med - p_med, p_med),
                         _pct(q3 - q1, p_med), change_wins, parent_wins,
-                        worse_by > metric["bound"] * p_med))
+                        worse_by > metric["bound"] * p_med,
+                        10 * change_wins >= 9 * len(p) and -worse_by > q3 - q1))
     return rows
 
 
@@ -139,8 +145,9 @@ def main(argv=None) -> int:
     for r in rows:
         print(f"  {r.name:16} {r.parent:12.6g} -> {r.change:12.6g} {r.unit:4} {r.delta_pct:+6.1f}%  "
               f"parent IQR {r.spread_pct:4.1f}%  won: change {r.change_wins}, parent {r.parent_wins}"
-              + ("  beyond bound" if r.beyond_bound else ""))
+              + ("  beyond bound" if r.beyond_bound else "") + ("  claimable" if r.claimable else ""))
     print("beyond bound: " + (", ".join(r.name for r in rows if r.beyond_bound) or "none"))
+    print("claimable: " + (", ".join(r.name for r in rows if r.claimable) or "none"))
     return 0
 
 
