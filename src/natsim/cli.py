@@ -51,6 +51,14 @@ def _collect_scenarios(paths: list[str]) -> list[scenario_mod.Scenario]:
     return out
 
 
+def _say(text: str, end: str = "\n") -> None:
+    """Print a report line.  What stdout's encoding cannot show, say a
+    scenario name under an ASCII locale, prints as a backslash escape where
+    print would raise; files stay UTF-8, and no stream setting changes."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), end=end)
+
+
 @contextlib.contextmanager
 def _writing(path: str):
     """Report an OSError raised inside the block as a configuration error."""
@@ -92,7 +100,7 @@ def cmd_identify(args, sink):
     scn = _load_doc(args.scenario)
     verdict, _ = assess_mod.run_section(scn, "identify", args.seed, sink)
     if not args.quiet:
-        print(f"{scn.name}: {verdict.kind.value} ({verdict.reason.value})")
+        _say(f"{scn.name}: {verdict.kind.value} ({verdict.reason.value})")
         ev = verdict.evidence
         payloads = [s - 20 for s in ev.echo_reply_fragments]
         # a missing size, or no fragment at all, prints "-" as the CSV does
@@ -100,11 +108,8 @@ def cmd_identify(args, sink):
             "-" if n is None or n == [] else n
             for n in (ev.echo_reply_fragments, payloads, ev.baseline_tcp_size,
                       ev.post_probe_tcp_size, ev.echo_reply_total))
-        print(f"  baseline={base} post-probe={post}")
-        print(
-            f"  echo reply fragments={frags} wire octets "
-            f"(payloads {payloads}), total={total}"
-        )
+        _say(f"  baseline={base} post-probe={post}")
+        _say(f"  echo reply fragments={frags} wire octets (payloads {payloads}), total={total}")
     row = assess_mod.AssessmentRow(scn.name, scn.policy_summary(), verdict=verdict)
     assess_mod.check_expectations(scn, row, attack=False)
     return [row], assess_mod.probe_csv(scn.target_addr, verdict)
@@ -122,7 +127,7 @@ def cmd_attack(args, sink):
         reports.append((f"{scn.name}@{seed}", scn.policy_summary(), report))
         if not args.quiet:
             outcome = "success" if report.success else f"failed ({report.failure_diagnosis.value})"
-            print(
+            _say(
                 f"{scn.name} seed={seed}: {outcome}; torn {report.client_connections_torn}/"
                 f"{report.victim_connections}, blocked {report.new_connections_blocked}/"
                 f"{report.new_connections_attempted}, {report.octets_sent} octets in "
@@ -131,7 +136,7 @@ def cmd_attack(args, sink):
         rows.append(assess_mod.AssessmentRow(scn.name, scn.policy_summary(), report=report))
         assess_mod.check_expectations(scn, rows[-1], identify=False)
     if not args.quiet:
-        print(assess_mod.FIELD_CONTEXT_NOTE)
+        _say(assess_mod.FIELD_CONTEXT_NOTE)
     return rows, assess_mod.strike_csv(reports)
 
 
@@ -140,13 +145,13 @@ def cmd_assess(args, sink):
     scenarios = _collect_scenarios(args.paths)
     rows, csv, summary, _ = assess_mod.assess(scenarios, seed=args.seed, trace_sink=sink)
     if not args.quiet:
-        print(summary, end="")
+        _say(summary, end="")
     return rows, csv
 
 
 def cmd_replay(args) -> int:
     result = assess_mod.replay(args.trace)
-    print(result.describe())
+    _say(result.describe())
     return 0 if result.identical else 2
 
 

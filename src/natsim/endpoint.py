@@ -38,8 +38,7 @@ from .wire import (
     TcpSegment,
     seq_add,
     seq_in_range,
-    tcp_datagram,
-    tcp_segment,
+    tcp_packet,
 )
 
 # Enum members read per packet: through the class, each read costs several times a global
@@ -166,35 +165,31 @@ class IpNode:
 
     def _echo(self, sim: Simulator, d: Ipv4Datagram, req: EchoRequest) -> None:
         """Answer a ping, fragmenting at this node's own path-MTU cache."""
+        self._ip_ident = (self._ip_ident + 1) % 0x10000
         reply = Ipv4Datagram(
             src=self.address,
             dst=d.src,
             protocol=Protocol.ICMP,
             payload=EchoReply(req.ident, req.seq_no, req.padding_length),
-            identification=self._next_ident(),
+            identification=self._ip_ident,
         )
         for piece in wire.fragment(reply, self.pmtu.get(d.src)):
             sim.send_from(self.node_id, piece)
 
     def _reflect_reset(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         """RFC 793 reset for a segment that matches no connection."""
-        flags = int(seg.flags)
+        flags = seg.flags._value_
         if flags & RST_BIT:
             return  # never reset in response to a reset
-        # the ports and numbers come from a checked segment: built store-only
         if flags & ACK_BIT:
-            reply = tcp_segment(seg.dst_port, seg.src_port, seg.ack, 0, _RST, 0)
+            seq, ack, reply_flags = seg.ack, 0, _RST
         else:
-            reply = tcp_segment(seg.dst_port, seg.src_port, 0, seq_add(seg.seq, seg.seg_len), RST_ACK, 0)
-        self._emit_tcp(sim, d.src, reply)
-
-    def _emit_tcp(self, sim: Simulator, dst: str, seg: TcpSegment) -> None:
-        # store-only: the identification stays in 16 bits, and DF goes on a whole datagram
-        sim.send_from(self.node_id, tcp_datagram(self.address, dst, seg, self._next_ident(), True))
-
-    def _next_ident(self) -> int:
-        self._ip_ident = (self._ip_ident + 1) % 0x10000
-        return self._ip_ident
+            seq, ack, reply_flags = 0, seq_add(seg.seq, seg.seg_len), RST_ACK
+        # the ports and numbers come from a checked segment: built store-only,
+        # with the identification kept in 16 bits and DF on a whole datagram
+        ident = self._ip_ident = (self._ip_ident + 1) % 0x10000
+        sim.send_from(self.node_id, tcp_packet(self.address, d.src, seg.dst_port, seg.src_port, seq, ack,
+                                               reply_flags, 0, ident, True))
 
 
 class TcpState:
@@ -309,7 +304,7 @@ class Host(IpNode):
         if self.vantage:
             self.arrivals.append((sim.now, d))
         sock = self.sockets.get((seg.dst_port, d.src, seg.src_port))
-        flags = int(seg.flags)
+        flags = seg.flags._value_
 
         if sock is None or sock.state == TcpState.CLOSED:
             if sock is None and flags & SYN_BIT and not flags & ACK_BIT:
@@ -370,10 +365,12 @@ class Host(IpNode):
         self, sim: Simulator, sock: Socket, flags: TcpFlag, length: int = 0, seq: int | None = None
     ) -> None:
         """Send one segment on sock, at snd_nxt unless seq is given; built
-        store-only, from the socket's ports and its numbers modulo 2**32."""
+        store-only, from the socket's ports and its numbers modulo 2**32, as
+        _reflect_reset builds its reset."""
         seq = sock.snd_nxt if seq is None else seq
-        seg = tcp_segment(sock.local_port, sock.remote[1], seq, sock.rcv_nxt, flags, length)
-        self._emit_tcp(sim, sock.remote[0], seg)
+        ident = self._ip_ident = (self._ip_ident + 1) % 0x10000
+        sim.send_from(self.node_id, tcp_packet(self.address, sock.remote[0], sock.local_port, sock.remote[1],
+                                               seq, sock.rcv_nxt, flags, length, ident, True))
 
     def _alloc_ephemeral(self) -> int:
         lo, hi = self.ephemeral_range

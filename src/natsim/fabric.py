@@ -96,7 +96,7 @@ class MiddleboxFilter:
             return self._all
         p = d.payload
         if isinstance(p, TcpSegment):
-            return self._tcp_rst if int(p.flags) & RST_BIT else None
+            return self._tcp_rst if p.flags._value_ & RST_BIT else None
         if isinstance(p, FragNeeded):
             return self._frag_needed
         if isinstance(p, wire.Echo):

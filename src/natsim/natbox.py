@@ -3,9 +3,10 @@
 A NatBox rewrites outbound client traffic to its public address, keeps a
 session-mapping table keyed both by internal tuple and by external port,
 translates inbound packets and ICMP errors back, and answers pings to the
-public address itself.  Traffic addressed to the device takes the IpNode
-dispatch it shares with Host: _on_tcp and _on_frag_needed translate, and
-an echo reply is a no-mapping drop.  The policy axes decide whether the
+public address itself.  A TCP segment addressed to the device goes
+straight to _on_tcp, which translates it; the rest takes the IpNode
+dispatch the device shares with Host: _on_frag_needed translates, and an
+echo reply is a no-mapping drop.  The policy axes decide whether the
 device is vulnerable: how it reacts to inbound RSTs, what it does with
 unmapped inbound segments, how external ports are allocated, and whether
 its own path-MTU cache follows translated Fragmentation Needed messages.
@@ -28,8 +29,7 @@ from .wire import (
     TcpSegment,
     seq_add,
     seq_in_range,
-    tcp_datagram,
-    tcp_segment,
+    tcp_packet,
 )
 
 
@@ -125,7 +125,12 @@ class NatBox(IpNode):
 
     def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
         if d.dst == self.address:
-            IpNode.on_datagram(self, sim, node, d)
+            # a sweep's kind, TCP, skips the shared dispatch and its frame
+            p = d.payload
+            if type(p) is TcpSegment:
+                self._on_tcp(sim, d, p)
+            else:
+                IpNode.on_datagram(self, sim, node, d)
         elif d.src in self.internal_addrs:
             self._outbound(sim, d)
         else:
@@ -151,7 +156,7 @@ class NatBox(IpNode):
                 remote=(d.dst, seg.dst_port),
             )
             self._insert(mapping)
-        if self.policy.rst_handling is _STRICT_VALIDATE and int(seg.flags) & ACK_BIT:
+        if self.policy.rst_handling is _STRICT_VALIDATE and seg.flags._value_ & ACK_BIT:
             mapping.inbound_seq_window = (seg.ack, seq_add(seg.ack, DEFAULT_RCV_WND))
         self._translate(sim, d, seg, (self.address, mapping.external_port), (d.dst, seg.dst_port))
 
@@ -159,7 +164,7 @@ class NatBox(IpNode):
 
     def _on_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
         mapping = self.by_external.get((seg.dst_port, (d.src, seg.src_port)))
-        flags = int(seg.flags)
+        flags = seg.flags._value_
         if mapping is None:
             silent = self.policy.unmapped_inbound is _SILENT_DROP
             if flags & RST_BIT or silent:
@@ -180,7 +185,7 @@ class NatBox(IpNode):
         if policy is _FORWARD_ONLY:
             return True
         if policy is _VULNERABLE_REMOVE:
-            if self.policy.require_ack_on_rst and not int(seg.flags) & ACK_BIT:
+            if self.policy.require_ack_on_rst and not seg.flags._value_ & ACK_BIT:
                 return True
             self._remove(mapping)
             return True
@@ -199,8 +204,8 @@ class NatBox(IpNode):
         src and dst, keeping everything else.  Only a whole datagram gets
         here (a fragment carries bytes), so the copy is built store-only
         from the checked d and seg and a mapping's ports."""
-        seg = tcp_segment(src[1], dst[1], seg.seq, seg.ack, seg.flags, seg.payload_length)
-        sim.forward_from(self.node_id, tcp_datagram(src[0], dst[0], seg, d.identification, d.df))
+        sim.forward_from(self.node_id, tcp_packet(src[0], dst[0], src[1], dst[1], seg.seq, seg.ack,
+                                                  seg.flags, seg.payload_length, d.identification, d.df))
 
     # -- ICMP ------------------------------------------------------------------------
 

@@ -35,8 +35,7 @@ from .wire import (
     TcpSegment,
     check_port_range,
     check_range,
-    tcp_datagram,
-    tcp_segment,
+    tcp_packet,
 )
 
 if TYPE_CHECKING:  # `scenario` imports this module
@@ -145,8 +144,7 @@ def craft_rst_sweep(plan: AttackPlan, ports: range | None = None) -> list[Ipv4Da
     server_addr, server_port = plan.victim_server
     nat_addr, seq = plan.nat_public_ip, plan.forged_seq
     return [
-        tcp_datagram(server_addr, nat_addr, tcp_segment(server_port, port, seq, 0, flags, 0), 0, False)
-        for port in ports
+        tcp_packet(server_addr, nat_addr, server_port, port, seq, 0, flags, 0, 0, False) for port in ports
     ]
 
 
@@ -166,8 +164,7 @@ def craft_push_ack_sweep(
     server_addr, server_port = plan.victim_server
     nat_addr, draw = plan.nat_public_ip, rng.getrandbits
     return [
-        tcp_datagram(nat_addr, server_addr,
-                     tcp_segment(port, server_port, draw(32), draw(32), PSH_ACK, 1), 0, False)
+        tcp_packet(nat_addr, server_addr, port, server_port, draw(32), draw(32), PSH_ACK, 1, 0, False)
         for port in ports
     ]
 
@@ -288,11 +285,11 @@ def _evidence_hooks(handles: Handles, seen: set[str]):
     def forged_rst(d: Ipv4Datagram):
         seg = d.payload
         return (d.src == server_addr and isinstance(seg, TcpSegment) and seg.seq == plan.forged_seq
-                and seg.src_port == server_port and int(seg.flags) & RST_BIT)
+                and seg.src_port == server_port and seg.flags._value_ & RST_BIT)
 
     def push_from_nat(d: Ipv4Datagram):
         seg = d.payload
-        return d.src == plan.nat_public_ip and isinstance(seg, TcpSegment) and int(seg.flags) & PSH_BIT
+        return d.src == plan.nat_public_ip and isinstance(seg, TcpSegment) and seg.flags._value_ & PSH_BIT
 
     def hook(kind: str, shows=forged_rst, loss: bool = False):
         def saw(d: Ipv4Datagram) -> bool:

@@ -438,6 +438,27 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert csv.read_bytes().decode("utf-8").split("\n")[1].startswith("wifi-café@1,")
 
+    @pytest.mark.parametrize("command", ["identify", "attack", "assess"])
+    def test_report_under_an_ascii_locale(self, tmp_path, capsys, command):
+        # the report names the scenario, which stdout's ASCII cannot show: the
+        # run exits as a UTF-8 run does, prints the same report with the name
+        # escaped, and writes its CSV as UTF-8
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(fast_doc("wifi-café")), encoding="utf-8")
+        utf8_csv, ascii_csv = tmp_path / "utf8.csv", tmp_path / "ascii.csv"
+        rc = main([command, str(doc_path), "--csv", str(utf8_csv)])
+        report = capsys.readouterr().out
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "natsim.cli", command, str(doc_path), "--csv", str(ascii_csv)],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == rc, done.stderr
+        assert b"Traceback" not in done.stderr
+        assert done.stdout.decode("ascii") == report.encode("ascii", "backslashreplace").decode()
+        assert ascii_csv.read_bytes() == utf8_csv.read_bytes()
+
     def test_attack_repeat_rows(self, tmp_path):
         csv = tmp_path / "out.csv"
         rc = main(["attack", self.scenario_file(tmp_path, fast_doc("c3")), "--quiet",

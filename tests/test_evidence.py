@@ -309,10 +309,11 @@ def test_every_recorded_packet_passes_the_checked_constructors():
 def test_an_attack_window_builds_every_packet_store_only(monkeypatch):
     """At seed 1 no attack on an ATTACK_DOCS document calls the checked
     TcpSegment or Ipv4Datagram constructor while strike.run_dos_attack
-    runs: every forged packet and every translation of one is built
-    store-only.  The default suite's frag-router-1492-nat is the control:
-    its attack makes one Fragmentation Needed in forward_from and the
-    NAT's translation of it, two checked datagrams."""
+    runs: every forged packet, every reply to one and every translation of
+    one is built store-only, by wire.tcp_packet.  The default suite's
+    frag-router-1492-nat is the control: its attack makes one
+    Fragmentation Needed in forward_from and the NAT's translation of it,
+    two checked datagrams."""
     calls, attacking = Counter(), []
 
     def counting(cls):

@@ -1,9 +1,12 @@
-"""The per-packet paths read no Enum member through its class.
+"""The per-packet paths read no Enum member through its class, and call no
+`int()`.
 
 Reading `Protocol.TCP` or `RstHandling.FORWARD_ONLY` goes through the Enum
 metaclass and costs several times a global read, and these functions run
 once per packet, per hop or per trace record; each module keeps the
-members they use as module-level aliases instead.
+members they use as module-level aliases instead.  A flag test reads
+`seg.flags._value_`, the TcpFlag's own int, where `int(seg.flags)` would
+call the IntFlag conversion, at about three times the cost.
 """
 
 import builtins
@@ -22,9 +25,9 @@ from natsim.wire import Protocol
 PER_PACKET = (
     strike.craft_rst_sweep,
     strike.craft_push_ack_sweep,
-    wire.tcp_segment,
-    wire.tcp_datagram,
-    IpNode._emit_tcp,
+    strike._evidence_hooks,  # its predicates run on each packet of the attack window
+    wire.tcp_packet,
+    wire.TcpSegment.seg_len.fget,
     IpNode._reflect_reset,
     NatBox.on_datagram,
     IpNode.on_datagram,
@@ -89,3 +92,29 @@ def test_scanner_sees_enum_member_reads():
 @pytest.mark.parametrize("fn", PER_PACKET, ids=lambda fn: fn.__qualname__)
 def test_per_packet_path_reads_no_enum_member(fn):
     assert enum_member_reads(fn) == []
+
+
+def builtin_int_loads(fn) -> int:
+    """How many times `fn`, or code nested in it, loads the builtin `int`."""
+    return sum(
+        ins.opname in ("LOAD_GLOBAL", "LOAD_NAME") and ins.argval == "int" and "int" not in fn.__globals__
+        for code in _codes(fn.__code__)
+        for ins in dis.get_instructions(code)
+    )
+
+
+def test_scanner_sees_builtin_int_loads():
+    def flag_test(seg):
+        return int(seg.flags) & wire.RST_BIT
+
+    def nested(segs):
+        return [int(s.flags) for s in segs]
+
+    assert builtin_int_loads(flag_test) == 1
+    assert builtin_int_loads(nested) == 1
+    assert builtin_int_loads(wire.seq_add) == 0
+
+
+@pytest.mark.parametrize("fn", PER_PACKET, ids=lambda fn: fn.__qualname__)
+def test_per_packet_path_calls_no_int(fn):
+    assert builtin_int_loads(fn) == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from natsim import wire
 from natsim.endpoint import DEFAULT_RCV_WND
-from natsim.fabric import Simulator
+from natsim.fabric import Simulator, render_chunks
 from natsim.natbox import (
     NatBox,
     NatPolicy,
@@ -24,7 +24,7 @@ from natsim.wire import (
     seq_add,
 )
 
-from helpers import connect, nat_triangle
+from helpers import connect, line, nat_triangle
 
 
 def inbound(nat, seg, src="7.7.7.7"):
@@ -115,6 +115,26 @@ class TestInbound:
         seg = TcpSegment(80, 3333, seq=5, flags=TcpFlag.RST | TcpFlag.ACK)
         nat.on_datagram(sim, "nat", inbound(nat, seg))
         assert sim.counters["nat"].packets_sent == 0
+
+
+policy_st = st.builds(NatPolicy, rst_handling=st.sampled_from(RstHandling),
+                      require_ack_on_rst=st.booleans(),
+                      unmapped_inbound=st.sampled_from(UnmappedInbound))
+
+
+@given(flags=st.integers(0, 0xFF), mapped=st.booleans(), policy=policy_st)
+@settings(max_examples=80)
+def test_any_flags_octet_is_handled_and_renders(flags, mapped, policy):
+    """An inbound segment whose flags are any int of the octet, to a mapped
+    or an unmapped port: the NAT, and the client behind it, handle it without
+    an exception, and every record of the run renders."""
+    sim, client, nat, server = nat_triangle(policy)
+    connect(sim, client)
+    port = the_mapping(nat).external_port if mapped else 3333
+    nat.on_datagram(sim, "nat", inbound(nat, TcpSegment(80, port, seq=5, ack=9, flags=flags)))
+    sim.run()
+    rows = list(sim.trace.rows())
+    assert "".join(render_chunks(rows, 64)) == "".join(line(r) + "\n" for r in sim.trace)
 
 
 class TestInboundRst:

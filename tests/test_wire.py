@@ -140,9 +140,8 @@ class TestReassemble:
         assert wire.reassemble(stage2) == d
 
 
-flags_st = st.builds(
-    lambda bits: TcpFlag(bits), st.integers(0, 31)
-)
+# every value of the flags octet, the five modeled bits and the three above them
+flags_st = st.builds(TcpFlag, st.integers(0, 0xFF))
 segment_st = st.builds(
     TcpSegment,
     src_port=st.integers(0, 0xFFFF),
@@ -409,12 +408,23 @@ class TestSeqArithmetic:
         with pytest.raises(ValueError):
             FragNeeded(600, b"\x00" * 27)
 
+    def test_flags_are_stored_as_a_tcpflag(self):
+        seg = TcpSegment(1, 2, 3, flags=20)
+        assert type(seg.flags) is TcpFlag and seg.flags == TcpFlag.RST | TcpFlag.ACK
+        assert type(TcpSegment(1, 2, 3, flags=0xFF).flags) is TcpFlag
+
+    @pytest.mark.parametrize("flags", [-1, 0x100, TcpFlag(0x100), 0x10000])
+    def test_flags_outside_the_octet_raise(self, flags):
+        with pytest.raises(ValueError, match=r"^flags: "):
+            TcpSegment(1, 2, 3, flags=flags)
+
 
 class Reference:
     """TcpSegment and Ipv4Datagram as generated dataclasses, validated in
     __post_init__, with the isinstance chain for total_length and IntFlag
     membership for seg_len: the checks, messages, payload octet counts and
-    flag bit tests that wire's classes must keep."""
+    flag bit tests that wire's classes must keep.  A segment's flags are
+    stored as a TcpFlag, whatever int in the octet they came as."""
 
     @dataclass(frozen=True, slots=True)
     class TcpSegment:
@@ -430,6 +440,9 @@ class Reference:
                 raise ValueError("port out of range")
             if self.payload_length < 0:
                 raise ValueError("negative payload length")
+            if not 0 <= self.flags < 0x100:
+                raise ValueError(f"flags: {self.flags} is outside [0, 256)")
+            object.__setattr__(self, "flags", TcpFlag(self.flags))
 
         @property
         def seg_len(self):
@@ -517,7 +530,7 @@ def segment_call(draw):
         draw(any_int),
         draw(st.integers(0, 2**32 - 1)),
         draw(optional(st.integers(0, 2**32 - 1))),
-        draw(optional(flags_st)),
+        draw(optional(st.one_of(flags_st, any_int))),
         draw(optional(any_int)),
     ]
     return split_call(draw(st.integers(0, len(values))), SEGMENT_FIELDS, values)
@@ -615,16 +628,15 @@ def same_object(store_only, checked):
 
 
 class TestStoreOnlyConstructors:
-    """For valid fields, wire.tcp_segment and wire.tcp_datagram build what
-    the checked constructors build."""
+    """For valid fields, wire.tcp_packet builds what the checked
+    constructors build."""
 
     @given(segment_st, addr_st, addr_st, st.integers(0, 0xFFFF), st.booleans())
     @settings(max_examples=100)
     def test_same_as_checked(self, seg, src, dst, ident, df):
         fields = [getattr(seg, n) for n in SEGMENT_FIELDS]
-        fast_seg = wire.tcp_segment(*fields)
-        same_object(fast_seg, TcpSegment(*fields))
-        fast = wire.tcp_datagram(src, dst, fast_seg, ident, df)
-        same_object(fast, Ipv4Datagram(src, dst, Protocol.TCP, seg, ident, df))
+        fast = wire.tcp_packet(src, dst, *fields, ident, df)
+        same_object(fast, Ipv4Datagram(src, dst, Protocol.TCP, TcpSegment(*fields), ident, df))
+        same_object(fast.payload, TcpSegment(*fields))
         assert fast.total_length == wire.IP_HEADER_LEN + seg.wire_payload_length
         assert decode(wire.encode(fast)) == fast
