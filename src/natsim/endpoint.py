@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Container
 from dataclasses import dataclass
 
 from . import wire
@@ -88,7 +89,7 @@ class PathMtuCache:
         return new
 
 
-def pick_port(rng: random.Random, lo: int, hi: int, used: set[int]) -> int | None:
+def pick_port(rng: random.Random, lo: int, hi: int, used: Container[int]) -> int | None:
     """A free port in [lo, hi]: up to 64 seeded draws, then the lowest
     free port; None when every port is in use."""
     for _ in range(64):
@@ -98,7 +99,7 @@ def pick_port(rng: random.Random, lo: int, hi: int, used: set[int]) -> int | Non
     return lowest_free_port(used, lo, hi)
 
 
-def lowest_free_port(used: set[int], lo: int, hi: int, start: int | None = None) -> int | None:
+def lowest_free_port(used: Container[int], lo: int, hi: int, start: int | None = None) -> int | None:
     """The first port not in `used` in [start, hi], then in [lo, start);
     `start` defaults to lo.  None when every port in [lo, hi] is in use."""
     start = lo if start is None else max(start, lo)
@@ -115,7 +116,8 @@ class IpNode:
         self.address = address
         self.pmtu = PathMtuCache()
         self._ip_ident = 0
-        self._frag_buffers: dict[tuple, list[Ipv4Datagram]] = {}
+        # each group's fragments in arrival order, keyed by (src, dst, protocol, identification)
+        self._frag_buffers: dict[tuple, dict[Ipv4Datagram, None]] = {}
 
     def on_datagram(self, sim: Simulator, node: str, d: Ipv4Datagram) -> None:
         """Dispatch a datagram addressed to this node by its payload; a
@@ -133,10 +135,10 @@ class IpNode:
             self._on_echo_reply(sim, d)
 
     def _on_fragment(self, sim: Simulator, d: Ipv4Datagram) -> None:
-        key = d.group_key()
+        key = (d.src, d.dst, d.protocol, d.identification)
         frags = self._frag_buffers.get(key)
         if frags is None:
-            frags = self._frag_buffers[key] = []
+            frags = self._frag_buffers[key] = {}
             sim.schedule_call(
                 sim.now + REASSEMBLY_TIMEOUT_TICKS, lambda s, k=key: self._expire_group(s, k)
             )
@@ -145,23 +147,22 @@ class IpNode:
             # read one as an overlap and never complete the group
             sim.record(self.node_id, "drop", "duplicate-fragment", d)
             return
-        frags.append(d)
+        frags[d] = None
         try:
             whole = wire.reassemble(frags)
-        except wire.IncompleteGroupError:
-            return
         except wire.MalformedPacketError:
             # a complete group whose bytes do not decode: nothing to dispatch
             del self._frag_buffers[key]
-            sim.record(self.node_id, "drop", "malformed-reassembly", frags[0])
+            sim.record(self.node_id, "drop", "malformed-reassembly", next(iter(frags)))
             return
-        del self._frag_buffers[key]
-        self.on_datagram(sim, self.node_id, whole)
+        if whole is not None:
+            del self._frag_buffers[key]
+            self.on_datagram(sim, self.node_id, whole)
 
     def _expire_group(self, sim: Simulator, key: tuple) -> None:
         frags = self._frag_buffers.pop(key, None)
         if frags is not None:
-            sim.record(self.node_id, "drop", "reassembly-timeout", frags[0])
+            sim.record(self.node_id, "drop", "reassembly-timeout", next(iter(frags)))
 
     def _echo(self, sim: Simulator, d: Ipv4Datagram, req: EchoRequest) -> None:
         """Answer a ping, fragmenting at this node's own path-MTU cache."""

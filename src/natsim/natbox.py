@@ -115,11 +115,11 @@ class NatBox(IpNode):
         self.policy = policy
         self.internal_addrs = set(internal_addrs)
         self.by_internal: dict[tuple, NatMapping] = {}
-        self.by_external: dict[tuple, NatMapping] = {}
+        # each external port belongs to one mapping, so this is also the set of used ports
+        self.by_external: dict[int, NatMapping] = {}
         self.mappings_removed_by_rst = 0
         self._rng = derive_rng(seed, "nat", node_id)
         self._next_sequential = policy.sequential_start
-        self._used_ports: set[int] = set()
 
     # -- fabric handler (sees every packet crossing the node) --------------------
 
@@ -163,9 +163,9 @@ class NatBox(IpNode):
     # -- inbound ------------------------------------------------------------------
 
     def _on_tcp(self, sim: Simulator, d: Ipv4Datagram, seg: TcpSegment) -> None:
-        mapping = self.by_external.get((seg.dst_port, (d.src, seg.src_port)))
+        mapping = self.by_external.get(seg.dst_port)
         flags = seg.flags._value_
-        if mapping is None:
+        if mapping is None or mapping.remote != (d.src, seg.src_port):
             silent = self.policy.unmapped_inbound is _SILENT_DROP
             if flags & RST_BIT or silent:
                 sim.record(self.node_id, "drop", "no-mapping", d)
@@ -214,8 +214,8 @@ class NatBox(IpNode):
         if quote is None or quote.src != self.address:
             sim.record(self.node_id, "drop", "icmp-no-mapping", d)
             return
-        mapping = self.by_external.get((quote.src_port, (quote.dst, quote.dst_port)))
-        if mapping is None:
+        mapping = self.by_external.get(quote.src_port)
+        if mapping is None or mapping.remote != (quote.dst, quote.dst_port):
             sim.record(self.node_id, "drop", "icmp-no-mapping", d)
             return
         if self.policy.pmtud_sync is PmtudSync.SYNCHRONIZED:
@@ -243,24 +243,22 @@ class NatBox(IpNode):
 
     def _insert(self, mapping: NatMapping) -> None:
         self.by_internal[(mapping.internal, mapping.remote)] = mapping
-        self.by_external[(mapping.external_port, mapping.remote)] = mapping
-        self._used_ports.add(mapping.external_port)
+        self.by_external[mapping.external_port] = mapping
 
     def _remove(self, mapping: NatMapping) -> None:
         del self.by_internal[(mapping.internal, mapping.remote)]
-        del self.by_external[(mapping.external_port, mapping.remote)]
-        self._used_ports.discard(mapping.external_port)
+        del self.by_external[mapping.external_port]
         self.mappings_removed_by_rst += 1
 
     def _allocate_port(self, internal_port: int) -> int | None:
         alloc = self.policy.port_allocation
         if alloc is PortAllocation.PRESERVING:
-            if internal_port >= self.MIN_PORT and internal_port not in self._used_ports:
+            if internal_port >= self.MIN_PORT and internal_port not in self.by_external:
                 return internal_port
-            return lowest_free_port(self._used_ports, self.MIN_PORT, 0xFFFF)
+            return lowest_free_port(self.by_external, self.MIN_PORT, 0xFFFF)
         if alloc is PortAllocation.SEQUENTIAL:
-            port = lowest_free_port(self._used_ports, self.MIN_PORT, 0xFFFF, self._next_sequential)
+            port = lowest_free_port(self.by_external, self.MIN_PORT, 0xFFFF, self._next_sequential)
             if port is not None:
                 self._next_sequential = port + 1
             return port
-        return pick_port(self._rng, self.MIN_PORT, 0xFFFF, self._used_ports)
+        return pick_port(self._rng, self.MIN_PORT, 0xFFFF, self.by_external)

@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, replace
 from enum import Enum, IntFlag
 from ipaddress import IPv4Address
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 IP_HEADER_LEN = 20
 TCP_HEADER_LEN = 20
@@ -34,14 +34,6 @@ class NeedsFragmentationError(WireError):
     def __init__(self, mtu: int):
         super().__init__(f"needs-fragmentation: datagram exceeds mtu {mtu} with DF set")
         self.mtu = mtu
-
-
-class IncompleteGroupError(WireError):
-    """Fragment offsets leave a gap or overlap."""
-
-
-class MixedGroupError(WireError):
-    """Fragments from different datagrams were mixed."""
 
 
 class MalformedPacketError(WireError):
@@ -236,13 +228,6 @@ class Ipv4Datagram:
             return IP_HEADER_LEN + len(p)
         return IP_HEADER_LEN + p.wire_payload_length
 
-    @property
-    def is_fragment(self) -> bool:
-        return self.more_fragments or self.fragment_offset > 0
-
-    def group_key(self) -> tuple:
-        return (self.src, self.dst, self.protocol, self.identification)
-
 
 class _Ipv4DatagramFields:
     __slots__ = Ipv4Datagram.__slots__
@@ -321,40 +306,33 @@ def fragment(d: Ipv4Datagram, mtu: int) -> list[Ipv4Datagram]:
     return frags
 
 
-def reassemble(frags: list[Ipv4Datagram]) -> Ipv4Datagram:
-    """Reconstruct the original datagram from a complete fragment group.
+def reassemble(frags: Iterable[Ipv4Datagram]) -> Ipv4Datagram | None:
+    """The original datagram of a fragment group (one source, destination,
+    protocol and identification), or None while the group is incomplete.
 
-    reassemble(fragment(d, m)) == d for every valid m.  Raises
-    MixedGroupError when identifications differ, IncompleteGroupError
-    on gaps, overlaps, or a missing final fragment, and
+    reassemble(fragment(d, m)) == d for every valid m.  The group is
+    complete when its pieces, sorted by offset, tile the body with no hole
+    or overlap and only the last one has more-fragments clear; a lone
+    piece at offset 0 with it clear is a complete group of one.  Raises
     MalformedPacketError when the whole does not fit or does not decode.
     """
-    if not frags:
-        raise IncompleteGroupError("empty fragment group")
-    key = frags[0].group_key()
-    for f in frags[1:]:
-        if f.group_key() != key:
-            raise MixedGroupError(f"mixed-group: {f.group_key()} vs {key}")
-    if len(frags) == 1 and not frags[0].is_fragment:
-        return frags[0]
     ordered = sorted(frags, key=lambda f: f.fragment_offset)
-    finals = [f for f in ordered if not f.more_fragments]
-    if len(finals) != 1 or finals[0] is not ordered[-1]:
-        raise IncompleteGroupError("incomplete-group: final fragment missing or misplaced")
-    pos = 0
     parts = []
+    pos = 0
+    more = True  # an empty group has no final piece
     for f in ordered:
-        if f.fragment_offset * 8 != pos:
-            raise IncompleteGroupError(f"incomplete-group: hole or overlap at offset {pos}")
+        if not more or f.fragment_offset * 8 != pos:
+            return None  # a hole, an overlap, or a piece past the final one
         raw = encode_payload(f)
         parts.append(raw)
         pos += len(raw)
-    combined = b"".join(parts)
-    _check_total(len(combined))
-    # the first fragment carries MF, so it is not DF; the group shares its
-    # addresses, protocol and identification
+        more = f.more_fragments
+    if more:
+        return None
+    _check_total(pos)
+    # the group shares the first piece's addresses, protocol and identification
     first = ordered[0]
-    return replace(first, payload=_decode_body(first.protocol, combined), more_fragments=False,
+    return replace(first, payload=_decode_body(first.protocol, b"".join(parts)), more_fragments=False,
                    fragment_offset=0)
 
 

@@ -26,7 +26,7 @@ from natsim.probe import run_identification
 from natsim.strike import run_dos_attack
 
 # (Python calls, C calls) of each run
-ATTACK_BUDGET = (4857, 5368)
+ATTACK_BUDGET = (4857, 5352)
 IDENTIFY_BUDGET = (320, 419)
 
 

@@ -97,7 +97,7 @@ ROWS = [
         lambda: at_nat(icmp("10.0.0.2", "7.7.7.7", EchoRequest(1, 1, 0)))),
     Row('natbox.py "nat-ports-exhausted"', "nat", "nat-ports-exhausted",
         lambda: at_nat(tcp("10.0.0.2", "7.7.7.7"),
-                       prepare=lambda nat: nat._used_ports.update(range(nat.MIN_PORT, 0x10000)))),
+                       prepare=lambda nat: nat.by_external.update(dict.fromkeys(range(nat.MIN_PORT, 0x10000))))),
     Row('natbox.py "no-mapping"', "nat", "no-mapping",
         lambda: at_nat(tcp("7.7.7.7", "6.6.6.6", TcpFlag.RST, sport=80, dport=3333))),
     # strict validation: a SYN opens the mapping with no window, so any RST is out of it

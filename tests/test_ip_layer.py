@@ -90,6 +90,24 @@ def test_undecodable_reassembly_is_a_recorded_drop(make):
     assert not drops(sim, node, "reassembly-timeout")
 
 
+@pytest.mark.parametrize("decodes", [True, False], ids=["echo-request", "undecodable"])
+@pytest.mark.parametrize("make", [host_node, vantage_node, nat_node], ids=["host", "vantage", "nat"])
+def test_a_raw_body_that_is_no_fragment_is_a_group_of_one(make, decodes):
+    """A datagram with a raw body, more-fragments clear and offset 0, is a
+    complete group of one piece: decoded and dispatched whole, or one
+    malformed-reassembly drop when its body does not decode."""
+    sim, node = make()
+    request = echo_request(sim, node, padding=36)
+    body = wire.encode(request)[20:] if decodes else struct.pack(">BBHHH", 42, 0, 0, 0, 0)
+    raw = dataclasses.replace(request, payload=body)
+    node.on_datagram(sim, node.node_id, raw)
+    sim.run()
+    assert [d.payload for d in echo_replies(sim, node)] == [EchoReply(11, 1, 36)] * decodes
+    assert [r.dgram for r in drops(sim, node, "malformed-reassembly")] == [raw] * (not decodes)
+    assert not drops(sim, node, "reassembly-timeout")
+    assert node._frag_buffers == {}
+
+
 @NODES
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

@@ -48,7 +48,7 @@ class TestOutbound:
         sim.run(until=sim.now + 1)
         m = the_mapping(nat)
         assert m.internal[0] == "10.0.0.2" and m.remote == ("7.7.7.7", 80)
-        assert nat.by_external == {(m.external_port, m.remote): m}
+        assert nat.by_external == {m.external_port: m}
         sim.run(until=sim.now + 2)
         on_wire = [r.dgram for r in sim.trace if r.node == "server" and r.action == "deliver"]
         assert on_wire and on_wire[0].src == "6.6.6.6"
@@ -60,7 +60,7 @@ class TestOutbound:
         m = the_mapping(nat)  # made by the SYN, kept through the handshake
         client.send_data(sim, key, 100)
         sim.run()
-        assert the_mapping(nat) is m and nat.by_external == {(m.external_port, m.remote): m}
+        assert the_mapping(nat) is m and nat.by_external == {m.external_port: m}
 
     def test_preserving_uses_internal_port(self):
         policy = NatPolicy(port_allocation=PortAllocation.PRESERVING)
@@ -109,6 +109,23 @@ class TestInbound:
         nat.on_datagram(sim, "nat", inbound(nat, seg))
         assert sim.counters["nat"].packets_sent == 0
         assert any(r.reason == "no-mapping" for r in sim.trace)
+
+    @pytest.mark.parametrize("remote", [("7.7.7.8", 80), ("7.7.7.7", 81)], ids=["address", "port"])
+    def test_mapped_port_from_another_remote_is_unmapped(self, remote):
+        """A segment to a mapped port from any remote but the mapping's takes
+        the unmapped path: an ACK is reflected, a reset is dropped, and the
+        mapping stays."""
+        sim, client, nat, server = nat_triangle()
+        connect(sim, client)
+        m = the_mapping(nat)
+        start = len(sim.trace)
+        for flags in (TcpFlag.ACK, TcpFlag.RST | TcpFlag.ACK):
+            seg = TcpSegment(remote[1], m.external_port, seq=5, ack=987654, flags=flags)
+            nat.on_datagram(sim, "nat", inbound(nat, seg, src=remote[0]))
+        taken = [(r.action, r.reason, r.dgram.payload.flags) for r in list(sim.trace)[start:]
+                 if r.action == "send" or r.reason == "no-mapping"]
+        assert taken == [("send", "", TcpFlag.RST), ("drop", "no-mapping", TcpFlag.RST | TcpFlag.ACK)]
+        assert the_mapping(nat) is m and nat.mappings_removed_by_rst == 0
 
     def test_unmapped_inbound_rst_always_silent(self):
         sim, client, nat, server = nat_triangle()
@@ -245,6 +262,18 @@ class TestIcmpTranslation:
         nat.on_datagram(sim, "nat", self.probe_msg(nat))
         assert nat.pmtu.get("7.7.7.7") == 600
 
+    def test_quote_of_a_mapped_port_to_another_remote_dropped(self):
+        sim, client, nat, server = nat_triangle()
+        connect(sim, client)
+        observed = Ipv4Datagram(src=nat.address, dst="7.7.7.8", protocol=Protocol.TCP,
+                                payload=TcpSegment(the_mapping(nat).external_port, 80, seq=1,
+                                                   flags=TcpFlag.ACK), df=True)
+        msg = Ipv4Datagram(src="203.0.113.7", dst=nat.address, protocol=Protocol.ICMP,
+                           payload=FragNeeded(600, wire.quote_of(observed)))
+        start = len(sim.trace)
+        nat.on_datagram(sim, "nat", msg)
+        assert [(r.action, r.reason) for r in list(sim.trace)[start:]] == [("drop", "icmp-no-mapping")]
+
     def test_unmatched_dropped(self):
         sim, client, nat, server = nat_triangle()
         observed = Ipv4Datagram(src=nat.address, dst="7.7.7.7", protocol=Protocol.TCP,
@@ -309,7 +338,7 @@ class TestTable:
         m = the_mapping(nat)  # data-created mapping, no SYN seen
         assert (m.internal, m.remote) == (("10.0.0.2", key[0]), ("7.7.7.7", 80))
         assert m.external_port == old_port + 1  # sequential moved on
-        assert nat.by_external == {(m.external_port, m.remote): m}
+        assert nat.by_external == {m.external_port: m}
 
     def test_dump_format(self):
         """An established mapping holds its tuples, is indexed by external
@@ -318,7 +347,7 @@ class TestTable:
         key = connect(sim, client)
         m = the_mapping(nat)
         assert (m.internal, m.remote) == (("10.0.0.2", key[0]), ("7.7.7.7", 80))
-        assert nat.by_external == {(m.external_port, m.remote): m}
+        assert nat.by_external == {m.external_port: m}
         assert m.inbound_seq_window is None
 
     def test_dump_shows_strict_window(self):
@@ -362,7 +391,7 @@ TABLE_STEPS = st.lists(
 @settings(max_examples=20, deadline=None)
 def test_table_indexes_stay_in_step(allocation, steps, start):
     """Under any SYN/RST sequence the two indexes hold the same mappings,
-    each under both of its keys, and the used ports are the mapped ones."""
+    each under both of its keys: the external ports in use are the mapped ones."""
     sim = Simulator(keep_trace=False)
     sim.add_node("nat", "6.6.6.6")
     nat = NatBox("nat", "6.6.6.6", NatPolicy(port_allocation=allocation, sequential_start=start),
@@ -377,8 +406,7 @@ def test_table_indexes_stay_in_step(allocation, steps, start):
             d = inbound(nat, TcpSegment(remote[1], port, seq=0, flags=TcpFlag.RST | TcpFlag.ACK),
                         src=remote[0])
         nat.on_datagram(sim, "nat", d)
-        assert len(nat.by_internal) == len(nat.by_external)
+        assert set(nat.by_external) == {m.external_port for m in nat.by_internal.values()}
         for m in nat.by_internal.values():
             assert nat.by_internal[(m.internal, m.remote)] is m
-            assert nat.by_external[(m.external_port, m.remote)] is m
-        assert nat._used_ports == {m.external_port for m in nat.by_internal.values()}
+            assert nat.by_external[m.external_port] is m

@@ -111,25 +111,20 @@ class TestReassemble:
 
     def test_gap_detected(self):
         frags = wire.fragment(echo_datagram(), 600)
-        with pytest.raises(wire.IncompleteGroupError):
-            wire.reassemble([frags[0], frags[2]])
+        assert wire.reassemble([frags[0], frags[2]]) is None
 
     def test_missing_final(self):
         frags = wire.fragment(echo_datagram(), 600)
-        with pytest.raises(wire.IncompleteGroupError):
-            wire.reassemble(frags[:-1])
+        assert wire.reassemble(frags[:-1]) is None
 
-    def test_mixed_identification(self):
-        a = wire.fragment(echo_datagram(), 600)
-        b = wire.fragment(
-            Ipv4Datagram(
-                src="1.1.1.1", dst="2.2.2.2", protocol=Protocol.ICMP,
-                payload=EchoReply(5, 1, 1472), identification=10,
-            ),
-            600,
-        )
-        with pytest.raises(wire.MixedGroupError):
-            wire.reassemble([a[0], b[1], a[2]])
+    def test_empty_group(self):
+        assert wire.reassemble([]) is None
+
+    def test_a_piece_past_the_final_one(self):
+        """Pieces that tile the body but hold two final pieces, as two
+        datagrams under one identification can, are no datagram."""
+        first, *rest = wire.fragment(echo_datagram(), 600)
+        assert wire.reassemble([dataclasses.replace(first, more_fragments=False), *rest]) is None
 
     @given(mtu1=st.integers(68, 1500), mtu2=st.integers(68, 1500))
     @settings(max_examples=80)
@@ -138,6 +133,31 @@ class TestReassemble:
         stage1 = wire.fragment(d, mtu1)
         stage2 = [piece for f in stage1 for piece in wire.fragment(f, mtu2)]
         assert wire.reassemble(stage2) == d
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_subset_reassembles_exactly_when_it_tiles(self, data):
+        """Any order of any duplicate-free subset of a datagram's fragments
+        and of their refragmented pieces gives the datagram when its pieces
+        tile the body, by the independent oracle, and None otherwise."""
+        d = tcp_datagram(payload=data.draw(st.integers(0, 2000), label="payload"))
+        mtu1, mtu2 = (data.draw(st.integers(68, 1500), label=label) for label in ("mtu1", "mtu2"))
+        pieces = wire.fragment(d, mtu1)
+        nested = [wire.fragment(f, mtu2) for f in pieces]
+        pool = list(dict.fromkeys(pieces + [g for subs in nested for g in subs]))
+        # a tiling, each piece whole or refragmented, with any pieces of the
+        # pool toggled out of it or into it
+        tiling = {g for f, subs in zip(pieces, nested)
+                  for g in (subs if data.draw(st.booleans(), label="refragment") else [f])}
+        toggled = data.draw(st.sets(st.sampled_from(pool)), label="toggled")
+        subset = data.draw(st.permutations([g for g in pool if (g in tiling) != (g in toggled)]),
+                           label="order")
+        try:
+            tiles = reconcat([(g.fragment_offset * 8, wire.encode(g)[20:]) for g in subset]) == \
+                wire.encode(d)[20:]
+        except AssertionError:  # a hole or an overlap
+            tiles = False
+        assert wire.reassemble(subset) == (d if tiles else None)
 
 
 # every value of the flags octet, the five modeled bits and the three above them
@@ -201,8 +221,6 @@ FRAG_NEEDED = Ipv4Datagram("9.9.9.9", "6.6.6.6", Protocol.ICMP, FragNeeded(600, 
 
 class TestCodec:
     @pytest.mark.parametrize("call, error, message", [
-        pytest.param(lambda: wire.reassemble([]), wire.IncompleteGroupError, "empty fragment group",
-                     id="empty-group"),
         pytest.param(lambda: wire.encode_payload(Ipv4Datagram("1.1.1.1", "2.2.2.2", Protocol.TCP, "data")),
                      TypeError, "unsupported payload str", id="unknown-payload"),
         pytest.param(lambda: decode(damaged(tcp_datagram(payload=0), 32, 33, b"\x60")),
