@@ -125,10 +125,12 @@ def run_section(
 
 
 def assess(
-    scenarios: list[Scenario], seed: int | None = None, trace_sink: "TraceFile | None" = None
+    scenarios: list[Scenario], seed: int | None = None, trace_sink: "TraceFile | None" = None,
+    encoding: str = "utf-8",
 ) -> tuple[list[AssessmentRow], str, str, bool]:
     """Run every scenario; returns (rows, csv, human summary, all-matched).
-    Individual scenario failures become rows, never abort the suite."""
+    The summary is for output in `encoding`.  Individual scenario failures
+    become rows, never abort the suite."""
     rows = []
     for scn in sorted(scenarios, key=lambda s: s.name):
         row = AssessmentRow(scenario=scn.name, policy=scn.policy_summary())
@@ -145,12 +147,12 @@ def assess(
         check_expectations(scn, row)
         rows.append(row)
     csv = "\n".join([ASSESS_CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
-    summary = _summarize(rows)
+    summary = _summarize(rows, encoding)
     matched = all(not r.expected_mismatch and not r.error for r in rows)
     return rows, csv, summary, matched
 
 
-def _summarize(rows: list[AssessmentRow]) -> str:
+def _summarize(rows: list[AssessmentRow], encoding: str) -> str:
     lines = []
     for r in rows:
         if r.error:
@@ -162,7 +164,9 @@ def _summarize(rows: list[AssessmentRow]) -> str:
         else:
             status = "no-op"
         mark = "" if not r.expected_mismatch else f"  [MISMATCH: {'; '.join(r.expected_mismatch)}]"
-        lines.append(f"{r.scenario:40s} {r.policy:60s} {status}{mark}")
+        # the name as `encoding` shows it, escaped before it is padded
+        name = r.scenario.encode(encoding, "backslashreplace").decode(encoding)
+        lines.append(f"{name:40s} {r.policy:60s} {status}{mark}")
     lines.append(FIELD_CONTEXT_NOTE)
     return "\n".join(lines) + "\n"
 

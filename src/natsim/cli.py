@@ -55,8 +55,12 @@ def _say(text: str, end: str = "\n") -> None:
     """Print a report line.  What stdout's encoding cannot show, say a
     scenario name under an ASCII locale, prints as a backslash escape where
     print would raise; files stay UTF-8, and no stream setting changes."""
-    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    encoding = _stdout_encoding()
     print(text.encode(encoding, "backslashreplace").decode(encoding), end=end)
+
+
+def _stdout_encoding() -> str:
+    return getattr(sys.stdout, "encoding", None) or "utf-8"
 
 
 @contextlib.contextmanager
@@ -143,7 +147,8 @@ def cmd_attack(args, sink):
 @_driven
 def cmd_assess(args, sink):
     scenarios = _collect_scenarios(args.paths)
-    rows, csv, summary, _ = assess_mod.assess(scenarios, seed=args.seed, trace_sink=sink)
+    rows, csv, summary, _ = assess_mod.assess(scenarios, seed=args.seed, trace_sink=sink,
+                                              encoding=_stdout_encoding())
     if not args.quiet:
         _say(summary, end="")
     return rows, csv

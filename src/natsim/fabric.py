@@ -28,7 +28,7 @@ at build, are read where the simulator already branches: `on_drop[reason]`
 is called with each datagram dropped for that reason (in `record`'s drop
 branch, one dict lookup a drop), and a Node's `on_arrival` with what the
 node takes in for its handler, deliveries and an intercepting node's
-forwards (in `_arrive`'s branch for them).  A hook that returns True is
+forwards (in `run`'s group branch).  A hook that returns True is
 cleared; whoever fills a slot clears it.  A node may also log what it
 takes in (only the vantage `Host` does: a reassembled datagram makes no
 record), and counts are made inline where the node is in hand.
@@ -144,6 +144,11 @@ class Node:
     intercept: bool = False  # NAT: handler sees every arriving packet
     counters: Counters = field(default_factory=Counters)  # also Simulator.counters[node_id]
     on_arrival: Hook | None = field(default=None, repr=False, compare=False)  # what it takes in
+    # its handler takes in every arrival; nothing sets handler or intercept later
+    takes_all: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.takes_all = self.intercept and self.handler is not None
 
 
 # a forwarding table entry: (next hop, the link to it, its loss stream or
@@ -426,9 +431,27 @@ class Simulator:
                 item = bucket.popleft()
                 kind = item[0]
                 if kind == "group":
+                    # every datagram of a group arrives at this one node
                     node = item[1]
+                    node_id, address, handler = node.node_id, node.address, node.handler
+                    takes_all = node.takes_all
                     for d in item[2]:
-                        self._arrive(node, d)
+                        local = d.dst == address
+                        # an intercepting handler (the NAT) sees transit packets too
+                        if local or takes_all:
+                            if local:
+                                node.counters.packets_delivered += 1
+                            self.record(node_id, "deliver" if local else "forward", "", d)
+                            hook = node.on_arrival  # a hook that returns True clears mid-group
+                            if hook is not None and hook(d):
+                                node.on_arrival = None
+                            if handler is not None:
+                                handler.on_datagram(self, node_id, d)
+                        elif node.transit:
+                            self.record(node_id, "forward", "", d)
+                            self.forward_from(node_id, d)
+                        else:
+                            self.record(node_id, "drop", "no-route", d)
                 elif kind == "emit":
                     at = item[1]
                     for d in item[2]:
@@ -507,25 +530,3 @@ class Simulator:
             hook = self.on_drop.get(reason)
             if hook is not None and hook(d):
                 del self.on_drop[reason]
-
-    # -- internals ---------------------------------------------------------------
-
-    def _arrive(self, node: Node, d: Ipv4Datagram) -> None:
-        node_id = node.node_id
-        local = d.dst == node.address
-        # an intercepting handler (the NAT) sees transit packets too
-        if local or (node.intercept and node.handler is not None):
-            if local:
-                node.counters.packets_delivered += 1
-            self.record(node_id, "deliver" if local else "forward", "", d)
-            hook = node.on_arrival
-            if hook is not None and hook(d):
-                node.on_arrival = None
-            if node.handler is not None:
-                node.handler.on_datagram(self, node_id, d)
-            return
-        if node.transit:
-            self.record(node_id, "forward", "", d)
-            self.forward_from(node_id, d)
-            return
-        self.record(node_id, "drop", "no-route", d)

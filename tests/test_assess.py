@@ -456,7 +456,11 @@ class TestCli:
             env=env, capture_output=True, timeout=120)
         assert done.returncode == rc, done.stderr
         assert b"Traceback" not in done.stderr
-        assert done.stdout.decode("ascii") == report.encode("ascii", "backslashreplace").decode()
+        escaped = report.encode("ascii", "backslashreplace").decode()
+        if command == "assess":  # the name is escaped, then padded: its row keeps its columns
+            escaped = escaped.replace("wifi-caf\\xe9" + " " * 31, "wifi-caf\\xe9" + " " * 28)
+            assert escaped.index("vulnerable-remove/") == report.index("vulnerable-remove/") == 41
+        assert done.stdout.decode("ascii") == escaped
         assert ascii_csv.read_bytes() == utf8_csv.read_bytes()
 
     def test_attack_repeat_rows(self, tmp_path):

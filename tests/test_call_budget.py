@@ -26,8 +26,8 @@ from natsim.probe import run_identification
 from natsim.strike import run_dos_attack
 
 # (Python calls, C calls) of each run
-ATTACK_BUDGET = (4857, 5352)
-IDENTIFY_BUDGET = (320, 419)
+ATTACK_BUDGET = (4033, 5352)
+IDENTIFY_BUDGET = (298, 419)
 
 
 def counted_calls(run, handles) -> tuple[int, int]:

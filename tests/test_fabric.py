@@ -26,7 +26,9 @@ from natsim.fabric import (
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
+import helpers
 from helpers import chain, connect, line, nat_triangle
+from reference_fabric import ReferenceSimulator
 
 
 def rst(length=0, src="10.1.0.1", dst="10.1.0.3"):
@@ -749,6 +751,58 @@ class TestHookSlots:
         assert ids(at_server) == ids(rec.dgram for rec in sim.trace
                                      if rec.node == "server" and rec.action == "deliver")
         assert len(at_server) > 1
+
+    def test_an_arrival_hook_cleared_mid_group_is_called_once(self):
+        """A hook that returns True on a group's first datagram is called
+        for that one alone, while the handler takes in the whole group."""
+        taken = []
+
+        class Taking:
+            def on_datagram(self, sim, node, d):
+                taken.append(d)
+
+        sim = Simulator(seed=1)
+        sim.add_node("a", "10.1.0.1")
+        sim.add_node("x", "10.1.0.2", Taking(), intercept=True)
+        sim.add_node("b", "10.1.0.3")
+        sim.add_link(LinkSpec("a", "x"))
+        sim.add_link(LinkSpec("x", "b"))
+        sim.finalize_routes()
+        seen = []
+        sim.nodes["x"].on_arrival = collecting(seen, until=lambda d: True)
+        sent = [rst(length=i) for i in range(4)]
+        sim.inject("a", *sent)
+        sim.run()
+        # one group: every datagram crossed a -> x at the same tick
+        assert [(rec.tick, rec.action) for rec in sim.trace if rec.node == "x"] == [(1, "forward")] * 4
+        assert ids(seen) == ids(sent[:1])
+        assert sim.nodes["x"].on_arrival is None
+        assert ids(taken) == ids(sent)
+
+    @pytest.mark.parametrize("topology", ["nat", "opaque-router"])
+    def test_a_mixed_group_runs_as_the_reference(self, monkeypatch, topology):
+        """A group that holds datagrams for the node and datagrams past it
+        makes the records and counts of one arrival at a time."""
+
+        def run():
+            if topology == "nat":  # delivered to the NAT, and translated past it
+                sim, _, _, _ = helpers.nat_triangle()
+                ping = [Ipv4Datagram(src="10.0.0.2", dst="6.6.6.6", protocol=Protocol.ICMP,
+                                     payload=EchoRequest(1, n, 8)) for n in range(2)]
+                at, node, mix = "client", "nat", (ping[0], rst(src="10.0.0.2", dst="7.7.7.7"), ping[1])
+            else:  # delivered to n1, and no route past it
+                sim = helpers.chain(3, opaque=1)
+                at, node, mix = "n0", "n1", (rst(dst="10.1.0.2"), rst(), rst(dst="10.1.0.2"))
+            sim.inject(at, *mix)
+            sim.run(until=20)
+            taken = [rec.action for rec in sim.trace if rec.node == node and rec.tick == 1
+                     and rec.action != "send"]
+            return [line(rec) for rec in sim.trace], sim.counters, taken
+
+        lines, counters, taken = run()
+        assert taken == ["deliver", "forward" if topology == "nat" else "drop", "deliver"]
+        monkeypatch.setattr(helpers, "Simulator", ReferenceSimulator)
+        assert run() == (lines, counters, taken)
 
 
 class Tracked(Ipv4Datagram):

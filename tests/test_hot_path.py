@@ -41,7 +41,6 @@ PER_PACKET = (
     Simulator.inject,
     Simulator.run,
     Simulator.forward_from,
-    Simulator._arrive,
     MiddleboxFilter.matches,
     fabric.packet_summary,
     fabric.render_chunks,
