@@ -6,10 +6,16 @@ Identification and attack always run on fresh simulator instances of the
 same scenario, so their traces are independent pure functions of
 (document, seed).  The runs keep their trace records only when a trace
 is written or replayed (`fabric.keep_traces`).
+
+Replay re-simulates a trace file one section at a time and compares the
+fresh rendering with the file in pieces of at most READ_CHARS characters,
+one read and one `str.startswith` each; only from a piece that differs, or
+at the section's end, does it read the file line by line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
@@ -215,115 +221,135 @@ class ReplayResult:
 
 
 def replay(path: str) -> ReplayResult:
-    """Re-run every section of a trace file and byte-compare the output,
-    reading and re-simulating one section at a time.  After the first
-    divergence the remaining sections are only read, for their versions."""
-    found = version_mismatch = False
-    divergence = None
+    """Re-run every section of a trace file and compare its recorded lines
+    with the fresh rendering, one section at a time: whole pieces of the
+    file while they match, line by line from the first piece that does not
+    (see `_replay_section`).  After the first divergence the remaining
+    sections are only read, for their versions."""
+    version_mismatch, divergence = False, None
     try:
         with open(path, encoding="utf-8") as fh, keep_traces():
-            for ver, name, mode, seed, doc, body in _sections(path, fh):
-                found = True
+            reader = _Reader(fh)
+            if not (line := reader.line()):
+                raise ScenarioError(f"{path}: no trace sections found")
+            if not line.startswith(TRACE_MARK):
+                raise ScenarioError(f"{path}: malformed trace header")
+            while line:
+                ver, name, mode, seed, doc = _header(path, line, reader)
                 version_mismatch |= ver != VERSION
                 if divergence is None:
-                    divergence = _replay_section(path, name, mode, seed, doc, body)
+                    divergence = _replay_section(path, name, mode, seed, doc, reader)
+                reader.skip()  # what is left of the section
+                line = reader.line()
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
-    if not found:
-        raise ScenarioError(f"{path}: no trace sections found")
     return ReplayResult(divergence is None, version_mismatch, divergence)
 
 
-def _replay_section(path, name, mode, seed, doc, body) -> str | None:
-    """Re-simulate one section and check that each block of its recorded
-    lines starts the freshly rendered text not yet matched; the first
-    difference, or None."""
+def _replay_section(path, name, mode, seed, doc, reader) -> str | None:
+    """Re-simulate one section and compare its body with the fresh text, one
+    read of at most READ_CHARS characters per piece, each piece aligned to
+    one chunk of the fresh text; the first difference, or None.  A piece
+    that differs, the body ending first and the body running on past the
+    fresh text's end switch the rest of the section to `_compare_lines`."""
     scn = scenario_mod.load_scenario(doc)
     if mode not in ("identify", "attack"):
         raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
     _, handles = run_section(scn, mode, seed)
     trace = handles.sim.trace
     fresh = render_chunks(trace.rows(), WRITE_LINES)
-    pending, at = "", 0  # the fresh text, matched up to `at`
-    recorded = 0
-    for old in body:
-        while len(pending) - at < len(old) and (chunk := next(fresh, None)):
-            pending, at = pending[at:] + chunk, 0
-        count = old.count("\n")
-        if pending.startswith(old, at):
-            at += len(old)
-        else:  # name the first differing line; the fresh text is short once it runs out
-            new = pending[at:].split("\n", count)[:-1]
-            for number, (was, now) in enumerate(zip(old.split("\n"), new), recorded + 1):
-                if was != now:
-                    return f"section {name} line {number}: recorded {was!r} vs replayed {now!r}"
-            pending, at = "", 0  # the fresh text ran out, all of it matched
-        recorded += count
-    if recorded != len(trace):
-        return f"section {name}: recorded {recorded} lines vs replayed {len(trace)}"
+    read = reader.read
+    for index, chunk in enumerate(fresh):  # every chunk but the last has WRITE_LINES lines
+        pos, end = 0, len(chunk)
+        while pos < end:
+            piece = read(size := min(READ_CHARS, end - pos))
+            if len(piece) < size or not chunk.startswith(piece, pos):
+                start = chunk.rfind("\n", 0, pos) + 1  # the line in progress, matched so far
+                reader.push(chunk[start:pos] + piece)
+                matched = index * WRITE_LINES + chunk.count("\n", 0, start)
+                rest = itertools.chain((chunk[start:],), fresh)
+                return _compare_lines(reader, name, matched, rest, len(trace))
+            pos += size
+    return _compare_lines(reader, name, len(trace), (), len(trace))
+
+
+def _compare_lines(reader, name, recorded, chunks, replayed) -> str | None:
+    """Compare the rest of a section body with the lines of the fresh
+    `chunks` line by line, after `recorded` lines that matched: blank lines
+    are skipped, the file's last line may lack its newline, and the first
+    recorded line that differs is named; else the two line counts, if they
+    differ."""
+    fresh = (line for chunk in chunks for line in chunk[:-1].split("\n"))
+    for line in reader.lines():
+        if line != "\n":
+            recorded += 1
+            was, now = line.rstrip("\n"), next(fresh, None)
+            if now is not None and was != now:
+                return f"section {name} line {recorded}: recorded {was!r} vs replayed {now!r}"
+    if recorded != replayed:
+        return f"section {name}: recorded {recorded} lines vs replayed {replayed}"
     return None
 
 
-def _sections(path: str, fh):
-    """Yield (version, name, mode, seed, doc, body) for each section of an
-    open trace file, read in the blocks of whole lines `_blocks` cuts.
-    `body` yields the section's record lines a block at a time, blank lines
-    dropped and each line ending in a newline; whatever of it is left unread
-    is skipped."""
-    blocks = _blocks(fh)
-    pending = next(blocks, "")  # the next section's first block
-    if pending and not pending.startswith(TRACE_MARK):
-        raise ScenarioError(f"{path}: malformed trace header")
-
-    def body(text):
-        nonlocal pending
-        while text and not text.startswith(TRACE_MARK):
-            # blank lines, or the file's last line without its newline
-            if text[0] == "\n" or "\n\n" in text or text[-1] != "\n":
-                text = "".join(f"{line}\n" for line in text.split("\n") if line)
-            yield text
-            text = next(blocks, "")
-        pending = text
-
-    while pending:
-        line, _, text = pending.partition("\n")
-        version = line.partition(" ")[2]
-        header = {"#name": "", "#mode": "", "#seed": None, "#scenario": None}
-        while text or (text := next(blocks, "")):
-            line, _, rest = text.partition("\n")
-            key, space, value = line.partition(" ")
-            if space and key in header:
-                header[key] = value
-            elif line:
-                break  # the first record line, or the next section's
-            text = rest
-        seed, doc = header["#seed"], header["#scenario"]
-        try:
-            seed = 0 if seed is None else int(seed)
-        except ValueError:
-            raise ScenarioError(f"{path}: #seed: {seed!r} is not an integer") from None
-        try:
-            doc = {} if doc is None else json.loads(doc)
-        except (ValueError, RecursionError) as e:
-            raise ScenarioError(f"{path}: #scenario: invalid JSON: {e}") from None
-        lines = body(text)
-        yield version, header["#name"], header["#mode"], seed, doc, lines
-        for _ in lines:  # sets `pending` to the next section's first block
-            pass
+def _header(path: str, line: str, reader: "_Reader"):
+    """(version, name, mode, seed, doc) of the section whose first `line` was
+    just read; `reader` is left at the section's first record line."""
+    header = {"#name": "", "#mode": "", "#seed": None, "#scenario": None}
+    for text in reader.lines():
+        key, space, value = text.rstrip("\n").partition(" ")
+        if space and key in header:
+            header[key] = value
+        elif text != "\n":
+            reader.push(text)  # the first record line
+            break
+    seed, doc = header["#seed"], header["#scenario"]
+    try:
+        seed = 0 if seed is None else int(seed)
+    except ValueError:
+        raise ScenarioError(f"{path}: #seed: {seed!r} is not an integer") from None
+    try:
+        doc = {} if doc is None else json.loads(doc)
+    except (ValueError, RecursionError) as e:
+        raise ScenarioError(f"{path}: #scenario: invalid JSON: {e}") from None
+    version = line.rstrip("\n").partition(" ")[2]
+    return version, header["#name"], header["#mode"], seed, doc
 
 
-def _blocks(fh):
-    """The text of an open trace file, READ_CHARS characters at a time and
-    then the rest of the line in progress, with each block cut before every
-    line that starts a section."""
-    while block := fh.read(READ_CHARS):
-        if block[-1] != "\n":
-            block += fh.readline()
-        start = 0
-        while (cut := block.find("\n" + TRACE_MARK, start)) >= 0:
-            yield block[start : cut + 1]
-            start = cut + 1
-        yield block[start:]
+class _Reader:
+    """An open trace file, with the text read from it ahead of use: that
+    text is read again first."""
+
+    def __init__(self, fh):
+        self.fh, self.ahead = fh, ""
+
+    def push(self, text: str) -> None:
+        self.ahead = text + self.ahead
+
+    def read(self, size: int) -> str:
+        """The next `size` characters, fewer only at the end of the file."""
+        text, self.ahead = self.ahead[:size], self.ahead[size:]
+        return text + self.fh.read(size - len(text)) if len(text) < size else text
+
+    def line(self) -> str:
+        """The next line, with its newline if it has one; "" at the end."""
+        text, newline, self.ahead = self.ahead.partition("\n")
+        return text + newline if newline else text + self.fh.readline()
+
+    def skip(self) -> None:
+        """Read on from the start of a line to the next line that starts a
+        section, which is left to be read again, or to the end of the file."""
+        while text := self.read(READ_CHARS):
+            text = "\n" + text + self.line()  # whole lines, each after a newline
+            if (at := text.find("\n" + TRACE_MARK)) >= 0:
+                self.push(text[at + 1 :])
+                return
+
+    def lines(self):
+        """The lines up to the next one that starts a section, which is left
+        to be read again, or to the end of the file."""
+        while (line := self.line()) and not line.startswith(TRACE_MARK):
+            yield line
+        self.push(line)
 
 
 def probe_csv(target: str, verdict: Verdict) -> str:

@@ -164,15 +164,12 @@ _FLAG_COLUMN = {
 }
 
 
-def packet_summary(d: Ipv4Datagram) -> str:
-    """`proto src:port>dst:port flags seq ack len df off` trace column."""
+def other_summary(d: Ipv4Datagram) -> str:
+    """The trace column of a datagram that carries no TcpSegment, as
+    `render_chunks` builds a TCP one: `proto src:port>dst:port flags seq ack
+    len df off`."""
     p = d.payload
     df = "DF" if d.df else ("MF" if d.more_fragments else "-")
-    if type(p) is TcpSegment:  # nearly every record; the length inline, as in forward_from
-        return (
-            f"TCP {d.src}:{p.src_port}>{d.dst}:{p.dst_port} {_FLAG_COLUMN[p.flags]} {p.seq} {p.ack} "
-            f"{_TCP_HEADERS + p.payload_length} {df} {d.fragment_offset}"
-        )
     if isinstance(p, wire.EchoRequest):
         proto, flags, sp, dp, seq, ack = "ICMP", "EQ", 0, 0, p.seq_no, p.ident
     elif isinstance(p, wire.EchoReply):
@@ -209,7 +206,7 @@ def render_chunks(records: Iterable[tuple], lines: int) -> Iterator[str]:
     and packet column, tab-separated, then a newline.  Each tick is formatted
     once per run of records that share it, and each datagram's column, with
     its tab and newline, once for all the records that carry it while it is
-    cached."""
+    cached: a TCP column in one f-string, any other by `other_summary`."""
     half = SUMMARY_CACHE_ENTRIES // 2
     young: dict[int, str] = {}  # id(d) -> d's column, for the newest datagrams
     old: dict[int, str] = {}  # the generation before
@@ -229,7 +226,17 @@ def render_chunks(records: Iterable[tuple], lines: int) -> Iterator[str]:
             if column is None:
                 if len(young) >= half:
                     old, held_old, young, held = young, held, {}, []
-                column = young[key] = f"\t{packet_summary(d)}\n"
+                p = d.payload
+                # nearly every record; the length inline, as in forward_from
+                if type(p) is TcpSegment:
+                    column = (
+                        f"\tTCP {d.src}:{p.src_port}>{d.dst}:{p.dst_port} {_FLAG_COLUMN[p.flags]} "
+                        f"{p.seq} {p.ack} {_TCP_HEADERS + p.payload_length} "
+                        f"{'DF' if d.df else 'MF' if d.more_fragments else '-'} {d.fragment_offset}\n"
+                    )
+                else:
+                    column = f"\t{other_summary(d)}\n"
+                young[key] = column
                 held.append(d)
             append(f"{tick_s}{node}\t{action}\t{reason}{column}")
         if not out:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from natsim import wire
 from natsim.endpoint import Host, StackProfile
-from natsim.fabric import LinkSpec, Simulator, TraceRecord, packet_summary
+from natsim.fabric import LinkSpec, Simulator, TraceRecord
 from natsim.natbox import NatBox, NatPolicy
+from natsim.wire import Ipv4Datagram, TcpFlag, TcpSegment
 
 
 def host_pair(seed=1, profile_b: StackProfile | None = None, mtu=1500):
@@ -61,3 +63,30 @@ def line(rec: TraceRecord) -> str:
     """The reference rendering of one trace record, without its newline:
     what `fabric.render_chunks` must produce for it."""
     return f"{rec.tick}\t{rec.node}\t{rec.action}\t{rec.reason}\t{packet_summary(rec.dgram)}"
+
+
+# each TCP flag's letter in the trace column, lowest bit first
+FLAG_LETTERS = ((TcpFlag.FIN, "F"), (TcpFlag.SYN, "S"), (TcpFlag.RST, "R"), (TcpFlag.PSH, "P"),
+                (TcpFlag.ACK, "A"))
+
+
+def packet_summary(d: Ipv4Datagram) -> str:
+    """The reference packet column, `proto src:port>dst:port flags seq ack
+    len df off`, built field by field from the datagram: the product builds
+    a TCP column inline in `fabric.render_chunks`, and this function is not
+    on its path."""
+    p = d.payload
+    df = "DF" if d.df else ("MF" if d.more_fragments else "-")
+    if isinstance(p, TcpSegment):
+        proto, sp, dp, seq, ack = "TCP", p.src_port, p.dst_port, p.seq, p.ack
+        flags = "".join(letter for flag, letter in FLAG_LETTERS if flag in p.flags) or "-"
+    elif isinstance(p, wire.EchoRequest):
+        proto, flags, sp, dp, seq, ack = "ICMP", "EQ", 0, 0, p.seq_no, p.ident
+    elif isinstance(p, wire.EchoReply):
+        proto, flags, sp, dp, seq, ack = "ICMP", "EP", 0, 0, p.seq_no, p.ident
+    elif isinstance(p, wire.FragNeeded):
+        proto, flags, sp, dp, seq, ack = "ICMP", "FN", 0, 0, p.next_hop_mtu, 0
+    else:
+        proto = d.protocol.name
+        flags, sp, dp, seq, ack = "-", 0, 0, 0, 0
+    return f"{proto} {d.src}:{sp}>{d.dst}:{dp} {flags} {seq} {ack} {d.total_length} {df} {d.fragment_offset}"

@@ -1,5 +1,6 @@
 """Assessor, CSV formats, trace replay, and the CLI exit-code contract."""
 
+import functools
 import gc
 import json
 import os
@@ -7,11 +8,15 @@ import re
 import runpy
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import replay_oracle
 from natsim import assess
 from natsim import scenario as sc
 from natsim.cli import main
@@ -346,6 +351,137 @@ class TestReplay:
         path.write_text("")
         with pytest.raises(sc.ScenarioError):
             assess.replay(str(path))
+
+    @pytest.mark.parametrize("edge", [1, 7, 69])
+    def test_pieces_shorter_than_a_line(self, tmp_path, monkeypatch, edge):
+        path = self.three_sections(tmp_path)
+        text = path.read_text()
+        assert self.replay_in_blocks(monkeypatch, path, text, edge).identical
+        lines = text.splitlines(keepends=True)
+        body = [i for i, l in enumerate(lines) if l == "#name m2\n"][0] + 4
+        original = lines[body + 2]
+        lines[body + 2] = original[:-2] + "9\n"
+        result = self.replay_in_blocks(monkeypatch, path, "".join(lines), edge)
+        assert result.divergence == (
+            f"section m2 line 3: recorded {lines[body + 2][:-1]!r} vs replayed {original[:-1]!r}")
+
+    def test_sections_after_a_divergence_are_read_for_their_versions(self, tmp_path, monkeypatch):
+        path = self.three_sections(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        second = [i for i, l in enumerate(lines) if l == "#name m2\n"][0]
+        third = [i for i, l in enumerate(lines) if l == "#name m3\n"][0]
+        lines[second + 10] = lines[second + 10].replace("\tsend\t", "\tforward\t", 1)
+        lines[third - 1] = "#natsim-trace 0.0.0\n"
+        # re-simulated, the third section would fail to load
+        lines[third + 3] = "#scenario {}\n"
+        path.write_text("".join(lines))
+        sections = []
+        run_section = assess.run_section
+
+        def counted(scn, mode, seed=None, sink=None):
+            sections.append(scn.name)
+            return run_section(scn, mode, seed, sink)
+
+        monkeypatch.setattr(assess, "run_section", counted)
+        result = assess.replay(str(path))
+        assert sections == ["m1", "m2"]
+        assert result.version_mismatch and result.divergence.startswith("section m2 line 7: ")
+
+
+@functools.cache
+def small_trace() -> str:
+    """A three-section trace of a few hundred lines: identify, attack, identify."""
+    sink = assess.TraceFile()
+    for name, mode in (("s1", "identify"), ("s2", "attack"), ("s3", "identify")):
+        scn = sc.load_scenario(fast_doc(name, ephemeral_range=(40000, 40003),
+                                        port_range=(40000, 40003), interleave_batch=2))
+        assess.run_section(scn, mode, sink=sink)
+    with tempfile.TemporaryDirectory() as tmp:
+        sink.write(os.path.join(tmp, "small.trace"))
+        with open(os.path.join(tmp, "small.trace"), encoding="utf-8") as fh:
+            return fh.read()
+
+
+RUN_SECTION = assess.run_section
+EDITS = ("char", "insert", "delete", "duplicate", "blank", "final-newline", "crlf", "version",
+         "truncate")
+
+
+def edit_trace(data, text: str, edit: str) -> str:
+    """`text` with one `edit` made where `data` draws it."""
+    lines = text.splitlines(keepends=True)
+    body = [i for i, l in enumerate(lines) if not l.startswith("#") and l.strip()]
+    marks = [i for i, l in enumerate(lines) if l.startswith(assess.TRACE_MARK)]
+    if edit == "char" and body:
+        i = data.draw(st.sampled_from(body))
+        at = data.draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:at] + data.draw(st.sampled_from("09 \tT#\n\r")) + lines[i][at + 1 :]
+    elif edit == "insert":
+        copy = lines[body[0]] if body else "x\n"
+        new = data.draw(st.sampled_from(["junk\n", "1\tn0\tsend\t\tTCP\n", copy]))
+        lines.insert(data.draw(st.integers(0, len(lines))), new)
+    elif edit in ("delete", "duplicate") and body:
+        i = data.draw(st.sampled_from(body))
+        lines[i : i + 1] = [] if edit == "delete" else [lines[i]] * 2
+    elif edit == "blank":
+        lines.insert(data.draw(st.integers(0, len(lines))), "\n" * data.draw(st.integers(1, 3)))
+    elif edit == "final-newline" and lines and lines[-1].endswith("\n"):
+        lines[-1] = lines[-1][:-1]
+    elif edit == "crlf":  # on every line, or on every `step`-th from `first`
+        first, step = data.draw(st.integers(0, 20)), data.draw(st.integers(1, 20))
+        lines = [l[:-1] + "\r\n" if l.endswith("\n") and i >= first and (i - first) % step == 0 else l
+                 for i, l in enumerate(lines)]
+    elif edit == "version" and marks:
+        i = data.draw(st.sampled_from(marks))
+        lines[i] = data.draw(st.sampled_from([f"{assess.TRACE_MARK} 0.0.0\n", f"{assess.TRACE_MARK}\n"]))
+    elif edit == "truncate" and marks:
+        end = data.draw(st.sampled_from(marks[1:] + [len(lines)]))
+        cut = data.draw(st.integers(1, 40))
+        lines[max(0, end - cut) : end] = [l for l in lines[max(0, end - cut) : end] if l.startswith("#")]
+    return "".join(lines)
+
+
+class TestReplayOracle:
+    """`assess.replay` returns what the block-reading replay of the parent
+    design returns (`tests/replay_oracle.py`) on edited traces."""
+
+    runs = {}  # each section's run, made once for every example and both replays
+
+    @classmethod
+    def run_once(cls, scn, mode, seed=None, sink=None):
+        key = (json.dumps(scn.doc, sort_keys=True), mode, seed)
+        if key not in cls.runs:
+            cls.runs[key] = RUN_SECTION(scn, mode, seed, sink)
+        return cls.runs[key]
+
+    @staticmethod
+    def outcome(replay, path):
+        try:
+            return replay(path)
+        except sc.ScenarioError as e:
+            return f"ScenarioError: {e}"
+
+    @given(data=st.data(), edits=st.lists(st.sampled_from(EDITS), min_size=1, max_size=3),
+           read_chars=st.integers(1, 20_000), write_lines=st.integers(1, 600))
+    @settings(max_examples=30, deadline=None)
+    def test_replay_returns_the_oracles_result(self, tmp_path_factory, data, edits, read_chars,
+                                               write_lines):
+        text = small_trace()
+        for edit in edits:
+            text = edit_trace(data, text, edit)
+        path = tmp_path_factory.getbasetemp() / "edited.trace"
+        path.write_bytes(text.encode())
+        saved = (assess.READ_CHARS, assess.WRITE_LINES, assess.run_section, replay_oracle.READ_CHARS,
+                 replay_oracle.run_section)
+        assess.READ_CHARS = replay_oracle.READ_CHARS = read_chars
+        assess.WRITE_LINES = write_lines
+        assess.run_section = replay_oracle.run_section = self.run_once
+        try:
+            expected = self.outcome(replay_oracle.replay, str(path))
+            assert self.outcome(assess.replay, str(path)) == expected
+        finally:
+            (assess.READ_CHARS, assess.WRITE_LINES, assess.run_section, replay_oracle.READ_CHARS,
+             replay_oracle.run_section) = saved
 
 
 class TestTraceRendering:

@@ -841,6 +841,19 @@ class TestRenderLines:
         records += [TraceRecord(9999, "n1", "drop", "loss", d) for d in reversed(dgrams)]
         assert "".join(render_chunks(records, 1024)) == self.reference(records)
 
+    def test_every_field_of_a_tcp_column(self):
+        # each flags value, with DF, MF and neither, at offsets 0 and 3
+        dgrams = [
+            Ipv4Datagram("10.1.0.1", "10.1.0.3", Protocol.TCP,
+                         TcpSegment(1000 + bits, 80, seq=bits * 7, ack=bits * 11, flags=TcpFlag(bits),
+                                    payload_length=bits % 9),
+                         df=frag == "DF", more_fragments=frag == "MF", fragment_offset=offset)
+            for bits in range(32) for frag in ("DF", "MF", "-")
+            for offset in ((0,) if frag == "DF" else (0, 3))
+        ]
+        records = [TraceRecord(i, "n0", "send", "", d) for i, d in enumerate(dgrams)]
+        assert "".join(render_chunks(records, 64)) == self.reference(records)
+
     def test_records_made_while_rendering(self):
         # each batch of datagrams is freed once its records are rendered, so
         # the next batch is allocated where it was, under the same ids

@@ -42,7 +42,7 @@ PER_PACKET = (
     Simulator.run,
     Simulator.forward_from,
     MiddleboxFilter.matches,
-    fabric.packet_summary,
+    fabric.other_summary,
     fabric.render_chunks,
 )
 
