@@ -8,9 +8,9 @@ same scenario, so their traces are independent pure functions of
 is written or replayed (`fabric.keep_traces`).
 
 Replay re-simulates a trace file one section at a time and compares the
-fresh rendering with the file in pieces of at most READ_CHARS characters,
-one read and one `str.startswith` each; only from a piece that differs, or
-at the section's end, does it read the file line by line.
+fresh rendering with the file one rendered chunk at a time, one read of the
+chunk's length and one string compare each; only from a chunk that differs,
+or at the section's end, does it read the file line by line.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ FIELD_CONTEXT_NOTE = (
 )
 
 WRITE_LINES = 1024  # trace lines rendered into one chunk, and one write
-READ_CHARS = 1 << 13  # characters of a trace file read at once in replay
+READ_CHARS = 1 << 13  # characters read at once while replay skips to the next section
 TRACE_MARK = "#natsim-trace"  # the start of every section's first line
 
 
@@ -222,8 +222,8 @@ class ReplayResult:
 
 def replay(path: str) -> ReplayResult:
     """Re-run every section of a trace file and compare its recorded lines
-    with the fresh rendering, one section at a time: whole pieces of the
-    file while they match, line by line from the first piece that does not
+    with the fresh rendering, one section at a time: whole chunks of the
+    file while they match, line by line from the first chunk that does not
     (see `_replay_section`).  After the first divergence the remaining
     sections are only read, for their versions."""
     version_mismatch, divergence = False, None
@@ -247,29 +247,23 @@ def replay(path: str) -> ReplayResult:
 
 
 def _replay_section(path, name, mode, seed, doc, reader) -> str | None:
-    """Re-simulate one section and compare its body with the fresh text, one
-    read of at most READ_CHARS characters per piece, each piece aligned to
-    one chunk of the fresh text; the first difference, or None.  A piece
-    that differs, the body ending first and the body running on past the
-    fresh text's end switch the rest of the section to `_compare_lines`."""
+    """Re-simulate one section and compare its body with the fresh text one
+    rendered chunk at a time, one read of the chunk's length and one compare
+    each; the first difference, or None.  Text that differs from its chunk
+    (a body that ends inside the chunk reads short) is pushed back, and
+    `_compare_lines` goes on line by line from the chunk's start; after the
+    last chunk it checks that the body ends there too."""
     scn = scenario_mod.load_scenario(doc)
     if mode not in ("identify", "attack"):
         raise ScenarioError(f"{path}: unknown trace mode {mode!r}")
     _, handles = run_section(scn, mode, seed)
     trace = handles.sim.trace
     fresh = render_chunks(trace.rows(), WRITE_LINES)
-    read = reader.read
     for index, chunk in enumerate(fresh):  # every chunk but the last has WRITE_LINES lines
-        pos, end = 0, len(chunk)
-        while pos < end:
-            piece = read(size := min(READ_CHARS, end - pos))
-            if len(piece) < size or not chunk.startswith(piece, pos):
-                start = chunk.rfind("\n", 0, pos) + 1  # the line in progress, matched so far
-                reader.push(chunk[start:pos] + piece)
-                matched = index * WRITE_LINES + chunk.count("\n", 0, start)
-                rest = itertools.chain((chunk[start:],), fresh)
-                return _compare_lines(reader, name, matched, rest, len(trace))
-            pos += size
+        if (piece := reader.read(len(chunk))) != chunk:
+            reader.push(piece)
+            rest = itertools.chain((chunk,), fresh)
+            return _compare_lines(reader, name, index * WRITE_LINES, rest, len(trace))
     return _compare_lines(reader, name, len(trace), (), len(trace))
 
 

@@ -52,15 +52,11 @@ DEFAULT_EPHEMERAL_RANGE = (32768, 61000)  # linux-like; windows-like is 49152-65
 DEFAULT_RCV_WND = 65535
 
 
-class StackError(Exception):
-    pass
-
-
-class PortsExhaustedError(StackError):
+class PortsExhaustedError(Exception):
     """No free port remains in the configured ephemeral range."""
 
 
-class ConnectionResetSimError(StackError):
+class ConnectionResetSimError(Exception):
     """The simulated application tried to use a closed connection."""
 
 

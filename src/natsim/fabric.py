@@ -280,18 +280,15 @@ class Trace:
 
     def rows(self) -> Iterator[tuple]:
         """The kept records as plain (tick, node, action, reason, dgram) rows."""
-        slots = iter(self._kept())
-        return zip(slots, slots, slots, slots, slots)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return map(_as_record, self.rows())
-
-    def _kept(self) -> list:
         if self.records is None:
             raise TraceNotKeptError(
                 f"{self.count} trace records were counted, not kept; run inside fabric.keep_traces()"
             )
-        return self.records
+        slots = iter(self.records)
+        return zip(slots, slots, slots, slots, slots)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_as_record, self.rows())
 
 
 class Simulator:

@@ -39,11 +39,7 @@ ROUTER_LIKE_SRC = "203.0.113.99"
 MAX_TIMEOUT_TICKS = 100_000
 
 
-class ProbeError(Exception):
-    pass
-
-
-class NoBaselineError(ProbeError):
+class NoBaselineError(Exception):
     """No TCP segment from the target has been observed yet."""
 
 

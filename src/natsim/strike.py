@@ -52,11 +52,7 @@ PROBE_PAYLOAD = 16
 OUTCOME_CSV_COLUMNS = "success,diagnosis,rst,pushack,octets,ticks,bandwidth,torn,blocked"
 
 
-class StrikeError(Exception):
-    pass
-
-
-class NothingToAttackError(StrikeError):
+class NothingToAttackError(Exception):
     """No established victim connection exists through the NAT."""
 
 

@@ -23,11 +23,7 @@ DEFAULT_MTU = 1500
 SEQ_MOD = 1 << 32
 
 
-class WireError(Exception):
-    """Base class for packet-model errors."""
-
-
-class NeedsFragmentationError(WireError):
+class NeedsFragmentationError(Exception):
     """DF-set datagram exceeds the given MTU; caller should drop and
     report ICMP Fragmentation Needed."""
 
@@ -36,7 +32,7 @@ class NeedsFragmentationError(WireError):
         self.mtu = mtu
 
 
-class MalformedPacketError(WireError):
+class MalformedPacketError(Exception):
     """Buffer is truncated or internally inconsistent."""
 
 

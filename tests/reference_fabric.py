@@ -5,6 +5,11 @@ own `_arrive` call, which reads the node's fields afresh every time: the
 semantics the product's `run` must keep while it reads them once a group.
 Build a scenario on it by patching `scenario.Simulator`, which
 `scenario.build` instantiates.
+
+`checked_tcp_packet` builds what `wire.tcp_packet` builds through the
+checked constructors; patch it over the `tcp_packet` that `strike`,
+`endpoint` and `natbox` import, so that the reference run also checks
+every field of every TCP datagram the product builds store-only.
 """
 
 from __future__ import annotations
@@ -12,7 +17,15 @@ from __future__ import annotations
 import heapq
 
 from natsim.fabric import Node, Simulator
-from natsim.wire import Ipv4Datagram
+from natsim.wire import Ipv4Datagram, Protocol, TcpFlag, TcpSegment
+
+
+def checked_tcp_packet(
+    src: str, dst: str, src_port: int, dst_port: int, seq: int, ack: int, flags: TcpFlag,
+    payload_length: int, identification: int, df: bool,
+) -> Ipv4Datagram:
+    return Ipv4Datagram(src, dst, Protocol.TCP, TcpSegment(src_port, dst_port, seq, ack, flags, payload_length),
+                        identification, df)
 
 
 class ReferenceSimulator(Simulator):

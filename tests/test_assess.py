@@ -484,6 +484,43 @@ class TestReplayOracle:
              replay_oracle.run_section) = saved
 
 
+class TestReplayChunkEdges:
+    """`assess.replay` returns the oracle's result where a section body
+    meets the edge of a rendered chunk, at a small `WRITE_LINES`."""
+
+    @staticmethod
+    def replay_in_chunks(tmp_path, monkeypatch, text, write_lines):
+        """`assess.replay` of `text`, rendered `write_lines` lines a chunk;
+        it must be the oracle's result."""
+        path = tmp_path / "edited.trace"
+        path.write_text(text)
+        monkeypatch.setattr(assess, "WRITE_LINES", write_lines)
+        result = assess.replay(str(path))
+        assert result == replay_oracle.replay(str(path))
+        return result
+
+    @pytest.mark.parametrize("write_lines", [1, 3, 64])
+    def test_first_difference_starts_the_second_chunk(self, tmp_path, monkeypatch, write_lines):
+        lines = small_trace().splitlines(keepends=True)
+        at = lines.index("#name s2\n") + 4 + write_lines  # body line write_lines + 1
+        original = lines[at]
+        lines[at] = original[:-2] + "9\n"
+        assert lines[at] != original
+        result = self.replay_in_chunks(tmp_path, monkeypatch, "".join(lines), write_lines)
+        assert result.divergence == (
+            f"section s2 line {write_lines + 1}: recorded {lines[at][:-1]!r} vs replayed {original[:-1]!r}")
+
+    # the last section's body, 118 lines, fills its last chunk
+    @pytest.mark.parametrize("write_lines", [1, 2, 59])
+    def test_body_ending_at_a_chunk_edge_without_its_final_newline(self, tmp_path, monkeypatch,
+                                                                   write_lines):
+        text = small_trace()
+        lines = text.splitlines()
+        assert (len(lines) - (lines.index("#name s3") + 4)) % write_lines == 0
+        result = self.replay_in_chunks(tmp_path, monkeypatch, text[:-1], write_lines)
+        assert result.describe() == "identical"
+
+
 class TestTraceRendering:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_render_lines_matches_line_on_shipped_runs(self, name):
