@@ -311,23 +311,25 @@ def _header(path: str, line: str, reader: "_Reader"):
 
 class _Reader:
     """An open trace file, with the text read from it ahead of use: that
-    text is read again first."""
+    text, from offset `at` on, is read again first."""
 
     def __init__(self, fh):
-        self.fh, self.ahead = fh, ""
+        self.fh, self.ahead, self.at = fh, "", 0
 
     def push(self, text: str) -> None:
-        self.ahead = text + self.ahead
+        self.ahead, self.at = text + self.ahead[self.at :], 0
 
     def read(self, size: int) -> str:
         """The next `size` characters, fewer only at the end of the file."""
-        text, self.ahead = self.ahead[:size], self.ahead[size:]
+        text = self.ahead[self.at : self.at + size]
+        self.at += len(text)
         return text + self.fh.read(size - len(text)) if len(text) < size else text
 
     def line(self) -> str:
         """The next line, with its newline if it has one; "" at the end."""
-        text, newline, self.ahead = self.ahead.partition("\n")
-        return text + newline if newline else text + self.fh.readline()
+        at, end = self.at, self.ahead.find("\n", self.at) + 1
+        self.at = end or len(self.ahead)
+        return self.ahead[at:end] if end else self.ahead[at:] + self.fh.readline()
 
     def skip(self) -> None:
         """Read on from the start of a line to the next line that starts a

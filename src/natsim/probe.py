@@ -10,9 +10,9 @@ stays large, while a directly addressed host pre-fragments at the
 planted value.
 
 `run_identification` takes a built scenario's `Handles` and reads its
-roles from them: the vantage host, the target address, the probe
-config and the `pre_echo_mtu` re-dial between the stages.  Run one
-probe per simulator instance at a time.
+roles from them: the vantage host, the target address and the probe
+config, whose `pre_echo_mtu` re-dials a link between the stages.  Run
+one probe per simulator instance at a time.
 """
 
 from __future__ import annotations
@@ -44,11 +44,24 @@ class NoBaselineError(Exception):
 
 
 @dataclass(frozen=True)
+class PreEchoSpec:
+    """The MTU a link is set to between the probe stages, like re-dialing
+    a testbed router."""
+
+    link: list[str]  # [from, to]
+    mtu: int
+
+    def __post_init__(self):
+        wire.check_range("mtu", self.mtu, wire.MIN_MTU)
+
+
+@dataclass(frozen=True)
 class ProbeConfig:
     forged_mtu: int = 600
     baseline_size: int = 1500
     timeout_ticks: int = 200
     vantage: str = "vantage"
+    pre_echo_mtu: PreEchoSpec | None = None
 
     def __post_init__(self):
         # the echo request is one datagram of baseline_size octets
@@ -155,9 +168,9 @@ def run_identification(handles: Handles) -> Verdict:
     if obs.post_probe_tcp_size is None or obs.post_probe_tcp_size > cfg.forged_mtu:
         return Verdict(VerdictKind.UNKNOWN, VerdictReason.NO_PMTU_SHRINK, obs)
 
-    if scn.pre_echo_mtu is not None:
+    if cfg.pre_echo_mtu is not None:
         # re-dial a link, as a testbed operator would between experiments
-        sim.set_link_mtu(*scn.pre_echo_mtu.link, scn.pre_echo_mtu.mtu)
+        sim.set_link_mtu(*cfg.pre_echo_mtu.link, cfg.pre_echo_mtu.mtu)
 
     # stage 2: full-sized echo, classify the reply shape; ambiguity
     # depends on the reply path, where the router fragments

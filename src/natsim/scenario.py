@@ -5,11 +5,12 @@ Scenario objects, then built into a live simulator.
 The document's top level and each of its blocks take exactly the fields
 of a run object (Scenario, NodeSpec, LinkSpec, NatPolicy, ServerSpec,
 WorkloadSpec, ProbeConfig, PreEchoSpec, AttackPlan, Expectation) that
-the loader does not set itself, typed by their annotations, plus the
-blocks and keys the loader reads by hand; any other key is a
-ScenarioError.  A field with no default is required.  The run objects
-hold the defaults and check their own values.  The loader checks the
-references between blocks and the rules that span blocks.
+the loader does not set itself, typed by their annotations; a field
+typed by a run object is a block.  `links`, `nat`, `clients` and `attack`
+are read by hand, as their shape is not their run object's.  Any other
+key is a ScenarioError.  A field with no default is required.  The run
+objects hold the defaults and check their own values.  The loader checks
+the references between blocks and the rules that span blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import EnumMeta
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, DEFAULT_RCV_WND, Host, LINUX_LIKE, OPENBSD_LIKE, TcpState
@@ -25,7 +26,7 @@ from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
 from .natbox import NatBox, NatPolicy
 from .probe import ProbeConfig, VerdictKind
 from .strike import AttackPlan, FailureDiagnosis
-from .wire import MIN_MTU, check_port_range, check_range
+from .wire import check_port_range, check_range
 
 NODE_KINDS = ("client", "nat", "router", "server", "vantage", "attacker")
 HOST_KINDS = ("client", "server", "vantage")  # the kinds that `build` gives a Host
@@ -49,7 +50,8 @@ def _enum_value(field_name: str, value: str, enum_cls):
 def _require(doc: dict, key: str, typ, where: str, default=MISSING):
     """doc[key] as a `typ`, or `default` when the key is absent or null;
     with no default the key is required.  An Enum type takes one of its
-    members' values, and `tuple` a [lo, hi] pair of ints."""
+    members' values, `tuple` a [lo, hi] pair of ints, and a run object a
+    block, built under `key` at the top level and `where.key` below it."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(doc).__name__}")
     if default is not MISSING and doc.get(key) is None:
@@ -63,6 +65,9 @@ def _require(doc: dict, key: str, typ, where: str, default=MISSING):
         if len(pair) != 2 or not all(type(x) is int for x in pair):
             raise ScenarioError(f"{where}.{key}: expected [lo, hi]")
         return tuple(pair)
+    if is_dataclass(typ):
+        block = _require(doc, key, dict, where)
+        return _build(typ, block, key if where == "scenario" else f"{where}.{key}")
     value = doc[key]
     # JSON true/false are Python ints too; only a bool field takes them
     if typ is float and type(value) is int:
@@ -75,9 +80,9 @@ def _require(doc: dict, key: str, typ, where: str, default=MISSING):
 @functools.cache
 def _field_types(cls) -> dict[str, tuple[type, object]]:
     """The type a document gives each field of `cls`, and the field's
-    default (MISSING for a required field): `X | None` reads as X and
-    `tuple[...]` as tuple.  Cached, because resolving the annotations
-    costs several times more than loading a document."""
+    default or default factory (MISSING for a required field): `X | None`
+    reads as X and `tuple[...]` as tuple.  Cached, because resolving the
+    annotations costs several times more than loading a document."""
     hints = typing.get_type_hints(cls)
     types = {}
     for f in fields(cls):
@@ -85,28 +90,24 @@ def _field_types(cls) -> dict[str, tuple[type, object]]:
         args = typing.get_args(hint)
         if type(None) in args:
             hint = next(a for a in args if a is not type(None))
-        types[f.name] = (typing.get_origin(hint) or hint, f.default)
+        default = f.default if f.default_factory is MISSING else f.default_factory
+        types[f.name] = (typing.get_origin(hint) or hint, default)
     return types
 
 
-def _known(doc: dict, where: str, keys) -> None:
-    """Reject a `doc` that is not an object, or a key of it that is not one
-    of `keys`: a misspelt field would otherwise leave its default in force
-    without a word."""
+def _build(cls, doc: dict, where: str, extras: tuple[str, ...] = (), /, **given):
+    """A `cls` from `given` and every other field of it, read from the
+    object `doc`, which may also hold the `extras` its caller reads and no
+    other key: a misspelt field would otherwise leave its default in force
+    without a word.  The ValueError of a run object's check, whose message
+    starts with the field, is raised as a ScenarioError under `where`."""
+    types = _field_types(cls)
+    keys = extras + tuple(k for k in types if k not in given)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(doc).__name__}")
     for key in doc:
         if key not in keys:
             raise ScenarioError(f"{where}.{key}: unknown field (valid: {', '.join(keys)})")
-
-
-def _build(cls, doc: dict, where: str, extras: tuple[str, ...] = (), /, **given):
-    """A `cls` from `given` and every other field of it, read from `doc`;
-    `doc` may also hold the `extras` its caller reads.  The ValueError of
-    a run object's check, whose message starts with the field, is raised
-    as a ScenarioError under `where`."""
-    types = _field_types(cls)
-    _known(doc, where, extras + tuple(k for k in types if k not in given))
     for key, (typ, default) in types.items():
         if key not in given and (default is MISSING or doc.get(key) is not None):
             given[key] = _require(doc, key, typ, where)
@@ -188,18 +189,6 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class PreEchoSpec:
-    """The MTU a link is set to between the probe stages, like re-dialing
-    a testbed router."""
-
-    link: list[str]  # [from, to]
-    mtu: int
-
-    def __post_init__(self):
-        check_range("mtu", self.mtu, MIN_MTU)
-
-
-@dataclass(frozen=True)
 class Expectation:
     verdict: str | None = None
     attack_success: bool | None = None
@@ -221,16 +210,15 @@ class Scenario:
     nodes: list[NodeSpec]
     links: list[LinkSpec]
     nat_policy: NatPolicy | None
-    server: ServerSpec | None
+    server: ServerSpec | None = None
     clients: list[str]
     ephemeral_range: tuple[int, int] = DEFAULT_EPHEMERAL_RANGE
-    workload: WorkloadSpec
-    probe: ProbeConfig | None
-    pre_echo_mtu: PreEchoSpec | None
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
+    probe: ProbeConfig | None = None
     # seeded with the document's seed; `build` reseeds it for each run
     attack: AttackPlan | None
     force_attack: bool = False
-    expect: Expectation | None
+    expect: Expectation | None = None
     doc: dict
     # the public address the probe and the attack aim at: the NAT's, or,
     # for a probe of a document with no NAT, the first client's
@@ -301,13 +289,6 @@ def load_scenario(doc: dict) -> Scenario:
     elif nat_kind_nodes:
         raise ScenarioError(f"nat: node {nat_kind_nodes[0]!r} present but not configured")
 
-    server = None
-    server_doc = _require(doc, "server", dict, "scenario", None)
-    if server_doc is not None:
-        server = _build(ServerSpec, server_doc, "server")
-        if server.node not in host_nodes:
-            raise ScenarioError(f"server.node: {server.node!r} is not a host node")
-
     default_clients = [n.id for n in nodes if n.kind == "client"]
     clients = _require(doc, "clients", list, "scenario", default_clients)
     for c in clients:
@@ -315,16 +296,19 @@ def load_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"clients: {c!r} is not a host node")
     if not clients:
         raise ScenarioError("clients: at least one client node required")
-    if server is not None and server.node in clients:
-        raise ScenarioError(f"server.node: {server.node!r} is also one of clients")
-    target_addr = addresses[nat_node or clients[0]]
 
-    workload = _build(WorkloadSpec, _require(doc, "workload", dict, "scenario", {}), "workload")
-
-    probe = pre_echo = None
-    probe_doc = _require(doc, "probe", dict, "scenario", None)
-    if probe_doc is not None:
-        probe = _build(ProbeConfig, probe_doc, "probe", ("pre_echo_mtu",))
+    scn = _build(
+        Scenario, doc, "scenario", ("nodes", "links", "nat", "clients", "attack"),
+        nodes=nodes, links=links, nat_policy=nat_policy, clients=clients, attack=None,
+        doc=doc, target_addr=addresses[nat_node or clients[0]],
+    )
+    server, probe, workload = scn.server, scn.probe, scn.workload
+    if server is not None:
+        if server.node not in host_nodes:
+            raise ScenarioError(f"server.node: {server.node!r} is not a host node")
+        if server.node in clients:
+            raise ScenarioError(f"server.node: {server.node!r} is also one of clients")
+    if probe is not None:
         if probe.vantage not in host_nodes:
             raise ScenarioError(f"probe.vantage: {probe.vantage!r} is not a host node")
         # the vantage host observes the session a client opens to it
@@ -332,22 +316,10 @@ def load_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"probe.vantage: {probe.vantage!r} is also server.node")
         if probe.vantage in clients:
             raise ScenarioError(f"probe.vantage: {probe.vantage!r} is also one of clients")
-        pe_doc = _require(probe_doc, "pre_echo_mtu", dict, "probe", None)
-        if pe_doc is not None:
-            pre_echo = _build(PreEchoSpec, pe_doc, "probe.pre_echo_mtu")
-            if pre_echo.link not in [[l.frm, l.to] for l in links]:
-                raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming a link")
+        pre_echo = probe.pre_echo_mtu
+        if pre_echo is not None and pre_echo.link not in [[l.frm, l.to] for l in links]:
+            raise ScenarioError("probe.pre_echo_mtu.link: expected [from, to] naming a link")
 
-    exp_doc = _require(doc, "expect", dict, "scenario", None)
-    expect = None if exp_doc is None else _build(Expectation, exp_doc, "expect")
-
-    scn = _build(
-        Scenario, doc, "scenario",
-        ("nodes", "links", "nat", "server", "clients", "workload", "probe", "attack", "expect"),
-        nodes=nodes, links=links, nat_policy=nat_policy, server=server, clients=clients,
-        workload=workload, probe=probe, pre_echo_mtu=pre_echo, attack=None, expect=expect,
-        doc=doc, target_addr=target_addr,
-    )
     attack_doc = _require(doc, "attack", dict, "scenario", None)
     if attack_doc is not None:
         if server is None:
@@ -355,7 +327,7 @@ def load_scenario(doc: dict) -> Scenario:
         if nat_policy is None:
             raise ScenarioError("attack: an attack block requires a nat block")
         scn.attack = _build(
-            AttackPlan, attack_doc, "attack", nat_public_ip=target_addr,
+            AttackPlan, attack_doc, "attack", nat_public_ip=scn.target_addr,
             victim_server=(addresses[server.node], server.port), seed=scn.seed,
         )
 

@@ -1,10 +1,13 @@
 """A reference `Simulator` whose arrivals take the plain form.
 
-`ReferenceSimulator.run` takes each datagram of an arrival group through its
-own `_arrive` call, which reads the node's fields afresh every time: the
-semantics the product's `run` must keep while it reads them once a group.
-Build a scenario on it by patching `scenario.Simulator`, which
-`scenario.build` instantiates.
+`ReferenceSimulator.forward_from` reads each datagram's size from
+`total_length` and queues the datagram as its own arrival event, never
+joining the group at the tail of its tick; `run` takes each datagram
+through its own `_arrive` call, which reads the node's fields afresh
+every time.  These are the semantics the product's fabric must keep while
+it sizes TCP datagrams inline, groups arrivals bound for one hop, and
+reads a node's fields once a group.  Build a scenario on it by patching
+`scenario.Simulator`, which `scenario.build` instantiates.
 
 `checked_tcp_packet` builds what `wire.tcp_packet` builds through the
 checked constructors; patch it over the `tcp_packet` that `strike`,
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import heapq
 
+from natsim import wire
 from natsim.fabric import Node, Simulator
-from natsim.wire import Ipv4Datagram, Protocol, TcpFlag, TcpSegment
+from natsim.wire import FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
 
 
 def checked_tcp_packet(
@@ -51,6 +55,33 @@ class ReferenceSimulator(Simulator):
             del buckets[tick]
         if until is not None:
             self.now = max(self.now, until)
+
+    def forward_from(self, node: str, d: Ipv4Datagram) -> None:
+        route = self.forwarding[node].get(d.dst)
+        if route is None:
+            self.record(node, "drop", "no-route", d)
+            return
+        _, link, rng, hop = route
+        if link.filter is not None:
+            cls = link.filter.matches(d)
+            if cls is not None:
+                self.record(node, "drop", f"filtered-{cls.value}", d)
+                return
+        if d.total_length > link.mtu:
+            if d.df:
+                self.record(node, "drop", "needs-fragmentation", d)
+                self.send_from(node, Ipv4Datagram(
+                    src=self.nodes[node].address, dst=d.src, protocol=Protocol.ICMP,
+                    payload=FragNeeded(next_hop_mtu=link.mtu, embedded=wire.quote_of(d))))
+                return
+            self.record(node, "fragment", "", d)
+            for piece in wire.fragment(d, link.mtu):
+                self.forward_from(node, piece)
+            return
+        if rng is not None and rng.random() < link.loss:
+            self.record(node, "drop", "loss", d)
+            return
+        self._schedule(self.now + link.delay, ("group", hop, [d]))
 
     def _arrive(self, node: Node, d: Ipv4Datagram) -> None:
         node_id = node.node_id
