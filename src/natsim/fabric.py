@@ -9,9 +9,10 @@ per RFC 791 and forwarded in offset order.
 Routing is static: `finalize_routes` gives each node one forwarding table,
 `dst address -> (next hop, LinkSpec, loss stream or None, next hop's Node)`,
 so a hop is one lookup, and each Node shares its Counters with
-`Simulator.counters`.  The tables hold the links' own LinkSpec objects
-(`set_link_mtu` changes the MTU every route sees), and each lossy link has
-one loss stream, keyed on (seed, from, to), whatever routes over it.
+`Simulator.counters`.  Every run of a document shares its frozen LinkSpecs:
+`set_link_mtu` swaps a copy with the new MTU into `links` and into each route
+that held the old one.  Each lossy link has one loss stream, keyed on (seed,
+from, to), whatever routes over it.
 
 Time only moves forward: a call before `now` is an error, and each tick's
 events run in one FIFO pass.  The queue holds one event per injected batch,
@@ -44,7 +45,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol as TypingProtocol
 
@@ -104,7 +105,7 @@ class MiddleboxFilter:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSpec:
     frm: str
     to: str
@@ -291,6 +292,26 @@ class Trace:
         return map(_as_record, self.rows())
 
 
+def route_plan(addresses: dict[str, str], links: Iterable[tuple]) -> dict[str, dict[str, list[str]]]:
+    """node -> first hop -> the addresses it routes through that hop, by per-source BFS
+    over out-neighbours in (from, to) `links` order, so routing is deterministic."""
+    out: dict[str, list[str]] = {node: [] for node in addresses}
+    for frm, to in links:
+        out[frm].append(to)
+    plan = {}
+    for origin in addresses:
+        groups = plan[origin] = {}
+        reached = {origin: None}  # node -> the group of its first hop (never empty once read)
+        queue = [origin]
+        for cur in queue:  # the list grows as it is read, so it runs as a FIFO queue
+            for nb in out[cur]:
+                if nb not in reached:
+                    group = reached[nb] = reached[cur] or groups.setdefault(nb, [])
+                    group.append(addresses[nb])
+                    queue.append(nb)
+    return plan
+
+
 class Simulator:
     """Event loop, topology, routing, and the packet trace."""
 
@@ -340,29 +361,23 @@ class Simulator:
         link = self.links.get((frm, to))
         if link is None:
             raise NoSuchNodeError(f"no-such-node: link {frm}->{to}")
-        wire.check_range("mtu", mtu, wire.MIN_MTU)
-        link.mtu = mtu
+        new = self.links[(frm, to)] = replace(link, mtu=mtu)
+        table = self.forwarding[frm]  # only frm's own routes cross the link
+        for dst, route in table.items():
+            if route[1] is link:
+                table[dst] = (to, new, route[2], route[3])
 
-    def finalize_routes(self) -> None:
-        """Build every node's forwarding table by per-source BFS over its
-        out-neighbours in link-insertion order, so routing is deterministic.
-        Call it once, after the last add_link, as `scenario.build` and the
-        test topologies do: each lossy link gets its one loss stream here."""
-        out: dict[str, list[tuple[str, Route]]] = {node: [] for node in self.nodes}
-        for (frm, to), link in self.links.items():
-            rng = derive_rng(self.seed, "loss", frm, to) if link.loss > 0.0 else None
-            out[frm].append((to, (to, link, rng, self.nodes[to])))
-        for origin in self.nodes:
+    def finalize_routes(self, plan: dict[str, dict[str, list[str]]] | None = None) -> None:
+        """Install each node's forwarding table from `plan`, by default the links'
+        `route_plan`, after the last add_link: each lossy link gets its one loss stream here."""
+        if plan is None:
+            plan = route_plan({n: node.address for n, node in self.nodes.items()}, self.links)
+        for origin, groups in plan.items():
             table = self.forwarding[origin] = {}
-            reached = {origin}
-            queue = deque([(origin, None)])  # (node, the origin's route toward it)
-            while queue:
-                cur, via = queue.popleft()
-                for nb, route in out[cur]:
-                    if nb not in reached:
-                        reached.add(nb)
-                        table[self.nodes[nb].address] = route = via or route
-                        queue.append((nb, route))
+            for hop, dsts in groups.items():
+                link = self.links[(origin, hop)]
+                rng = derive_rng(self.seed, "loss", origin, hop) if link.loss > 0.0 else None
+                table.update(dict.fromkeys(dsts, (hop, link, rng, self.nodes[hop])))
 
     def path_min_mtu(self, from_node: str, dst_addr: str) -> int | None:
         """Smallest link MTU along the current route toward dst_addr.  Each

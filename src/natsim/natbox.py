@@ -118,7 +118,8 @@ class NatBox(IpNode):
         # each external port belongs to one mapping, so this is also the set of used ports
         self.by_external: dict[int, NatMapping] = {}
         self.mappings_removed_by_rst = 0
-        self._rng = derive_rng(seed, "nat", node_id)
+        self._seed = seed
+        self._rng = None  # the port RNG, derived at the first seeded-random draw
         self._next_sequential = policy.sequential_start
 
     # -- fabric handler (sees every packet crossing the node) --------------------
@@ -261,4 +262,5 @@ class NatBox(IpNode):
             if port is not None:
                 self._next_sequential = port + 1
             return port
+        self._rng = self._rng or derive_rng(self._seed, "nat", self.node_id)
         return pick_port(self._rng, self.MIN_PORT, 0xFFFF, self.by_external)

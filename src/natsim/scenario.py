@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import EnumMeta
 
 from .endpoint import DEFAULT_EPHEMERAL_RANGE, DEFAULT_RCV_WND, Host, LINUX_LIKE, OPENBSD_LIKE, TcpState
-from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, traces_kept
+from .fabric import DropClass, LinkSpec, MiddleboxFilter, Simulator, route_plan, traces_kept
 from .natbox import NatBox, NatPolicy
 from .probe import ProbeConfig, VerdictKind
 from .strike import AttackPlan, FailureDiagnosis
@@ -232,6 +232,10 @@ class Scenario:
             raise ValueError(f"tick_duration: {self.tick_duration} is not positive")
         check_port_range("ephemeral_range", self.ephemeral_range)
 
+    @functools.cached_property
+    def route_plan(self) -> dict[str, dict[str, list[str]]]:
+        return route_plan({n.id: n.address for n in self.nodes}, [(link.frm, link.to) for link in self.links])
+
     def policy_summary(self) -> str:
         policy = self.nat_policy.summary() if self.nat_policy else "no-nat"
         profile = self.server.profile if self.server else LINUX_LIKE.name
@@ -240,8 +244,6 @@ class Scenario:
 
 def load_scenario(doc: dict) -> Scenario:
     """Validate a scenario document and build its run objects."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario: expected an object")
     nodes = []
     addresses: dict[str, str] = {}
     for i, nd in enumerate(_require(doc, "nodes", list, "scenario")):
@@ -407,9 +409,10 @@ def build(scenario: Scenario, seed: int | None = None) -> Handles:
             hosts[spec.id] = host
             sim.add_node(spec.id, spec.address, handler=host)
 
+    # the document's frozen links, shared by every run: never copy one through __dict__, nor read its __dict__
     for link in scenario.links:
-        sim.add_link(replace(link))
-    sim.finalize_routes()
+        sim.add_link(link)
+    sim.finalize_routes(scenario.route_plan)
 
     server_host = hosts[server.node] if server else None
     if server_host is not None:

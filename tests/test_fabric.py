@@ -22,6 +22,7 @@ from natsim.fabric import (
     TraceRecord,
     derive_rng,
     render_chunks,
+    route_plan,
 )
 from natsim.strike import craft_push_ack_sweep, craft_rst_sweep
 from natsim.wire import EchoReply, EchoRequest, FragNeeded, Ipv4Datagram, Protocol, TcpFlag, TcpSegment
@@ -1000,6 +1001,57 @@ class TestRouting:
                 sim.run()
                 fate = [(rec.node, rec.action, rec.reason) for rec in itertools.islice(sim.trace, mark, None)]
                 assert fate == ref.fate(origin, dst)
+        # the plan, installed in a second simulator at another seed whose
+        # links have other values, some lossy, routes the same way over them
+        plan = route_plan(addresses, sim.links)
+        lossy = Simulator(seed=7)
+        for node, address in addresses.items():
+            lossy.add_node(node, address, transit=True)
+        for i, (frm, to, mtu) in enumerate(calls):
+            lossy.add_link(LinkSpec(frm, to, mtu=mtu, loss=0.5 if i % 3 else 0.0))
+        lossy.finalize_routes(plan)
+        for origin in addresses:
+            # each destination the origin reaches sits in exactly one group
+            grouped = [dst for dsts in plan[origin].values() for dst in dsts]
+            assert sorted(grouped) == sorted(ref.routes[origin])
+            table = lossy.forwarding[origin]
+            assert {dst: route[0] for dst, route in table.items()} == ref.routes[origin]
+            streams = {}
+            for hop, link, rng, node in table.values():
+                assert link is lossy.links[(origin, hop)] and node is lossy.nodes[hop]
+                # one stream a link, the one finalize_routes() would derive
+                assert streams.setdefault(hop, rng) is rng
+                if link.loss:
+                    assert rng.getstate() == derive_rng(7, "loss", origin, hop).getstate()
+                else:
+                    assert rng is None
+
+    def test_a_document_routes_through_its_plan_as_finalize_routes_does(self):
+        # c reaches s through r1 or r2 in two hops; c->r2 is listed first,
+        # and again last with a new MTU: it keeps its first place and takes
+        # its last values
+        doc = {
+            "name": "twice",
+            "nodes": [
+                {"id": "c", "kind": "client", "address": "10.0.0.2"},
+                {"id": "r1", "kind": "router", "address": "198.51.100.1"},
+                {"id": "r2", "kind": "router", "address": "198.51.100.2"},
+                {"id": "s", "kind": "server", "address": "7.7.7.7"},
+            ],
+            "links": [{"from": "c", "to": "r2"}, {"from": "c", "to": "r1"}] + [
+                {"from": a, "to": b} for a, b in (("r1", "c"), ("r2", "c"), ("r1", "s"), ("r2", "s"),
+                                                  ("s", "r1"), ("s", "r2"))
+            ] + [{"from": "c", "to": "r2", "mtu": 900}],
+            "server": {"node": "s"},
+        }
+        scn = sc.load_scenario(doc)
+        sim = sc.build(scn).sim
+        planned = {origin: dict(table) for origin, table in sim.forwarding.items()}
+        sim.finalize_routes()
+        assert planned == sim.forwarding
+        hop, link, _, _ = planned["c"]["7.7.7.7"]
+        assert hop == "r2" and link is scn.links[-1] and link.mtu == 900
+        assert sim.path_min_mtu("c", "7.7.7.7") == 900
 
     def test_destinations_sharing_a_lossy_link_share_its_stream(self):
         sim = Simulator(seed=3)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from natsim import wire
 from natsim.endpoint import DEFAULT_RCV_WND
-from natsim.fabric import Simulator, render_chunks
+from natsim.fabric import Simulator, derive_rng, render_chunks
 from natsim.natbox import (
     NatBox,
     NatPolicy,
@@ -79,6 +79,8 @@ class TestOutbound:
         sim, client, nat, server = nat_triangle(policy)
         connect(sim, client)
         assert 1024 <= the_mapping(nat).external_port <= 65535
+        # the first draw of the stream keyed on (seed, "nat", node id)
+        assert the_mapping(nat).external_port == 1024 + derive_rng(1, "nat", "nat").randrange(65535 - 1024 + 1)
 
 
 class TestInbound:

@@ -1,6 +1,7 @@
 """Scenario loading: schema validation, defaults, the shipped suite."""
 
 import copy
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from natsim import assess, strike
 from natsim import scenario as sc
 from natsim.cli import main
-from natsim.fabric import keep_traces
+from natsim.fabric import keep_traces, render_chunks
 from natsim.natbox import PmtudSync, PortAllocation, RstHandling, UnmappedInbound
 from natsim.scenario import ScenarioError, load_scenario
 from natsim.wire import TcpFlag, TcpSegment
@@ -414,6 +415,54 @@ def test_roles_follow_the_blocks_that_name_them(kind):
     assert (report.success, report.failure_diagnosis.value) == (False, "no-dup-ack-from-server")
     assert [n for n, h in handles.hosts.items() if h.vantage] == [scn.probe.vantage]
     assert [n for n, h in handles.hosts.items() if h.arrivals] == [scn.probe.vantage]
+
+
+class TestSharedLinks:
+    """Every run of a loaded document shares its frozen LinkSpecs, so a run
+    that re-dials a link must swap in its own copy."""
+
+    def test_set_link_mtu_changes_only_its_own_run(self):
+        scn = load_scenario(sc.nat_scenario_doc("shared"))
+        document = copy.deepcopy(scn.links)
+        before, redialled = sc.build(scn, seed=1).sim, sc.build(scn, seed=2).sim
+        redialled.set_link_mtu("r1", "vantage", 576)
+        after = sc.build(scn, seed=3).sim
+        assert scn.links == document
+        for sim in (before, after):
+            assert all(sim.links[(link.frm, link.to)] is link for link in scn.links)
+            assert sim.path_min_mtu("client1", "8.8.8.8") == 1500
+        # every origin whose route to the vantage crosses r1->vantage reads
+        # the new MTU, and no other route changes
+        for origin in redialled.nodes:
+            for dst in redialled.addr_to_node:
+                node, crossed = origin, []
+                while redialled.nodes[node].address != dst:
+                    hop = redialled.forwarding[node][dst][0]
+                    crossed.append((node, hop))
+                    node = hop
+                expected = None if not crossed else 576 if ("r1", "vantage") in crossed else 1500
+                assert redialled.path_min_mtu(origin, dst) == expected, (origin, dst)
+        assert sum(redialled.path_min_mtu(o, "8.8.8.8") == 576 for o in redialled.nodes) == 8
+
+    def test_a_link_is_frozen(self):
+        link = load_scenario(sc.nat_scenario_doc("frozen")).links[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.mtu = 576
+
+    def test_a_redialling_run_repeats_on_one_loaded_document(self):
+        """frag-router-576-nat re-dials r1->vantage between the probe's
+        stages: two identifications on one loaded Scenario, and one on a
+        freshly loaded copy, give equal verdicts and trace text."""
+
+        def identify(scn):
+            with keep_traces():
+                verdict, handles = assess.identify_scenario(scn)
+            return verdict, "".join(render_chunks(handles.sim.trace.rows(), 1024))
+
+        scn = next(s for s in sc.default_suite() if s.name == "frag-router-576-nat")
+        first = identify(scn)
+        assert first[0].kind.value == "nat-device"
+        assert identify(scn) == first == identify(load_scenario(scn.doc))
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
